@@ -154,15 +154,6 @@ class GradPack:
     logits: np.ndarray | None = None
     consts: np.ndarray | None = None
 
-    def gen_as_vec(self) -> np.ndarray:
-        return np.concatenate([self.gen_cov_factor.ravel(), self.gen_means.ravel()])
-
-    def disc_as_vec(self) -> np.ndarray:
-        parts = [self.quad.ravel(), self.logits.ravel()]
-        if self.consts is not None:
-            parts.append(self.consts.ravel())
-        return np.concatenate(parts)
-
 
 # ---------------------------------------------------------------------------
 # generator

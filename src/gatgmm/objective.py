@@ -65,6 +65,7 @@ __all__ = [
     "MixtureMoments",
     "GeneratorMoments",
     "LatentGenMoments",
+    "TiedMomentRound",
     "minimax_value_and_grads",
     "disc_block_value_and_grads",
     "gen_block_grads",
@@ -105,11 +106,8 @@ def _tanh_ppp(t):
 _KINDS = {
     "tanh": np.tanh,
     "tanh_prime": _tanh_prime,
-    "tanh'": _tanh_prime,
     "tanh_pp": _tanh_pp,
-    "tanh''": _tanh_pp,
     "tanh_ppp": _tanh_ppp,
-    "tanh'''": _tanh_ppp,
     "logcosh": _logcosh,
     "x_tanh": lambda t: t * np.tanh(t),
 }
@@ -132,7 +130,7 @@ def gh_expect(mean: float, std: float, kind: str, order: int = 64) -> float:
     try:
         f = _KINDS[kind]
     except KeyError:
-        raise InvalidInput(f"unknown kind {kind!r}; one of {sorted(set(_KINDS))}") from None
+        raise InvalidInput(f"unknown kind {kind!r}; one of {sorted(_KINDS)}") from None
     x, w = _gh_nodes(int(order))
     return float(w @ f(mean + std * x))
 
@@ -347,6 +345,74 @@ def _tied_block(dd: DiscriminatorParams, anchors: Anchors, xs: np.ndarray,
     g1 = xs.T @ np.tanh(tx1) / n - gx.T @ np.tanh(tg1) / m - 2.0 * lam * (b1 - d_vec)
     g3 = -(xs.T @ np.tanh(tx3) / n) + gx.T @ np.tanh(tg3) / m - 2.0 * lam * (b3 - d_vec)
     return value, quad_grad, np.stack([g1, g3]), None
+
+
+_TIED_SIGNS = np.array([[1.0], [-1.0]])  # D has +logcosh(b1'x) - logcosh(b3'x)
+
+
+class TiedMomentRound:
+    """The tied symmetric GDA round in latent-moment space.
+
+    With G = y (C z + mu), every generator-side term of ``_tied_block`` and
+    ``gen_block_grads`` follows from the latent moments sz = z^T z / m and
+    zbar, the projections G B = y (z C^T B + mu^T B) of the free rows
+    B = (b1, b3), and contractions z^T (y t) / m of per-sample weights:
+
+        E[(C z + mu) z^T] = C sz + mu zbar^T,   E[C z + mu] = C zbar + mu,
+        E[G G^T] = (C sz + mu zbar^T) C^T + (C zbar + mu) mu^T,
+        E[G t]   = C z^T (y t) / m + mu mean(y t).
+
+    The m x d batch G is never formed: a round costs one syrk and a few
+    d^3 products, plus O(m d) per discriminator step.  A round is built on
+    the generator (cov, mu), the data batch xs with its second moment sx,
+    and the latent batch (z, labels); its methods take the discriminator as
+    (quad, rows) with rows = (b1, b3) stacked as 2 x d.  ``consts`` (trained
+    only in the generic modes) is not read.
+    """
+
+    def __init__(self, anchors: Anchors, cov: np.ndarray, mu: np.ndarray,
+                 xs: np.ndarray, sx: np.ndarray, z: np.ndarray, labels: np.ndarray):
+        m = z.shape[0]
+        self.anchors, self.cov, self.mu, self.xs, self.z = anchors, cov, mu, xs, z
+        self.y = np.asarray(labels, dtype=np.float64)[:, None]
+        zbar = np.sum(z, axis=0) / m
+        self.gz = cov @ (z.T @ z / m) + np.outer(mu, zbar)
+        self.gbar = cov @ zbar + mu
+        self.sg = symmetrize(self.gz @ cov.T + np.outer(self.gbar, mu))
+        self.half_gap = 0.5 * (sx - self.sg)
+
+    def _proj(self, rows: np.ndarray) -> np.ndarray:
+        return self.y * (self.z @ (rows @ self.cov).T + rows @ self.mu)
+
+    def _tanh_moments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """z^T (y t) / m and mean(y t) for t = tanh(G B)."""
+        yt = self.y * np.tanh(self._proj(rows))
+        m = yt.shape[0]
+        return self.z.T @ yt / m, np.sum(yt, axis=0) / m
+
+    def disc_grads(self, quad, rows, consts):
+        """Ascent gradients (quad_grad, row_grads, None) of ``_tied_block``."""
+        lam, xs = self.anchors.lam, self.xs
+        zt, yt_mean = self._tanh_moments(rows)
+        g_mom = self.cov @ zt + np.outer(self.mu, yt_mean)
+        x_mom = xs.T @ np.tanh(xs @ rows.T) / xs.shape[0]
+        row_grads = _TIED_SIGNS * (x_mom - g_mom).T - 2.0 * lam * (rows - self.anchors.d_vecs[0])
+        return self.half_gap - lam * quad, row_grads, None
+
+    def gen_grads(self, quad, rows, consts):
+        """Descent gradients (cov_grad, means_grad) of ``gen_block_grads``."""
+        zt, yt_mean = self._tanh_moments(rows)
+        signed = (_TIED_SIGNS * rows).T  # columns (b1, -b3)
+        cov_step = quad @ self.gz + signed @ zt.T
+        mean_step = quad @ self.gbar + signed @ yt_mean
+        return -cov_step, -mean_step[None, :]
+
+    def value(self, quad, rows, consts) -> float:
+        """Objective value at the discriminator (quad, rows)."""
+        lc = (np.mean(_logcosh(self.xs @ rows.T), axis=0)
+              - np.mean(_logcosh(self._proj(rows)), axis=0))
+        pen = float(np.sum(quad ** 2)) + 2.0 * float(np.sum((rows - self.anchors.d_vecs[0]) ** 2))
+        return float(np.sum(quad * self.half_gap) + lc[0] - lc[1]) - 0.5 * self.anchors.lam * pen
 
 
 def disc_block_value_and_grads(dd: DiscriminatorParams, anchors: Anchors,

@@ -2,9 +2,13 @@
 
 One round = ``disc_steps_per_gen_step`` ascent steps on the discriminator
 block followed by one descent step on the generator, each evaluated on the
-current minibatch with a fresh latent batch per round.  All randomness
-flows through split streams of a single Philox seed, so a (config, seed)
-pair replays bit-identically.
+current minibatch with a fresh latent batch per round.  One loop in
+``train_gda`` serves every mode and a per-mode round supplies the gradients:
+``objective.TiedMomentRound`` in the tied symmetric mode, which works in
+latent-moment space and never forms the generated batch, and
+``disc_block_value_and_grads`` + ``gen_block_grads`` otherwise.  All
+randomness flows through split streams of a single Philox seed, so a
+(config, seed) pair replays bit-identically.
 
 The stationarity measure is the Danskin envelope gradient: solve the inner
 maximization to tolerance, then take the generator gradient of the
@@ -31,6 +35,7 @@ from .model import (
     SYMMETRIC2,
     DiscriminatorParams,
     GeneratorParams,
+    draw_latents,
     gen_apply,
     params_to_json,
 )
@@ -38,7 +43,7 @@ from .objective import (
     Anchors,
     MixtureMoments,
     SampleMoments,
-    _logcosh,
+    TiedMomentRound,
     disc_block_value_and_grads,
     envelope_generator_grad,
     gen_block_grads,
@@ -145,6 +150,10 @@ class TrainConfig:
             raise InvalidInput("disc_steps_per_gen_step must be >= 1")
         if not self.lam > 0:
             raise InvalidInput("lam must be > 0")
+        if self.eval_every < 1:
+            raise InvalidInput("eval_every must be >= 1")
+        if self.project_feasible and not (self.eta is not None and self.eta > 1.0):
+            raise InvalidInput("projection needs an explicit eta > 1")
 
 
 @dataclass(frozen=True)
@@ -181,31 +190,18 @@ class TrainReport:
         return out
 
 
+def _feasible_scale(cov: np.ndarray, means: np.ndarray, eta: float) -> float:
+    """Factor t <= 1 putting (t C, t means) on ||C||_F^2 + max_i ||mu_i||^2 + 1 <= eta."""
+    total = float(np.sum(cov ** 2) + np.max(np.sum(means ** 2, axis=1)))
+    return 1.0 if total + 1.0 <= eta else float(np.sqrt((eta - 1.0) / total))
+
+
 def project_to_feasible(g: GeneratorParams, eta: float) -> GeneratorParams:
     """Jointly rescale (C, means) onto ||C||_F^2 + max_i ||mu_i||^2 + 1 <= eta."""
     if not eta > 1.0:
         raise InvalidInput("feasibility radius eta must exceed 1")
-    total = float(np.sum(g.cov_factor ** 2) + np.max(np.sum(g.means ** 2, axis=1)))
-    if total + 1.0 <= eta:
-        return g
-    t = np.sqrt((eta - 1.0) / total)
-    return replace(g, cov_factor=t * g.cov_factor, means=t * g.means)
-
-
-def _disc_step(dd: DiscriminatorParams, quad_grad, logit_grads, const_grads,
-               lr: float) -> DiscriminatorParams:
-    quad = symmetrize(dd.quad + lr * quad_grad)
-    if dd.tied:
-        return DiscriminatorParams.tied_symmetric(
-            quad, dd.logits[0] + lr * logit_grads[0], dd.logits[2] + lr * logit_grads[1])
-    consts = dd.consts + lr * const_grads if const_grads is not None else dd.consts
-    return DiscriminatorParams(quad=quad, logits=dd.logits + lr * logit_grads,
-                               consts=consts, tied=False)
-
-
-def _gen_step(g: GeneratorParams, cov_grad, means_grad, lr: float) -> GeneratorParams:
-    return replace(g, cov_factor=g.cov_factor - lr * cov_grad,
-                   means=g.means - lr * means_grad)
+    t = _feasible_scale(g.cov_factor, g.means, eta)
+    return g if t == 1.0 else replace(g, cov_factor=t * g.cov_factor, means=t * g.means)
 
 
 def stationarity_grad_norm(g: GeneratorParams, target, anchors: Anchors,
@@ -241,96 +237,35 @@ def _eval_record(it, value, g, dd, anchors, xs, cfg, truth, t0):
                       seconds=time.perf_counter() - t0), envelope
 
 
-def _train_fast_symmetric(xs, cfg, anchors, truth, g0, dd0, lr_gen, lr_disc):
-    """Raw-array loop for the tied symmetric mode: same updates as the
-    generic path without per-step parameter-object reconstruction."""
-    n, d = xs.shape
-    lam = anchors.lam
-    d_vec = anchors.d_vecs[0].copy()
-    root = SeededRng(cfg.seed)
-    z_rng = root.split(2)
-    batch_rng = root.split(3)
+class _BlockRound:
+    """Round of every mode but tied symmetric: the generated batch and the
+    generic block gradients.  ``value`` is the objective before the last
+    discriminator step, as ``disc_block_value_and_grads`` returns it."""
 
-    quad = dd0.quad.copy()
-    b1 = dd0.logits[0].copy()
-    b3 = dd0.logits[2].copy()
-    cov = g0.cov_factor.copy()
-    mu = g0.means[0].copy()
+    def __init__(self, anchors: Anchors, g: GeneratorParams, xs, sx, z, labels):
+        self.anchors, self.g, self.xs, self.sx = anchors, g, xs, sx
+        self.z, self.labels = z, labels
+        self.gx = gen_apply(g, z, labels)
 
-    batch = n if cfg.batch_size in (0, None) or cfg.batch_size >= n else cfg.batch_size
-    m = cfg.latent_batch if cfg.latent_batch > 0 else batch
-    full_sx = symmetrize(xs.T @ xs / n) if batch == n else None
+    def disc_grads(self, quad, rows, consts):
+        dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
+        self.last_value, quad_grad, row_grads, const_grads = disc_block_value_and_grads(
+            dd, self.anchors, self.xs, self.gx, self.g.mode == SHARED_COV, sx=self.sx)
+        return quad_grad, row_grads, const_grads
 
-    records: list[EvalRecord] = []
-    t0 = time.perf_counter()
-    for it in range(1, cfg.max_iters + 1):
-        xb = xs if batch == n else xs[batch_rng.gen.integers(0, n, size=batch)]
-        if cfg.antithetic_from is not None and it > cfg.antithetic_from:
-            half = z_rng.gen.standard_normal(((m + 1) // 2, d))
-            z = np.concatenate([half, -half])[:m]
-        else:
-            z = z_rng.gen.standard_normal((m, d))
-        labels = (z_rng.gen.integers(0, 2, size=m) * 2 - 1).astype(np.float64)
-        gx = (z @ cov.T + mu) * labels[:, None]
+    def gen_grads(self, quad, rows, consts):
+        dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
+        return gen_block_grads(self.g, dd, self.gx, self.z, self.labels)
 
-        sx = full_sx if full_sx is not None else symmetrize(xb.T @ xb / batch)
-        sg = symmetrize(gx.T @ gx / m)
-        for _ in range(cfg.disc_steps_per_gen_step):
-            quad_grad = symmetrize(0.5 * (sx - sg)) - lam * quad
-            th_x1 = np.tanh(xb @ b1)
-            th_x3 = np.tanh(xb @ b3)
-            th_g1 = np.tanh(gx @ b1)
-            th_g3 = np.tanh(gx @ b3)
-            g1 = xb.T @ th_x1 / batch - gx.T @ th_g1 / m - 2.0 * lam * (b1 - d_vec)
-            g3 = -(xb.T @ th_x3 / batch) + gx.T @ th_g3 / m - 2.0 * lam * (b3 - d_vec)
-            if not np.isfinite(np.sum(quad_grad) + np.sum(g1) + np.sum(g3)):
-                raise Diverged(it)
-            quad = symmetrize(quad + lr_disc * quad_grad)
-            b1 = b1 + lr_disc * g1
-            b3 = b3 + lr_disc * g3
+    def value(self, quad, rows, consts) -> float:
+        return self.last_value
 
-        th_g1 = np.tanh(gx @ b1)
-        th_g3 = np.tanh(gx @ b3)
-        s = gx @ quad + np.outer(th_g1, b1) - np.outer(th_g3, b3)
-        signed = labels[:, None] * s
-        mean_signed = np.mean(signed, axis=0)
-        cov_step = signed.T @ z / m
-        if not np.isfinite(np.sum(cov_step) + np.sum(mean_signed)):
-            raise Diverged(it)
-        mu = mu + lr_gen * mean_signed
-        cov = cov + lr_gen * cov_step
 
-        if cfg.project_feasible:
-            if cfg.eta is None:
-                raise InvalidInput("projection needs an explicit eta")
-            total = float(np.sum(cov ** 2) + np.sum(mu ** 2))
-            if total + 1.0 > cfg.eta:
-                t = np.sqrt((cfg.eta - 1.0) / total)
-                cov = t * cov
-                mu = t * mu
-
-        if it % cfg.eval_every == 0 or it == cfg.max_iters:
-            g = GeneratorParams(mode=SYMMETRIC2, cov_factor=cov, means=mu[None, :])
-            dd = DiscriminatorParams.tied_symmetric(quad, b1, b3)
-            pen = (float(np.sum(quad ** 2)) + 2.0 * float(np.sum((b1 - d_vec) ** 2))
-                   + 2.0 * float(np.sum((b3 - d_vec) ** 2)))
-            value = (float(np.mean(0.5 * np.sum((xb @ quad) * xb, axis=1)
-                                   + _logcosh(xb @ b1) - _logcosh(xb @ b3)))
-                     - float(np.mean(0.5 * np.sum((gx @ quad) * gx, axis=1)
-                                     + _logcosh(gx @ b1) - _logcosh(gx @ b3)))
-                     - 0.5 * lam * pen)
-            rec, envelope = _eval_record(it, value, g, dd, anchors, xs, cfg, truth, t0)
-            if not np.isfinite(rec.grad_norm):
-                batch_norm = float(np.sqrt(np.sum(cov_step ** 2) + np.sum(mean_signed ** 2)))
-                rec = replace(rec, grad_norm=batch_norm)
-            records.append(rec)
-            if cfg.grad_tol > 0 and np.isfinite(envelope) and envelope <= cfg.grad_tol:
-                break
-
-    g = GeneratorParams(mode=SYMMETRIC2, cov_factor=cov, means=mu[None, :])
-    dd = DiscriminatorParams.tied_symmetric(quad, b1, b3)
-    return TrainReport(iterates=records, final_gen=g, final_disc=dd,
-                       wall_clock_seconds=time.perf_counter() - t0)
+def _params(mode, cov, means, quad, rows, consts, tied):
+    g = GeneratorParams(mode=mode, cov_factor=cov, means=means)
+    if tied:
+        return g, DiscriminatorParams.tied_symmetric(quad, rows[0], rows[1])
+    return g, DiscriminatorParams(quad=quad, logits=rows, consts=consts)
 
 
 def train_gda(data, cfg: TrainConfig, anchors: Anchors,
@@ -338,13 +273,16 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     """Alternating GDA on the minimax objective.
 
     Stops at max_iters, or earlier when grad_tol > 0 and the envelope
-    gradient norm at an eval point falls below it.  Raises Diverged with
-    the iteration index on a non-finite gradient.
+    gradient norm at an eval point falls below it.  Raises InvalidInput
+    before the first round on empty or non-finite data and on anchors that
+    do not fit it, and Diverged with the iteration index on a non-finite
+    gradient or step.
     """
-    xs = np.asarray(getattr(data, "samples", data), dtype=np.float64)
-    xs = np.atleast_2d(xs)
+    xs = np.atleast_2d(np.asarray(getattr(data, "samples", data), dtype=np.float64))
     if xs.shape[0] < 1:
         raise InvalidInput("training data is empty")
+    if not np.all(np.isfinite(xs)):
+        raise InvalidInput("training data must be finite")
     n, d = xs.shape
 
     root = SeededRng(cfg.seed)
@@ -354,6 +292,9 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
 
     sigma = cfg.sigma_init if cfg.sigma_init is not None else 2.0 ** (-1.0 / d)
     g, dd = init_params(d, cfg.mode, sigma, init_rng, k=cfg.k, tied=cfg.tied)
+    if anchors.d != d or anchors.k != g.k:
+        raise InvalidInput(f"anchors hold {anchors.k} vectors of dimension {anchors.d}; "
+                           f"training needs {g.k} of dimension {d}")
 
     if cfg.use_guaranteed_steps:
         if cfg.eta is None:
@@ -371,58 +312,59 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
                                  seconds=0.0)],
             final_gen=g, final_disc=dd, wall_clock_seconds=0.0)
 
-    if cfg.mode == SYMMETRIC2 and cfg.tied:
-        return _train_fast_symmetric(xs, cfg, anchors, truth, g, dd, lr_gen, lr_disc)
-
-    batch = n if cfg.batch_size in (0, None) or cfg.batch_size >= n else cfg.batch_size
-    train_consts = cfg.mode == SHARED_COV
+    tied = dd.tied
+    batch = cfg.batch_size if 0 < cfg.batch_size < n else n
+    m = cfg.latent_batch if cfg.latent_batch > 0 else batch
+    pair_from = cfg.antithetic_from if cfg.mode == SYMMETRIC2 else None
     full_sx = symmetrize(xs.T @ xs / n) if batch == n else None
+    cov, means, quad, consts = g.cov_factor, g.means, dd.quad, dd.consts
+    rows = dd.logits[[0, 2]] if tied else dd.logits  # the free logit rows
     records: list[EvalRecord] = []
     t0 = time.perf_counter()
-    last_value = float("nan")
-
-    m_latent = cfg.latent_batch if cfg.latent_batch > 0 else batch
     for it in range(1, cfg.max_iters + 1):
         xb = xs if batch == n else xs[batch_rng.gen.integers(0, n, size=batch)]
-        pair = (cfg.antithetic_from is not None and it > cfg.antithetic_from
-                and cfg.mode == SYMMETRIC2)
-        if pair:
-            half = z_rng.gen.standard_normal(((m_latent + 1) // 2, d))
-            z = np.concatenate([half, -half])[:m_latent]
-            labels = z_rng.gen.integers(0, 2, size=m_latent) * 2 - 1
+        sx = full_sx if full_sx is not None else symmetrize(xb.T @ xb / batch)
+        if pair_from is not None and it > pair_from:
+            half = z_rng.gen.standard_normal(((m + 1) // 2, d))
+            z = np.concatenate([half, -half])[:m]
+            labels = z_rng.gen.integers(0, 2, size=m) * 2 - 1
         else:
-            z = z_rng.gen.standard_normal((m_latent, d))
-            if cfg.mode == SYMMETRIC2:
-                labels = z_rng.gen.integers(0, 2, size=m_latent) * 2 - 1
-            else:
-                labels = z_rng.gen.integers(0, g.k, size=m_latent)
-        gx = gen_apply(g, z, labels)
+            z, labels = draw_latents(g, m, z_rng)
+        if tied:
+            rnd = TiedMomentRound(anchors, cov, means[0], xb, sx, z, labels)
+        else:
+            rnd = _BlockRound(anchors, GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means),
+                              xb, sx, z, labels)
 
         for _ in range(cfg.disc_steps_per_gen_step):
-            last_value, quad_grad, logit_grads, const_grads = disc_block_value_and_grads(
-                dd, anchors, xb, gx, train_consts, sx=full_sx)
-            if not (np.all(np.isfinite(quad_grad)) and np.all(np.isfinite(logit_grads))):
+            quad_grad, row_grads, const_grads = rnd.disc_grads(quad, rows, consts)
+            if not np.isfinite(np.sum(quad_grad) + np.sum(row_grads)):
                 raise Diverged(it)
-            dd = _disc_step(dd, quad_grad, logit_grads,
-                            const_grads if train_consts else None, lr_disc)
-
-        cov_grad, means_grad = gen_block_grads(g, dd, gx, z, labels)
-        gen_grad_vec = np.concatenate([cov_grad.ravel(), means_grad.ravel()])
-        if not np.all(np.isfinite(gen_grad_vec)):
+            quad = symmetrize(quad + lr_disc * quad_grad)
+            rows = rows + lr_disc * row_grads
+            if const_grads is not None:
+                consts = consts + lr_disc * const_grads
+        cov_grad, means_grad = rnd.gen_grads(quad, rows, consts)
+        cov = cov - lr_gen * cov_grad
+        means = means - lr_gen * means_grad
+        if not np.isfinite(np.sum(cov) + np.sum(means)):  # also catches an overflowing step
             raise Diverged(it)
-        g = _gen_step(g, cov_grad, means_grad, lr_gen)
         if cfg.project_feasible:
-            if cfg.eta is None:
-                raise InvalidInput("projection needs an explicit eta")
-            g = project_to_feasible(g, cfg.eta)
+            t = _feasible_scale(cov, means, cfg.eta)
+            if t < 1.0:
+                cov, means = t * cov, t * means
 
         if it % cfg.eval_every == 0 or it == cfg.max_iters:
-            rec, envelope = _eval_record(it, last_value, g, dd, anchors, xs, cfg, truth, t0)
+            g, dd = _params(cfg.mode, cov, means, quad, rows, consts, tied)
+            value = rnd.value(quad, rows, consts)
+            rec, envelope = _eval_record(it, value, g, dd, anchors, xs, cfg, truth, t0)
             if not np.isfinite(rec.grad_norm):
-                rec = replace(rec, grad_norm=float(np.linalg.norm(gen_grad_vec)))
+                batch_norm = float(np.sqrt(np.sum(cov_grad ** 2) + np.sum(means_grad ** 2)))
+                rec = replace(rec, grad_norm=batch_norm)
             records.append(rec)
             if cfg.grad_tol > 0 and np.isfinite(envelope) and envelope <= cfg.grad_tol:
                 break
 
+    g, dd = _params(cfg.mode, cov, means, quad, rows, consts, tied)
     return TrainReport(iterates=records, final_gen=g, final_disc=dd,
                        wall_clock_seconds=time.perf_counter() - t0)

@@ -121,6 +121,15 @@ def test_missing_file_is_config_error(tmp_path):
     assert run(["train", "--dataset", f"file:{tmp_path}/missing.csv"]) == 2
 
 
+@pytest.mark.parametrize("extra", [
+    {"train": {"eval_every": 0}},
+    {"anchor_policy": "fixed-vector", "anchor_vector": [1.0, 0.0]},
+])
+def test_bad_train_config_is_config_error(tmp_path, extra):
+    cfg = _small_train_cfg(tmp_path, **extra)
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_is_numerical_failure(tmp_path):
     cfg = _cfg(tmp_path, {

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gatgmm.em import GmmParams
-from gatgmm.errors import InfeasibleRegime, InvalidInput
+from gatgmm.errors import Diverged, InfeasibleRegime, InvalidInput
 from gatgmm.gausscore import SeededRng, random_orthogonal, symmetrize
 from gatgmm.model import (
     SYMMETRIC2,
@@ -10,8 +10,15 @@ from gatgmm.model import (
     GeneratorParams,
     disc_vec,
     disc_with_vec,
+    draw_latents,
+    gen_apply,
 )
-from gatgmm.objective import Anchors, minimax_value_and_grads
+from gatgmm.objective import (
+    Anchors,
+    TiedMomentRound,
+    disc_block_value_and_grads,
+    minimax_value_and_grads,
+)
 from gatgmm.optimizer import (
     TrainConfig,
     init_params,
@@ -229,3 +236,125 @@ def test_train_report_json_shape():
     assert "wall_clock_seconds" not in out
     assert rep.wall_clock_seconds > 0
     assert [r["iteration"] for r in out["iterates"]] == [20, 40]
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) / np.linalg.norm(b))
+
+
+def _replay_tied(xs, cfg, anchors):
+    """Replay train_gda's draws in the tied symmetric mode through the block
+    gradients (disc_block_value_and_grads, then minimax_value_and_grads for
+    the generator step and the eval value), and measure the largest relative
+    gap of TiedMomentRound to them over every step."""
+    n, d = xs.shape
+    root = SeededRng(cfg.seed)
+    g, dd = init_params(d, SYMMETRIC2, cfg.sigma_init, root.split(1))
+    z_rng, batch_rng = root.split(2), root.split(3)
+    batch = cfg.batch_size if 0 < cfg.batch_size < n else n
+    m = cfg.latent_batch or batch
+    worst, values, norms = 0.0, [], []
+    for it in range(1, cfg.max_iters + 1):
+        xb = xs if batch == n else xs[batch_rng.gen.integers(0, n, size=batch)]
+        if cfg.antithetic_from is not None and it > cfg.antithetic_from:
+            half = z_rng.gen.standard_normal(((m + 1) // 2, d))
+            z = np.concatenate([half, -half])[:m]
+            labels = z_rng.gen.integers(0, 2, size=m) * 2 - 1
+        else:
+            z, labels = draw_latents(g, m, z_rng)
+        gx = gen_apply(g, z, labels)
+        rnd = TiedMomentRound(anchors, g.cov_factor, g.means[0], xb,
+                              symmetrize(xb.T @ xb / batch), z, labels)
+        for _ in range(cfg.disc_steps_per_gen_step):
+            _, quad_grad, logit_grads, _ = disc_block_value_and_grads(dd, anchors, xb, gx, False)
+            mq, ml, _ = rnd.disc_grads(dd.quad, dd.logits[[0, 2]], dd.consts)
+            worst = max(worst, _rel(mq, quad_grad), _rel(ml, logit_grads))
+            dd = DiscriminatorParams.tied_symmetric(
+                symmetrize(dd.quad + cfg.lr_disc * quad_grad),
+                dd.logits[0] + cfg.lr_disc * logit_grads[0],
+                dd.logits[2] + cfg.lr_disc * logit_grads[1])
+        value, gp = minimax_value_and_grads(g, dd, anchors, xb, z, labels)
+        rows = dd.logits[[0, 2]]
+        cov_grad, means_grad = rnd.gen_grads(dd.quad, rows, dd.consts)
+        worst = max(worst, _rel(cov_grad, gp.gen_cov_factor), _rel(means_grad, gp.gen_means),
+                    _rel(rnd.value(dd.quad, rows, dd.consts), value))
+        values.append(value)
+        norms.append(float(np.sqrt(np.sum(gp.gen_cov_factor ** 2) + np.sum(gp.gen_means ** 2))))
+        g = GeneratorParams(mode=SYMMETRIC2,
+                            cov_factor=g.cov_factor - cfg.lr_gen * gp.gen_cov_factor,
+                            means=g.means - cfg.lr_gen * gp.gen_means)
+        if cfg.project_feasible:
+            g = project_to_feasible(g, cfg.eta)
+    return g, dd, worst, values, norms
+
+
+@pytest.mark.parametrize("d, n, overrides", [
+    (3, 48, dict(antithetic_from=6)),  # full batch, even m
+    (3, 48, dict(batch_size=20, latent_batch=25, antithetic_from=6)),  # odd m != batch
+    (3, 48, dict(disc_steps_per_gen_step=2, latent_batch=31, antithetic_from=6)),
+    (3, 48, dict(project_feasible=True, eta=1.3)),
+    (100, 64, dict(batch_size=40, latent_batch=33, antithetic_from=4,
+                   disc_steps_per_gen_step=2)),
+])
+def test_moment_round_matches_block_gradients(d, n, overrides):
+    # lam = 2 < E||X||^2 here, so the eval points report the minibatch norm
+    rng = np.random.default_rng(d)
+    mu = np.linspace(1.2, -0.4, d)
+    signs = rng.integers(0, 2, size=n)[:, None] * 2 - 1
+    xs = signs * (mu + 0.3 * rng.standard_normal((n, d)))
+    cfg = TrainConfig(max_iters=12, lr_gen=5e-2, lr_disc=1e-1, lam=2.0, seed=5,
+                      eval_every=4, sigma_init=0.2, **overrides)
+    anchors = Anchors.symmetric(mu / np.linalg.norm(mu), lam=2.0)
+    g, dd, worst, values, norms = _replay_tied(xs, cfg, anchors)
+    assert worst <= 1e-12
+
+    rep = train_gda(xs, cfg, anchors)
+    assert _rel(rep.final_gen.cov_factor, g.cov_factor) <= 1e-10
+    assert _rel(rep.final_gen.means, g.means) <= 1e-10
+    assert _rel(rep.final_disc.quad, dd.quad) <= 1e-10
+    assert _rel(rep.final_disc.logits, dd.logits) <= 1e-10
+    assert [r.iteration for r in rep.iterates] == [4, 8, 12]
+    for r in rep.iterates:
+        assert r.objective == pytest.approx(values[r.iteration - 1], rel=1e-10)
+        assert r.grad_norm == pytest.approx(norms[r.iteration - 1], rel=1e-10)
+    if cfg.project_feasible:  # the projection was active at the end
+        total = np.sum(g.cov_factor ** 2) + np.sum(g.means ** 2)
+        assert total + 1.0 == pytest.approx(cfg.eta, rel=1e-12)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(eval_every=0),
+    dict(project_feasible=True),
+    dict(project_feasible=True, eta=1.0),
+])
+def test_train_config_rejects_bad_fields(fields):
+    with pytest.raises(InvalidInput):
+        TrainConfig(**fields)
+
+
+def test_train_rejects_anchor_dimension_mismatch():
+    xs = np.random.default_rng(8).standard_normal((32, 3)) + 1.0
+    with pytest.raises(InvalidInput, match="dimension"):
+        train_gda(xs, TrainConfig(max_iters=5), Anchors.symmetric(np.ones(4), lam=2.0))
+
+
+def test_train_rejects_nonfinite_data():
+    xs = np.random.default_rng(9).standard_normal((32, 3)) + 1.0
+    xs[7, 1] = np.nan
+    with pytest.raises(InvalidInput, match="finite"):
+        train_gda(xs, TrainConfig(max_iters=5), Anchors.symmetric(np.ones(3), lam=2.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lr", [1e7, 1e300])
+@pytest.mark.parametrize("mode", ["symmetric2", "shared_cov"])
+def test_runaway_steps_raise_diverged(lr, mode):
+    # at lr = 1e300 a finite gradient step overflows the parameters themselves
+    rng = np.random.default_rng(10)
+    xs = rng.standard_normal((32, 3)) + np.array([2.0, 0.0, 0.0])
+    xs[::2] *= -1.0
+    cfg = TrainConfig(max_iters=50, eval_every=1, lr_gen=lr, lr_disc=lr, lam=0.5,
+                      sigma_init=0.1, mode=mode, tied=mode == "symmetric2")
+    anchors = Anchors.symmetric(np.array([1.0, 0.0, 0.0]), lam=0.5)
+    with pytest.raises(Diverged):
+        train_gda(xs, cfg, anchors)
