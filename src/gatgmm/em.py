@@ -126,13 +126,6 @@ def gmm_loglik(p: GmmParams, data) -> float:
     return float(np.mean(_lse_rows(_log_joint(p, xs))))
 
 
-def responsibilities(p: GmmParams, data) -> np.ndarray:
-    """Posterior component weights per sample; rows sum to one."""
-    xs = _samples(data)
-    lj = _log_joint(p, xs)
-    return np.exp(lj - _lse_rows(lj)[:, None])
-
-
 def _kmeanspp_means(xs: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
     n = xs.shape[0]
     centers = [xs[int(rng.gen.integers(0, n))]]

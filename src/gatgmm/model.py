@@ -47,6 +47,7 @@ __all__ = [
     "disc_grad_x_batch",
     "disc_grad_params",
     "disc_smoothness_bound",
+    "group_log_ratio",
     "gen_vec",
     "gen_with_vec",
     "disc_vec",
@@ -169,8 +170,10 @@ def draw_latents(g: GeneratorParams, n: int, rng: SeededRng) -> tuple[np.ndarray
     return z, labels
 
 
-def _check_labels(g: GeneratorParams, labels: np.ndarray) -> np.ndarray:
+def _check_labels(g: GeneratorParams, labels: np.ndarray, n: int) -> np.ndarray:
     labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise InvalidInput(f"labels must be one per latent row ({n}), got shape {labels.shape}")
     if g.mode == SYMMETRIC2:
         if not np.all(np.isin(labels, (-1, 1))):
             raise InvalidInput("symmetric2 labels must be +1 or -1")
@@ -183,7 +186,7 @@ def _check_labels(g: GeneratorParams, labels: np.ndarray) -> np.ndarray:
 def gen_apply(g: GeneratorParams, z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Vectorized generator forward map on an (n, d) latent batch."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    labels = _check_labels(g, labels)
+    labels = _check_labels(g, labels, z.shape[0])
     base = z @ g.cov_factor.T
     if g.mode == SYMMETRIC2:
         return (base + g.means[0]) * np.asarray(labels, dtype=np.float64)[:, None]
@@ -215,23 +218,23 @@ def gen_second_moment(g: GeneratorParams) -> np.ndarray:
 # discriminator
 
 
-def _group_lse(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp with max subtraction; logits is (n, k)."""
-    m = np.max(logits, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True)))[:, 0]
+def group_log_ratio(rows: np.ndarray, consts: np.ndarray,
+                    xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row log ratio lse(num) - lse(den) of the 2k logits b_i^T x + c_i
+    and the softmax weights (n x k) of the numerator and denominator groups.
 
-
-def _group_softmax(logits: np.ndarray) -> np.ndarray:
-    m = np.max(logits, axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / np.sum(e, axis=1, keepdims=True)
-
-
-def _slot_logits(dd: DiscriminatorParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = dd.k
-    num = xs @ dd.logits[:k].T + dd.consts[:k]
-    den = xs @ dd.logits[k:].T + dd.consts[k:]
-    return num, den
+    Both groups are max-subtracted, and the log-sum-exps and the weights
+    share the same exponentials."""
+    k = rows.shape[0] // 2
+    num = xs @ rows[:k].T + consts[:k]
+    den = xs @ rows[k:].T + consts[k:]
+    mn = np.max(num, axis=1, keepdims=True)
+    md = np.max(den, axis=1, keepdims=True)
+    en = np.exp(num - mn)
+    ed = np.exp(den - md)
+    sn = np.sum(en, axis=1, keepdims=True)
+    sd = np.sum(ed, axis=1, keepdims=True)
+    return (mn + np.log(sn))[:, 0] - (md + np.log(sd))[:, 0], en / sn, ed / sd
 
 
 def disc_value_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
@@ -239,8 +242,7 @@ def disc_value_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(xs)):
         raise InvalidInput("discriminator input must be finite")
     quad_term = 0.5 * np.sum((xs @ dd.quad) * xs, axis=1)
-    num, den = _slot_logits(dd, xs)
-    return quad_term + _group_lse(num) - _group_lse(den)
+    return quad_term + group_log_ratio(dd.logits, dd.consts, xs)[0]
 
 
 def disc_value(dd: DiscriminatorParams, x: np.ndarray) -> float:
@@ -251,9 +253,7 @@ def disc_grad_x_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
     """Row-wise gradient A x + sum_num q_i b_i - sum_den q_i b_i."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     k = dd.k
-    num, den = _slot_logits(dd, xs)
-    qn = _group_softmax(num)
-    qd = _group_softmax(den)
+    _, qn, qd = group_log_ratio(dd.logits, dd.consts, xs)
     return xs @ dd.quad + qn @ dd.logits[:k] - qd @ dd.logits[k:]
 
 
@@ -262,21 +262,15 @@ def disc_grad_x(dd: DiscriminatorParams, x: np.ndarray) -> np.ndarray:
 
 
 def disc_grad_params(dd: DiscriminatorParams, x: np.ndarray) -> GradPack:
-    """Gradients of disc_value(dd, x) with respect to the stored parameters."""
+    """Gradients of disc_value(dd, x) with respect to the stored parameters;
+    in tied mode the mirrored rows fold into the free rows b1, b3."""
     x = np.asarray(x, dtype=np.float64)
-    quad_grad = 0.5 * np.outer(x, x)
+    _, qn, qd = group_log_ratio(dd.logits, dd.consts, x[None, :])
+    logit_grads = np.concatenate([qn[0][:, None] * x, -qd[0][:, None] * x])
     if dd.tied:
-        t1 = float(dd.logits[0] @ x)
-        t3 = float(dd.logits[2] @ x)
-        logit_grads = np.stack([np.tanh(t1) * x, -np.tanh(t3) * x])
-        return GradPack(quad=quad_grad, logits=logit_grads, consts=None)
-    k = dd.k
-    num, den = _slot_logits(dd, x[None, :])
-    qn = _group_softmax(num)[0]
-    qd = _group_softmax(den)[0]
-    logit_grads = np.concatenate([qn[:, None] * x, -qd[:, None] * x])
-    const_grads = np.concatenate([qn, -qd])
-    return GradPack(quad=quad_grad, logits=logit_grads, consts=const_grads)
+        return GradPack(quad=0.5 * np.outer(x, x), logits=logit_grads[0::2] - logit_grads[1::2])
+    return GradPack(quad=0.5 * np.outer(x, x), logits=logit_grads,
+                    consts=np.concatenate([qn[0], -qd[0]]))
 
 
 def disc_smoothness_bound(dd: DiscriminatorParams) -> float:

@@ -55,6 +55,7 @@ from .model import (
     disc_value_batch,
     gen_apply,
     gen_second_moment,
+    group_log_ratio,
 )
 
 __all__ = [
@@ -271,80 +272,51 @@ class GeneratorMoments(MixtureMoments):
         return gh_expect(m, s, "tanh_prime", self.order) * np.outer(b, self.g.cov_factor.T @ b)
 
 
-class LatentGenMoments:
-    """Generator-side expectations over a fixed latent batch (symmetric mode)."""
+class LatentGenMoments(SampleMoments):
+    """Generator-side expectations over a fixed latent batch (symmetric mode):
+    the sample moments of the generated batch, plus the pathwise
+    derivatives through G = y (C z + mu)."""
 
     def __init__(self, g: GeneratorParams, z: np.ndarray, labels: np.ndarray):
         if g.mode != SYMMETRIC2:
             raise InvalidInput("latent generator moments are for symmetric2 mode")
-        self.g = g
         self.z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        super().__init__(gen_apply(g, self.z, labels))
         self.labels = np.asarray(labels, dtype=np.float64)
-        self.gx = gen_apply(g, self.z, np.asarray(labels))
-        self.m = self.gx.shape[0]
-        self.second = symmetrize(self.gx.T @ self.gx / self.m)
-        self.mean_sq = float(np.trace(self.second))
-
-    def logcosh_expect(self, b: np.ndarray) -> float:
-        return float(np.mean(_logcosh(self.gx @ b)))
-
-    def logcosh_grad(self, b: np.ndarray) -> np.ndarray:
-        return self.gx.T @ np.tanh(self.gx @ b) / self.m
 
     def tanh_mean(self, b: np.ndarray) -> float:
         # pathwise mu-coefficient: mean_j y_j tanh(b^T G_j)
-        return float(np.mean(self.labels * np.tanh(self.gx @ b)))
+        return float(np.mean(self.labels * np.tanh(self.xs @ b)))
 
     def lambda_grad_logcosh(self, b: np.ndarray) -> np.ndarray:
-        w = self.labels * np.tanh(self.gx @ b)
-        return np.outer(b, w @ self.z / self.m)
+        w = self.labels * np.tanh(self.xs @ b)
+        return np.outer(b, w @ self.z / self.n)
 
 
 # ---------------------------------------------------------------------------
 # empirical minimax value and gradients (the GDA workhorse)
 
 
-def _disc_batch_stats(dd: DiscriminatorParams, xs: np.ndarray):
-    """Per-batch discriminator values and group softmax weights, sharing the
-    stabilized exponentials between the two."""
-    k = dd.k
-    quad_term = 0.5 * np.sum((xs @ dd.quad) * xs, axis=1)
-    num = xs @ dd.logits[:k].T + dd.consts[:k]
-    den = xs @ dd.logits[k:].T + dd.consts[k:]
-    mn = np.max(num, axis=1, keepdims=True)
-    md = np.max(den, axis=1, keepdims=True)
-    en = np.exp(num - mn)
-    ed = np.exp(den - md)
-    sn = np.sum(en, axis=1, keepdims=True)
-    sd = np.sum(ed, axis=1, keepdims=True)
-    values = quad_term + (mn + np.log(sn))[:, 0] - (md + np.log(sd))[:, 0]
-    return values, en / sn, ed / sd
-
-
-def _tied_block(dd: DiscriminatorParams, anchors: Anchors, xs: np.ndarray,
-                gx: np.ndarray, sx: np.ndarray | None):
-    """Tied-mode fast path: the mirrored rows reduce each log-sum-exp group
-    to logcosh and the folded row gradients to tanh moments."""
-    lam = anchors.lam
+def _logit_block(rows: np.ndarray, consts: np.ndarray, anchors: Anchors, xs: np.ndarray,
+                 gx: np.ndarray, train_consts: bool):
+    """Logit block of F: the mean log-ratio gap E_X - E_G, and its ascent
+    gradients in the 2k rows and (when trained, else None) the constants,
+    with their anchor penalties."""
+    lam, k = anchors.lam, rows.shape[0] // 2
     n, m = xs.shape[0], gx.shape[0]
-    b1, b3 = dd.logits[0], dd.logits[2]
-    d_vec = anchors.d_vecs[0]
-    tx1, tx3 = xs @ b1, xs @ b3
-    tg1, tg3 = gx @ b1, gx @ b3
-
-    quad_x = 0.5 * np.sum((xs @ dd.quad) * xs, axis=1)
-    quad_g = 0.5 * np.sum((gx @ dd.quad) * gx, axis=1)
-    value = (float(np.mean(quad_x + _logcosh(tx1) - _logcosh(tx3)))
-             - float(np.mean(quad_g + _logcosh(tg1) - _logcosh(tg3)))
-             - 0.5 * lam * penalty_value(dd, anchors))
-
-    if sx is None:
-        sx = symmetrize(xs.T @ xs / n)
-    sg = symmetrize(gx.T @ gx / m)
-    quad_grad = symmetrize(0.5 * (sx - sg)) - lam * dd.quad
-    g1 = xs.T @ np.tanh(tx1) / n - gx.T @ np.tanh(tg1) / m - 2.0 * lam * (b1 - d_vec)
-    g3 = -(xs.T @ np.tanh(tx3) / n) + gx.T @ np.tanh(tg3) / m - 2.0 * lam * (b3 - d_vec)
-    return value, quad_grad, np.stack([g1, g3]), None
+    lr_x, qn_x, qd_x = group_log_ratio(rows, consts, xs)
+    lr_g, qn_g, qd_g = group_log_ratio(rows, consts, gx)
+    sv = anchors.slot_vectors()
+    row_grads = np.empty_like(rows)
+    row_grads[:k] = qn_x.T @ xs / n - qn_g.T @ gx / m - lam * (rows[:k] - sv[:k])
+    row_grads[k:] = -(qd_x.T @ xs / n) + qd_g.T @ gx / m - lam * (rows[k:] - sv[k:])
+    const_grads = None
+    if train_consts:
+        const_grads = np.concatenate([
+            np.mean(qn_x, axis=0) - np.mean(qn_g, axis=0),
+            -np.mean(qd_x, axis=0) + np.mean(qd_g, axis=0),
+        ]) - lam * (consts - anchors.slot_consts())
+    return float(np.mean(lr_x)) - float(np.mean(lr_g)), row_grads, const_grads
 
 
 _TIED_SIGNS = np.array([[1.0], [-1.0]])  # D has +logcosh(b1'x) - logcosh(b3'x)
@@ -353,10 +325,11 @@ _TIED_SIGNS = np.array([[1.0], [-1.0]])  # D has +logcosh(b1'x) - logcosh(b3'x)
 class TiedMomentRound:
     """The tied symmetric GDA round in latent-moment space.
 
-    With G = y (C z + mu), every generator-side term of ``_tied_block`` and
-    ``gen_block_grads`` follows from the latent moments sz = z^T z / m and
-    zbar, the projections G B = y (z C^T B + mu^T B) of the free rows
-    B = (b1, b3), and contractions z^T (y t) / m of per-sample weights:
+    With G = y (C z + mu), every generator-side term of the tied
+    ``disc_block_value_and_grads`` and of ``gen_block_grads`` follows from
+    the latent moments sz = z^T z / m and zbar, the projections
+    G B = y (z C^T B + mu^T B) of the free rows B = (b1, b3), and
+    contractions z^T (y t) / m of per-sample weights:
 
         E[(C z + mu) z^T] = C sz + mu zbar^T,   E[C z + mu] = C zbar + mu,
         E[G G^T] = (C sz + mu zbar^T) C^T + (C zbar + mu) mu^T,
@@ -391,7 +364,8 @@ class TiedMomentRound:
         return self.z.T @ yt / m, np.sum(yt, axis=0) / m
 
     def disc_grads(self, quad, rows, consts):
-        """Ascent gradients (quad_grad, row_grads, None) of ``_tied_block``."""
+        """Ascent gradients (quad_grad, row_grads, None) of the tied
+        ``disc_block_value_and_grads``."""
         lam, xs = self.anchors.lam, self.xs
         zt, yt_mean = self._tanh_moments(rows)
         g_mom = self.cov @ zt + np.outer(self.mu, yt_mean)
@@ -421,40 +395,20 @@ def disc_block_value_and_grads(dd: DiscriminatorParams, anchors: Anchors,
     """Objective value and discriminator-block ascent gradients given the
     generated batch gx; returns (value, quad_grad, logit_grads, const_grads).
 
-    ``sx`` optionally carries the precomputed x-batch second moment (the
-    batch is often fixed across iterations)."""
-    lam = anchors.lam
-    if dd.tied and not train_consts:
-        return _tied_block(dd, anchors, xs, gx, sx)
-    n, m = xs.shape[0], gx.shape[0]
-    k = dd.k
-    vx, qn_x, qd_x = _disc_batch_stats(dd, xs)
-    vg, qn_g, qd_g = _disc_batch_stats(dd, gx)
-    value = float(np.mean(vx)) - float(np.mean(vg)) - 0.5 * lam * penalty_value(dd, anchors)
-
+    In tied mode the gradients of the mirrored rows fold into the free rows:
+    the b1 gradient is row 0's minus row 1's, the b3 gradient row 2's minus
+    row 3's.  ``sx`` optionally carries the precomputed x-batch second moment
+    (the batch is often fixed across iterations)."""
     if sx is None:
-        sx = symmetrize(xs.T @ xs / n)
-    sg = symmetrize(gx.T @ gx / m)
-    quad_grad = symmetrize(0.5 * (sx - sg)) - lam * dd.quad
-
-    sv = anchors.slot_vectors()
-    row_grads = np.empty_like(dd.logits)
-    row_grads[:k] = qn_x.T @ xs / n - qn_g.T @ gx / m - lam * (dd.logits[:k] - sv[:k])
-    row_grads[k:] = -(qd_x.T @ xs / n) + qd_g.T @ gx / m - lam * (dd.logits[k:] - sv[k:])
+        sx = symmetrize(xs.T @ xs / xs.shape[0])
+    half_gap = symmetrize(0.5 * (sx - symmetrize(gx.T @ gx / gx.shape[0])))
+    reg = 0.5 * anchors.lam * penalty_value(dd, anchors)  # also checks the anchor count
+    gap, row_grads, const_grads = _logit_block(dd.logits, dd.consts, anchors, xs, gx,
+                                               train_consts)
+    value = float(np.sum(dd.quad * half_gap)) + gap - reg
     if dd.tied:
-        logit_grads = np.stack([row_grads[0] - row_grads[1], row_grads[2] - row_grads[3]])
-    else:
-        logit_grads = row_grads
-
-    if train_consts:
-        se = anchors.slot_consts()
-        const_grads = np.concatenate([
-            np.mean(qn_x, axis=0) - np.mean(qn_g, axis=0),
-            -np.mean(qd_x, axis=0) + np.mean(qd_g, axis=0),
-        ]) - lam * (dd.consts - se)
-    else:
-        const_grads = None
-    return value, quad_grad, logit_grads, const_grads
+        row_grads = row_grads[0::2] - row_grads[1::2]
+    return value, half_gap - anchors.lam * dd.quad, row_grads, const_grads
 
 
 def gen_block_grads(g: GeneratorParams, dd: DiscriminatorParams, gx: np.ndarray,
@@ -561,8 +515,6 @@ def _inner_max_general(xs: np.ndarray, gx: np.ndarray, anchors: Anchors,
                        train_consts: bool, tol: float, max_iters: int):
     """Joint ascent over all 2k logit rows (and constants when trained)."""
     lam = anchors.lam
-    k = anchors.k
-    n, m = xs.shape[0], gx.shape[0]
     x_mean_sq = float(np.mean(np.sum(xs ** 2, axis=1)))
     g_mean_sq = float(np.mean(np.sum(gx ** 2, axis=1)))
     _check_margin(lam, x_mean_sq, g_mean_sq)
@@ -573,29 +525,10 @@ def _inner_max_general(xs: np.ndarray, gx: np.ndarray, anchors: Anchors,
     se = anchors.slot_consts()
     rows = sv.copy()
     consts = se.copy()
-
-    def weights(pts):
-        num = pts @ rows[:k].T + consts[:k]
-        den = pts @ rows[k:].T + consts[k:]
-        mx_n = np.max(num, axis=1, keepdims=True)
-        mx_d = np.max(den, axis=1, keepdims=True)
-        en = np.exp(num - mx_n)
-        ed = np.exp(den - mx_d)
-        lse = (mx_n[:, 0] + np.log(en.sum(axis=1))) - (mx_d[:, 0] + np.log(ed.sum(axis=1)))
-        return en / en.sum(axis=1, keepdims=True), ed / ed.sum(axis=1, keepdims=True), lse
-
     for _ in range(max_iters):
-        qn_x, qd_x, _ = weights(xs)
-        qn_g, qd_g, _ = weights(gx)
-        grad_rows = np.empty_like(rows)
-        grad_rows[:k] = qn_x.T @ xs / n - qn_g.T @ gx / m - lam * (rows[:k] - sv[:k])
-        grad_rows[k:] = -(qd_x.T @ xs / n) + qd_g.T @ gx / m - lam * (rows[k:] - sv[k:])
+        gap, grad_rows, grad_c = _logit_block(rows, consts, anchors, xs, gx, train_consts)
         gnorm_sq = float(np.sum(grad_rows ** 2))
         if train_consts:
-            grad_c = np.concatenate([
-                np.mean(qn_x, axis=0) - np.mean(qn_g, axis=0),
-                -np.mean(qd_x, axis=0) + np.mean(qd_g, axis=0),
-            ]) - lam * (consts - se)
             gnorm_sq += float(np.sum(grad_c ** 2))
         if np.sqrt(gnorm_sq) <= tol:
             break
@@ -604,12 +537,30 @@ def _inner_max_general(xs: np.ndarray, gx: np.ndarray, anchors: Anchors,
             consts = consts + step * grad_c
     else:
         warnings.warn("general inner maximization hit the iteration cap", RuntimeWarning)
+        gap = _logit_block(rows, consts, anchors, xs, gx, train_consts)[0]
 
-    _, _, lse_x = weights(xs)
-    _, _, lse_g = weights(gx)
-    val = (float(np.mean(lse_x)) - float(np.mean(lse_g))
-           - 0.5 * lam * (float(np.sum((rows - sv) ** 2)) + float(np.sum((consts - se) ** 2))))
+    val = gap - 0.5 * lam * (float(np.sum((rows - sv) ** 2)) + float(np.sum((consts - se) ** 2)))
     return rows, consts, val
+
+
+def _solution(sx: np.ndarray, sg: np.ndarray, anchors: Anchors, l2: float,
+              logits: np.ndarray, consts: np.ndarray, tied: bool):
+    """Join the closed-form quadratic block A* = (Sx - Sg) / (2 lam) to a
+    solved logit block of value l2: the maximizer and its decomposed value."""
+    lam = anchors.lam
+    quad = symmetrize((sx - sg) / (2.0 * lam))
+    dd = DiscriminatorParams(quad=quad, logits=logits, consts=consts, tied=tied)
+    l1 = float(np.sum((sx - sg) ** 2)) / (2.0 * lam)
+    reg = 0.5 * lam * penalty_value(dd, anchors)
+    return dd, ObjectiveValue(total=l1 + l2, l1=l1, l2=l2, reg=reg)
+
+
+def _tied_solution(xm, gm, anchors: Anchors, tol: float, max_iters: int):
+    """Tied symmetric inner maximum for the moment oracles xm (data) and gm
+    (generator)."""
+    b1, b3, l2 = _inner_max_tied(xm, gm, anchors, tol, max_iters)
+    return _solution(xm.second, gm.second, anchors, l2, np.stack([b1, -b1, b3, -b3]),
+                     np.zeros(4), tied=True)
 
 
 def inner_max_solve(
@@ -634,31 +585,19 @@ def inner_max_solve(
         raise InvalidInput("tol must be > 0")
     xs = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
     xm = SampleMoments(xs)
-    lam = anchors.lam
-
     if g.mode == SYMMETRIC2 and tied:
         if z_eval is not None:
             gm = LatentGenMoments(g, z_eval, labels)
         else:
             gm = GeneratorMoments(g, gh_order)
-        b1, b3, l2 = _inner_max_tied(xm, gm, anchors, tol, max_iters)
-        sg = gm.second
-        quad = symmetrize((xm.second - sg) / (2.0 * lam))
-        dd = DiscriminatorParams.tied_symmetric(quad, b1, b3)
-    else:
-        if z_eval is None:
-            raise InvalidInput("untied/general inner solve requires a latent batch")
-        gx = gen_apply(g, np.atleast_2d(np.asarray(z_eval, dtype=np.float64)), labels)
-        rows, consts, l2 = _inner_max_general(
-            xs, gx, anchors, train_consts=(g.mode == SHARED_COV),
-            tol=tol, max_iters=max_iters)
-        sg = symmetrize(gx.T @ gx / gx.shape[0])
-        quad = symmetrize((xm.second - sg) / (2.0 * lam))
-        dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts, tied=False)
-
-    l1 = float(np.sum((xm.second - sg) ** 2)) / (2.0 * lam)
-    reg = 0.5 * lam * penalty_value(dd, anchors)
-    return dd, ObjectiveValue(total=l1 + l2, l1=l1, l2=l2, reg=reg)
+        return _tied_solution(xm, gm, anchors, tol, max_iters)
+    if z_eval is None:
+        raise InvalidInput("untied/general inner solve requires a latent batch")
+    gx = gen_apply(g, np.atleast_2d(np.asarray(z_eval, dtype=np.float64)), labels)
+    rows, consts, l2 = _inner_max_general(
+        xs, gx, anchors, train_consts=(g.mode == SHARED_COV), tol=tol, max_iters=max_iters)
+    sg = symmetrize(gx.T @ gx / gx.shape[0])
+    return _solution(xm.second, sg, anchors, l2, rows, consts, tied=False)
 
 
 def inner_max_solve_population(
@@ -674,15 +613,8 @@ def inner_max_solve_population(
     (1/2) N(mu_x, cov_x) + (1/2) N(-mu_x, cov_x), fully quadrature-based."""
     if not tol > 0:
         raise InvalidInput("tol must be > 0")
-    xm = MixtureMoments(mu_x, cov_x, gh_order)
-    gm = GeneratorMoments(g, gh_order)
-    lam = anchors.lam
-    b1, b3, l2 = _inner_max_tied(xm, gm, anchors, tol, max_iters)
-    quad = symmetrize((xm.second - gm.second) / (2.0 * lam))
-    dd = DiscriminatorParams.tied_symmetric(quad, b1, b3)
-    l1 = float(np.sum((xm.second - gm.second) ** 2)) / (2.0 * lam)
-    reg = 0.5 * lam * penalty_value(dd, anchors)
-    return dd, ObjectiveValue(total=l1 + l2, l1=l1, l2=l2, reg=reg)
+    return _tied_solution(MixtureMoments(mu_x, cov_x, gh_order), GeneratorMoments(g, gh_order),
+                          anchors, tol, max_iters)
 
 
 def envelope_generator_grad(

@@ -5,8 +5,11 @@ block followed by one descent step on the generator, each evaluated on the
 current minibatch with a fresh latent batch per round.  One loop in
 ``train_gda`` serves every mode and a per-mode round supplies the gradients:
 ``objective.TiedMomentRound`` in the tied symmetric mode, which works in
-latent-moment space and never forms the generated batch, and
-``disc_block_value_and_grads`` + ``gen_block_grads`` otherwise.  All
+latent-moment space, never forms the generated batch, and agrees to rounding
+with the generic block (the tied ``disc_block_value_and_grads`` +
+``gen_block_grads``), and the generic block itself otherwise.  Every mode's
+eval records report F at the round's generator and its discriminator after
+the round's last ascent step.  All
 randomness flows through split streams of a single Philox seed, so a
 (config, seed) pair replays bit-identically.
 
@@ -239,26 +242,28 @@ def _eval_record(it, value, g, dd, anchors, xs, cfg, truth, t0):
 
 class _BlockRound:
     """Round of every mode but tied symmetric: the generated batch and the
-    generic block gradients.  ``value`` is the objective before the last
-    discriminator step, as ``disc_block_value_and_grads`` returns it."""
+    generic block gradients."""
 
     def __init__(self, anchors: Anchors, g: GeneratorParams, xs, sx, z, labels):
         self.anchors, self.g, self.xs, self.sx = anchors, g, xs, sx
         self.z, self.labels = z, labels
         self.gx = gen_apply(g, z, labels)
 
-    def disc_grads(self, quad, rows, consts):
+    def _disc_block(self, quad, rows, consts):
         dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
-        self.last_value, quad_grad, row_grads, const_grads = disc_block_value_and_grads(
-            dd, self.anchors, self.xs, self.gx, self.g.mode == SHARED_COV, sx=self.sx)
-        return quad_grad, row_grads, const_grads
+        return disc_block_value_and_grads(dd, self.anchors, self.xs, self.gx,
+                                          self.g.mode == SHARED_COV, sx=self.sx)
+
+    def disc_grads(self, quad, rows, consts):
+        return self._disc_block(quad, rows, consts)[1:]
 
     def gen_grads(self, quad, rows, consts):
         dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
         return gen_block_grads(self.g, dd, self.gx, self.z, self.labels)
 
     def value(self, quad, rows, consts) -> float:
-        return self.last_value
+        """Objective value at the discriminator (quad, rows, consts)."""
+        return self._disc_block(quad, rows, consts)[0]
 
 
 def _params(mode, cov, means, quad, rows, consts, tied):

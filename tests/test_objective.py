@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import logsumexp, softmax
 
 from gatgmm.errors import InvalidInput, NotCConcave, NotStronglyConcave
 from gatgmm.gausscore import SeededRng, symmetrize
@@ -9,6 +10,8 @@ from gatgmm.model import (
     SYMMETRIC2,
     DiscriminatorParams,
     GeneratorParams,
+    disc_grad_x_batch,
+    disc_value_batch,
     disc_vec,
     disc_with_vec,
     gen_apply,
@@ -323,6 +326,72 @@ def test_inner_max_tied_equals_untied_on_symmetric_data():
     _, untied_val = inner_max_solve(g, xs, anchors, z_eval=z_eval, labels=labels,
                                     tol=1e-11, tied=False)
     assert tied_val.total == pytest.approx(untied_val.total, abs=1e-7)
+
+
+def _log_ratio_ref(rows, consts, xs):
+    logits = xs @ rows.T + consts
+    return logsumexp(logits[:, :2], axis=1) - logsumexp(logits[:, 2:], axis=1)
+
+
+def test_group_log_ratio_at_extreme_logits():
+    # logits near +-800: exp() overflows unless each group is max-subtracted
+    rng = np.random.default_rng(21)
+    d = 2
+    xs = 0.3 * rng.standard_normal((25, d)) + np.array([0.4, -0.1])
+    quad = symmetrize(0.2 * rng.standard_normal((d, d)))
+    rows = rng.standard_normal((4, d))
+    consts = np.array([800.0, -790.0, 795.0, -805.0])
+    dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
+    logits = xs @ rows.T + consts
+    ref_val = 0.5 * np.sum((xs @ quad) * xs, axis=1) + _log_ratio_ref(rows, consts, xs)
+    ref_grad = (xs @ quad + softmax(logits[:, :2], axis=1) @ rows[:2]
+                - softmax(logits[:, 2:], axis=1) @ rows[2:])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        val = disc_value_batch(dd, xs)
+        grad = disc_grad_x_batch(dd, xs)
+    assert np.all(np.isfinite(val)) and np.all(np.isfinite(grad))
+    assert np.max(np.abs(val - ref_val)) <= 1e-12 * np.max(np.abs(ref_val))
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    # untied symmetric inner maximum with slot constants (800, -800, 800, -800)
+    g = sym2(0.3 * np.eye(d), np.array([0.5, 0.2]))
+    z = rng.standard_normal((30, d))
+    labels = rng.integers(0, 2, size=30) * 2 - 1
+    lam = float(np.mean(np.sum(xs ** 2, axis=1)) + np.trace(gen_second_moment(g))) + 1.0
+    anchors = Anchors(d_vecs=np.array([[0.6, 0.3], [-0.6, -0.3]]),
+                      e_consts=np.array([800.0, -800.0]), lam=lam)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        dd, val = inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tol=1e-10,
+                                  tied=False)
+    assert np.all(np.isfinite(dd.logits)) and np.isfinite(val.total)
+    gap = (np.mean(_log_ratio_ref(dd.logits, dd.consts, xs))
+           - np.mean(_log_ratio_ref(dd.logits, dd.consts, gen_apply(g, z, labels))))
+    pen = (np.sum((dd.logits - anchors.slot_vectors()) ** 2)
+           + np.sum((dd.consts - anchors.slot_consts()) ** 2))
+    # the log ratios are differences of ~800-sized log-sum-exps
+    assert val.l2 == pytest.approx(gap - 0.5 * lam * pen, abs=1e-12 * 800.0)
+
+
+@pytest.mark.parametrize("mode, tied", [(SYMMETRIC2, True), (SYMMETRIC2, False),
+                                        (SHARED_COV, False)])
+def test_label_length_mismatch_is_invalid_input(mode, tied):
+    rng = np.random.default_rng(22)
+    d = 2
+    z = rng.standard_normal((5, d))
+    xs = 0.3 * rng.standard_normal((12, d))
+    if mode == SYMMETRIC2:
+        g = sym2(0.3 * np.eye(d), np.array([0.5, 0.2]))
+        labels = np.array([1, -1, 1])
+        anchors = Anchors.symmetric(np.array([0.6, 0.3]), lam=10.0)
+    else:
+        g = GeneratorParams(mode=SHARED_COV, cov_factor=0.3 * np.eye(d),
+                            means=np.array([[0.5, 0.0], [0.0, 0.5], [-0.5, -0.5]]))
+        labels = np.array([0, 1, 2])
+        anchors = Anchors(d_vecs=np.eye(3, d), e_consts=np.zeros(3), lam=10.0)
+    with pytest.raises(InvalidInput):
+        gen_apply(g, z, labels)
+    with pytest.raises(InvalidInput):
+        inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tied=tied)
 
 
 def test_inner_max_rejects_weak_concavity():

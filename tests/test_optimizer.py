@@ -5,6 +5,7 @@ from gatgmm.em import GmmParams
 from gatgmm.errors import Diverged, InfeasibleRegime, InvalidInput
 from gatgmm.gausscore import SeededRng, random_orthogonal, symmetrize
 from gatgmm.model import (
+    SHARED_COV,
     SYMMETRIC2,
     DiscriminatorParams,
     GeneratorParams,
@@ -242,14 +243,15 @@ def _rel(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) / np.linalg.norm(b))
 
 
-def _replay_tied(xs, cfg, anchors):
-    """Replay train_gda's draws in the tied symmetric mode through the block
-    gradients (disc_block_value_and_grads, then minimax_value_and_grads for
-    the generator step and the eval value), and measure the largest relative
-    gap of TiedMomentRound to them over every step."""
+def _replay(xs, cfg, anchors):
+    """Replay train_gda's draws through the block gradients
+    (disc_block_value_and_grads, then minimax_value_and_grads for the
+    generator step and the eval value); in the tied symmetric mode also
+    measure the largest relative gap of TiedMomentRound to them over every
+    step."""
     n, d = xs.shape
     root = SeededRng(cfg.seed)
-    g, dd = init_params(d, SYMMETRIC2, cfg.sigma_init, root.split(1))
+    g, dd = init_params(d, cfg.mode, cfg.sigma_init, root.split(1), k=cfg.k, tied=cfg.tied)
     z_rng, batch_rng = root.split(2), root.split(3)
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
     m = cfg.latent_batch or batch
@@ -263,24 +265,33 @@ def _replay_tied(xs, cfg, anchors):
         else:
             z, labels = draw_latents(g, m, z_rng)
         gx = gen_apply(g, z, labels)
-        rnd = TiedMomentRound(anchors, g.cov_factor, g.means[0], xb,
-                              symmetrize(xb.T @ xb / batch), z, labels)
+        if dd.tied:
+            rnd = TiedMomentRound(anchors, g.cov_factor, g.means[0], xb,
+                                  symmetrize(xb.T @ xb / batch), z, labels)
         for _ in range(cfg.disc_steps_per_gen_step):
-            _, quad_grad, logit_grads, _ = disc_block_value_and_grads(dd, anchors, xb, gx, False)
-            mq, ml, _ = rnd.disc_grads(dd.quad, dd.logits[[0, 2]], dd.consts)
-            worst = max(worst, _rel(mq, quad_grad), _rel(ml, logit_grads))
-            dd = DiscriminatorParams.tied_symmetric(
-                symmetrize(dd.quad + cfg.lr_disc * quad_grad),
-                dd.logits[0] + cfg.lr_disc * logit_grads[0],
-                dd.logits[2] + cfg.lr_disc * logit_grads[1])
+            _, quad_grad, logit_grads, const_grads = disc_block_value_and_grads(
+                dd, anchors, xb, gx, cfg.mode == SHARED_COV)
+            quad = symmetrize(dd.quad + cfg.lr_disc * quad_grad)
+            if dd.tied:
+                mq, ml, _ = rnd.disc_grads(dd.quad, dd.logits[[0, 2]], dd.consts)
+                worst = max(worst, _rel(mq, quad_grad), _rel(ml, logit_grads))
+                dd = DiscriminatorParams.tied_symmetric(
+                    quad, dd.logits[0] + cfg.lr_disc * logit_grads[0],
+                    dd.logits[2] + cfg.lr_disc * logit_grads[1])
+            else:
+                consts = dd.consts if const_grads is None else dd.consts + cfg.lr_disc * const_grads
+                dd = DiscriminatorParams(quad=quad, logits=dd.logits + cfg.lr_disc * logit_grads,
+                                         consts=consts)
         value, gp = minimax_value_and_grads(g, dd, anchors, xb, z, labels)
-        rows = dd.logits[[0, 2]]
-        cov_grad, means_grad = rnd.gen_grads(dd.quad, rows, dd.consts)
-        worst = max(worst, _rel(cov_grad, gp.gen_cov_factor), _rel(means_grad, gp.gen_means),
-                    _rel(rnd.value(dd.quad, rows, dd.consts), value))
+        if dd.tied:
+            rows = dd.logits[[0, 2]]
+            cov_grad, means_grad = rnd.gen_grads(dd.quad, rows, dd.consts)
+            worst = max(worst, _rel(cov_grad, gp.gen_cov_factor),
+                        _rel(means_grad, gp.gen_means),
+                        _rel(rnd.value(dd.quad, rows, dd.consts), value))
         values.append(value)
         norms.append(float(np.sqrt(np.sum(gp.gen_cov_factor ** 2) + np.sum(gp.gen_means ** 2))))
-        g = GeneratorParams(mode=SYMMETRIC2,
+        g = GeneratorParams(mode=cfg.mode,
                             cov_factor=g.cov_factor - cfg.lr_gen * gp.gen_cov_factor,
                             means=g.means - cfg.lr_gen * gp.gen_means)
         if cfg.project_feasible:
@@ -295,6 +306,9 @@ def _replay_tied(xs, cfg, anchors):
     (3, 48, dict(project_feasible=True, eta=1.3)),
     (100, 64, dict(batch_size=40, latent_batch=33, antithetic_from=4,
                    disc_steps_per_gen_step=2)),
+    # the generic block round: its eval objective is F after the last ascent step too
+    (3, 48, dict(mode=SHARED_COV, k=4, disc_steps_per_gen_step=2)),
+    (3, 48, dict(tied=False, batch_size=20, latent_batch=25)),
 ])
 def test_moment_round_matches_block_gradients(d, n, overrides):
     # lam = 2 < E||X||^2 here, so the eval points report the minibatch norm
@@ -304,8 +318,13 @@ def test_moment_round_matches_block_gradients(d, n, overrides):
     xs = signs * (mu + 0.3 * rng.standard_normal((n, d)))
     cfg = TrainConfig(max_iters=12, lr_gen=5e-2, lr_disc=1e-1, lam=2.0, seed=5,
                       eval_every=4, sigma_init=0.2, **overrides)
-    anchors = Anchors.symmetric(mu / np.linalg.norm(mu), lam=2.0)
-    g, dd, worst, values, norms = _replay_tied(xs, cfg, anchors)
+    u = mu / np.linalg.norm(mu)
+    if cfg.mode == SHARED_COV:
+        v = np.eye(d)[1]
+        anchors = Anchors(d_vecs=np.stack([u, -u, v, -v]), e_consts=np.zeros(4), lam=2.0)
+    else:
+        anchors = Anchors.symmetric(u, lam=2.0)
+    g, dd, worst, values, norms = _replay(xs, cfg, anchors)
     assert worst <= 1e-12
 
     rep = train_gda(xs, cfg, anchors)
@@ -313,6 +332,7 @@ def test_moment_round_matches_block_gradients(d, n, overrides):
     assert _rel(rep.final_gen.means, g.means) <= 1e-10
     assert _rel(rep.final_disc.quad, dd.quad) <= 1e-10
     assert _rel(rep.final_disc.logits, dd.logits) <= 1e-10
+    assert np.allclose(rep.final_disc.consts, dd.consts, rtol=1e-10, atol=1e-14)
     assert [r.iteration for r in rep.iterates] == [4, 8, 12]
     for r in rep.iterates:
         assert r.objective == pytest.approx(values[r.iteration - 1], rel=1e-10)
