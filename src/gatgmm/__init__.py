@@ -2,53 +2,13 @@
 closed-form Gaussian transport metrics, and optimal-transport verification
 tools."""
 
-from .datagen import Dataset, DatasetMeta, load_csv, make_isotropic, make_k_mixture, make_rotated, save_csv
+from .datagen import make_isotropic
 from .em import GmmParams, em_fit, gmm_loglik
-from .gausscore import EigenDecomp, SeededRng, random_orthogonal, sample_gaussian, sqrtm_psd, sym_eigen
-from .metrics import MetricsRecord, bures_w2, condition1_check, gmm_objective, gmm_objective_orthant, principal_direction
-from .model import (
-    DiscriminatorParams,
-    GeneratorParams,
-    GradPack,
-    disc_grad_params,
-    disc_grad_x,
-    disc_smoothness_bound,
-    disc_value,
-    gen_forward,
-    gen_sample_batch,
-    gen_second_moment,
-    params_from_json,
-    params_to_json,
-)
-from .objective import (
-    Anchors,
-    ObjectiveValue,
-    c_transform,
-    gh_expect,
-    inner_max_solve,
-    inner_max_solve_population,
-    l1_value,
-    minimax_value_and_grads,
-    c_transform_upper_bound,
-)
-from .optimizer import (
-    TrainConfig,
-    TrainReport,
-    init_params,
-    stationarity_grad_norm,
-    guaranteed_stepsizes,
-    train_gda,
-)
-from .transport import (
-    TransportPair,
-    bayes_error,
-    duality_gap_1d,
-    posterior,
-    psi_map,
-    psi_randomized,
-    duality_gap_bound,
-    w2_1d_exact,
-    w2_assignment_exact,
-)
+from .gausscore import SeededRng
+from .metrics import condition1_check, gmm_objective, principal_direction
+from .model import GeneratorParams
+from .objective import Anchors, c_transform, c_transform_upper_bound, gh_expect, inner_max_solve
+from .optimizer import TrainConfig, guaranteed_stepsizes, stationarity_grad_norm, train_gda
+from .transport import TransportPair, bayes_error, psi_map, w2_1d_exact, w2_assignment_exact
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@ separability checks, and a verification battery, all seeded and scriptable.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 ``sweep`` runs a list of configs in parallel worker processes, capped by the
-GATGMM_THREADS environment variable.
+GATGMM_THREADS environment variable and by the number of configs.
 """
 
 from __future__ import annotations
@@ -43,11 +43,17 @@ class ConfigError(Exception):
 # config plumbing
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        return _object(json.loads(Path(path).read_text()), f"config {path}")
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
@@ -73,7 +79,7 @@ def _merged_config(args) -> dict:
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
-    train = dict(cfg.get("train", {}))
+    train = dict(_object(cfg.get("train", {}), "train"))
     for key, val in train_overrides.items():
         if val is not None:
             train[key] = val
@@ -85,28 +91,31 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
     selector = cfg.get("dataset")
     if not selector:
         raise ConfigError("no dataset specified (--dataset or config)")
-    seed = int(cfg.get("seed", 0))
-    params = cfg.get("dataset_params", {})
     if selector.startswith("file:"):
         return datagen.load_csv(selector[len("file:"):])
-    if selector == "isotropic":
-        return datagen.make_isotropic(d=int(params.get("d", 20)),
-                                      n=int(params.get("n", 640)),
-                                      scale=float(params.get("scale", 0.03)),
-                                      seed=seed)
-    if selector == "rotated":
-        return datagen.make_rotated(d=int(params.get("d", 100)),
-                                    n=int(params.get("n", 640)), seed=seed)
-    if selector == "kmix":
-        d = int(params.get("d", 20))
-        k = int(params.get("k", 4))
-        means = params.get("means")
-        if means is None:
-            base = np.eye(d)[:k] * float(params.get("spread", 4.0))
-            means = np.concatenate([base[: (k + 1) // 2], -base[: k // 2]])
-        cov = np.array(params.get("cov", (0.05 * np.eye(d)).tolist()))
-        return datagen.make_k_mixture(d=d, k=k, means=np.asarray(means),
-                                      cov=cov, n=int(params.get("n", 640)), seed=seed)
+    params = _object(cfg.get("dataset_params", {}), "dataset_params")
+    try:
+        seed = int(cfg.get("seed", 0))
+        if selector == "isotropic":
+            return datagen.make_isotropic(d=int(params.get("d", 20)),
+                                          n=int(params.get("n", 640)),
+                                          scale=float(params.get("scale", 0.03)),
+                                          seed=seed)
+        if selector == "rotated":
+            return datagen.make_rotated(d=int(params.get("d", 100)),
+                                        n=int(params.get("n", 640)), seed=seed)
+        if selector == "kmix":
+            d = int(params.get("d", 20))
+            k = int(params.get("k", 4))
+            means = params.get("means")
+            if means is None:
+                base = np.eye(d)[:k] * float(params.get("spread", 4.0))
+                means = np.concatenate([base[: (k + 1) // 2], -base[: k // 2]])
+            cov = np.array(params.get("cov", (0.05 * np.eye(d)).tolist()))
+            return datagen.make_k_mixture(d=d, k=k, means=np.asarray(means),
+                                          cov=cov, n=int(params.get("n", 640)), seed=seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad seed or dataset_params: {exc}") from exc
     raise ConfigError(f"unknown dataset selector {selector!r}")
 
 
@@ -115,16 +124,22 @@ def _dataset_kind(cfg: dict) -> str:
     return "file" if selector.startswith("file:") else selector
 
 
-def _make_anchors(cfg: dict, ds: datagen.Dataset, lam: float) -> objective.Anchors:
+def _make_anchors(cfg: dict, ds: datagen.Dataset,
+                  tcfg: optimizer.TrainConfig) -> objective.Anchors:
     policy = cfg.get("anchor_policy", "principal-eig")
-    k = int(cfg.get("train", {}).get("k", 2))
+    k, lam = tcfg.k, tcfg.lam
     if policy == "fixed-vector":
-        vec = np.asarray(cfg["anchor_vector"], dtype=np.float64)
+        try:
+            vec = np.asarray(cfg["anchor_vector"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"fixed-vector anchors need a numeric anchor_vector: {exc}") from exc
         return objective.Anchors.symmetric(vec, lam)
     if policy == "top-k-eigs" or k > 2:
+        half = (k + 1) // 2
+        if half > ds.d:
+            raise ConfigError(f"k={k} anchors need {half} eigenvectors; the data has d={ds.d}")
         second = symmetrize(ds.samples.T @ ds.samples / ds.n)
         vecs = sym_eigen(second).vectors
-        half = (k + 1) // 2
         rows = []
         for i in range(half):
             rows.append(vecs[:, i])
@@ -193,7 +208,9 @@ def _scatter_outputs(outdir: Path, ds: datagen.Dataset, model_samples: np.ndarra
     _scatter_svg(outdir / "scatter_pca.svg", groups_pca, "top-2 principal plane")
 
 
-def _metrics_record(cfg, ds, fitted_mu, fitted_cov, nll) -> metrics.MetricsRecord:
+def _metrics_record(ds: datagen.Dataset, fit: em.GmmParams,
+                    nll_xs: np.ndarray) -> metrics.MetricsRecord:
+    fitted_mu, fitted_cov = fit.means[0], fit.covs[0]
     direction = metrics.principal_direction(ds.samples)
     if ds.meta is not None and ds.meta.truth is not None and ds.meta.truth.k == 2:
         truth = ds.meta.truth
@@ -202,27 +219,19 @@ def _metrics_record(cfg, ds, fitted_mu, fitted_cov, nll) -> metrics.MetricsRecor
     else:
         gobj = float("nan")
         holds, margin = metrics.condition1_check(fitted_mu, fitted_cov, direction)
-    return metrics.MetricsRecord(gmm_objective=gobj, nll=nll,
+    return metrics.MetricsRecord(gmm_objective=gobj, nll=-em.gmm_loglik(fit, nll_xs),
                                  condition1_holds=bool(holds),
                                  condition1_margin=float(margin))
 
 
-def _nll_dataset(cfg: dict, ds: datagen.Dataset) -> datagen.Dataset:
-    """Training samples by default; a fresh draw of equal size with --holdout."""
+def _nll_samples(cfg: dict, ds: datagen.Dataset) -> np.ndarray:
+    """Training samples by default; with --holdout, a fresh draw of the
+    dataset's own recipe at the seed shifted by 104729."""
     if not cfg.get("holdout"):
-        return ds
-    if ds.meta is None or ds.meta.kind not in ("isotropic", "rotated", "kmix"):
-        raise ConfigError("--holdout needs a generative dataset spec")
-    shifted = int(ds.meta.seed) + 104729
-    params = cfg.get("dataset_params", {})
-    if ds.meta.kind == "isotropic":
-        return datagen.make_isotropic(d=ds.d, n=ds.n,
-                                      scale=float(params.get("scale", 0.03)), seed=shifted)
-    if ds.meta.kind == "rotated":
-        return datagen.make_rotated(d=ds.d, n=ds.n, seed=shifted)
-    truth = ds.meta.truth
-    return datagen.make_k_mixture(d=ds.d, k=truth.k, means=truth.means,
-                                  cov=truth.covs[0], n=ds.n, seed=shifted)
+        return ds.samples
+    if ds.meta is None:
+        raise ConfigError("--holdout needs a dataset with a recorded recipe")
+    return datagen.redraw(ds.meta, ds.meta.seed + 104729).samples
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +258,19 @@ def _run_experiment(cfg: dict) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
 
     train_fields = dict(_TRAIN_DEFAULTS.get(kind, _TRAIN_DEFAULTS["file"]))
-    train_fields.update(cfg.get("train", {}))
-    train_fields["seed"] = seed
-    tcfg = optimizer.TrainConfig(**train_fields)
+    train_fields.update(_object(cfg.get("train", {}), "train"), seed=seed)
+    try:
+        tcfg = optimizer.TrainConfig(**train_fields)
+    except TypeError as exc:  # a field name TrainConfig does not have
+        raise ConfigError(f"bad train config: {exc}") from exc
     truth = ds.meta.truth if ds.meta is not None else None
-    nll_ds = _nll_dataset(cfg, ds)
+    nll_xs = _nll_samples(cfg, ds)
 
     if method == "em":
         fit, trace = em.em_fit(ds.samples, k=max(tcfg.k, 2),
                                symmetric2=(tcfg.mode == model.SYMMETRIC2),
                                shared_cov=True, seed=seed)
-        nll = -em.gmm_loglik(fit, nll_ds.samples)
-        rec = _metrics_record(cfg, ds, fit.means[0], fit.covs[0], nll)
+        rec = _metrics_record(ds, fit, nll_xs)
         report = {
             "method": "em",
             "loglik_trace": trace,
@@ -280,15 +290,10 @@ def _run_experiment(cfg: dict) -> dict:
     if method != "gatgmm":
         raise ConfigError(f"unknown method {method!r}")
 
-    anchors = _make_anchors(cfg, ds, tcfg.lam)
+    anchors = _make_anchors(cfg, ds, tcfg)
     report = optimizer.train_gda(ds, tcfg, anchors, truth=truth)
     g = report.final_gen
-    fitted_cov = g.cov_factor @ g.cov_factor.T
-    fit = em.GmmParams.symmetric2(g.means[0], fitted_cov) if g.mode == model.SYMMETRIC2 \
-        else em.GmmParams(weights=np.full(g.k, 1.0 / g.k), means=g.means,
-                          covs=np.repeat(fitted_cov[None], g.k, axis=0), shared_cov=True)
-    nll = -em.gmm_loglik(fit, nll_ds.samples)
-    rec = _metrics_record(cfg, ds, g.means[0], fitted_cov, nll)
+    rec = _metrics_record(ds, em.GmmParams.from_generator(g), nll_xs)
 
     out = report.to_json()
     out["method"] = "gatgmm"
@@ -314,17 +319,13 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _merged_config(args)
     ds = _resolve_dataset(cfg)
-    obj = json.loads(Path(args.params).read_text())
-    nll_ds = _nll_dataset(cfg, ds)
-    if "weights" in obj:
-        fit = em.GmmParams.from_json(obj)
-        mu, cov = fit.means[0], fit.covs[0]
-    else:
-        g, _ = model.params_from_json(obj)
-        mu, cov = g.means[0], g.cov_factor @ g.cov_factor.T
-        fit = em.GmmParams.symmetric2(mu, cov)
-    nll = -em.gmm_loglik(fit, nll_ds.samples)
-    rec = _metrics_record(cfg, ds, mu, cov, nll)
+    try:
+        obj = json.loads(Path(args.params).read_text())
+        fit = em.GmmParams.from_json(obj) if "weights" in obj \
+            else em.GmmParams.from_generator(model.params_from_json(obj)[0])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read params {args.params}: {exc}") from exc
+    rec = _metrics_record(ds, fit, _nll_samples(cfg, ds))
     print(json.dumps(rec.to_json(), sort_keys=True, indent=1))
     if cfg.get("out"):
         _write_json(Path(cfg["out"]) / "metrics_record.json", rec.to_json())
@@ -503,8 +504,14 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"cannot read sweep configs: {exc}") from exc
     if not isinstance(configs, list):
         raise ConfigError("sweep config file must hold a JSON list of run configs")
-    workers = int(os.environ.get("GATGMM_THREADS", "1") or "1")
-    if workers <= 1 or len(configs) == 1:
+    configs = [_object(cfg, "sweep run config") for cfg in configs]
+    try:
+        workers = int(os.environ.get("GATGMM_THREADS", "1") or "1")
+    except ValueError as exc:
+        raise ConfigError(f"GATGMM_THREADS must be an integer: {exc}") from exc
+    # the pool forks all its workers at the first submit: never more than there are runs
+    workers = min(workers, len(configs))
+    if workers <= 1:
         for cfg in configs:
             print(_sweep_worker(cfg))
         return 0

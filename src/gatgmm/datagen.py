@@ -26,6 +26,7 @@ __all__ = [
     "make_isotropic",
     "make_rotated",
     "make_k_mixture",
+    "redraw",
     "save_csv",
     "load_csv",
 ]
@@ -134,6 +135,19 @@ def make_k_mixture(d: int, k: int, means: np.ndarray, cov: np.ndarray,
     return Dataset(samples=gen_apply(g, z, labels), meta=meta)
 
 
+def redraw(meta: DatasetMeta, seed: int) -> Dataset:
+    """A fresh draw of the recipe ``meta`` records (kind, d, n, params,
+    truth) at another seed."""
+    if meta.kind == "isotropic" and "scale" in meta.params:
+        return make_isotropic(meta.d, meta.n, float(meta.params["scale"]), seed)
+    if meta.kind == "rotated":
+        return make_rotated(meta.d, meta.n, seed)
+    if meta.kind == "kmix" and meta.truth is not None:
+        t = meta.truth
+        return make_k_mixture(meta.d, t.k, t.means, t.covs[0], meta.n, seed)
+    raise InvalidInput(f"dataset kind {meta.kind!r} records no recipe to draw from")
+
+
 def _meta_path(path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
@@ -182,5 +196,8 @@ def load_csv(path) -> Dataset:
     meta = None
     mpath = _meta_path(path)
     if mpath.exists():
-        meta = DatasetMeta.from_json(json.loads(mpath.read_text()))
+        try:
+            meta = DatasetMeta.from_json(json.loads(mpath.read_text()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad metadata {mpath}: {exc}") from exc
     return Dataset(samples=np.array(rows, dtype=np.float64), meta=meta)

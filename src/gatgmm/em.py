@@ -20,6 +20,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import InvalidInput, SingularCovariance
 from .gausscore import SeededRng, symmetrize
+from .model import SYMMETRIC2
 
 __all__ = ["GmmParams", "em_fit", "gmm_loglik"]
 
@@ -69,6 +70,16 @@ class GmmParams:
         cov = symmetrize(cov)
         return GmmParams(weights=np.array([0.5, 0.5]), means=np.stack([mu, -mu]),
                          covs=np.stack([cov, cov]), shared_cov=True)
+
+    @staticmethod
+    def from_generator(g) -> "GmmParams":
+        """The mixture a GeneratorParams samples from: uniform weights and
+        the shared covariance C C^T."""
+        cov = g.cov_factor @ g.cov_factor.T
+        if g.mode == SYMMETRIC2:
+            return GmmParams.symmetric2(g.means[0], cov)
+        return GmmParams(weights=np.full(g.k, 1.0 / g.k), means=g.means, covs=cov,
+                         shared_cov=True)
 
     def to_json(self) -> dict:
         return {

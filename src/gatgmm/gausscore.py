@@ -25,7 +25,6 @@ __all__ = [
     "sqrtm_psd",
     "inv_sqrtm_psd",
     "random_orthogonal",
-    "sample_gaussian",
 ]
 
 _MIX64 = 0x9E3779B97F4A7C15  # golden-ratio constant for stream derivation
@@ -128,16 +127,3 @@ def random_orthogonal(d: int, rng: SeededRng) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def sample_gaussian(mean: np.ndarray, factor: np.ndarray, n: int, rng: SeededRng) -> np.ndarray:
-    """Draw n rows of mean + factor @ z with z ~ N(0, I)."""
-    mean = np.asarray(mean, dtype=np.float64)
-    factor = np.asarray(factor, dtype=np.float64)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(factor))):
-        raise InvalidInput("mean/factor must be finite")
-    d = mean.shape[0]
-    if factor.shape != (d, d):
-        raise InvalidInput(f"factor shape {factor.shape} does not match mean dimension {d}")
-    z = rng.gen.standard_normal((int(n), d))
-    return mean + z @ factor.T

@@ -65,7 +65,6 @@ __all__ = [
     "SampleMoments",
     "MixtureMoments",
     "GeneratorMoments",
-    "LatentGenMoments",
     "TiedMomentRound",
     "minimax_value_and_grads",
     "disc_block_value_and_grads",
@@ -110,7 +109,6 @@ _KINDS = {
     "tanh_pp": _tanh_pp,
     "tanh_ppp": _tanh_ppp,
     "logcosh": _logcosh,
-    "x_tanh": lambda t: t * np.tanh(t),
 }
 
 
@@ -270,27 +268,6 @@ class GeneratorMoments(MixtureMoments):
         """grad_C of E[logcosh(b^T G)] = E[tanh'] * b (C^T b)^T (Stein in z)."""
         m, s = self._proj(b)
         return gh_expect(m, s, "tanh_prime", self.order) * np.outer(b, self.g.cov_factor.T @ b)
-
-
-class LatentGenMoments(SampleMoments):
-    """Generator-side expectations over a fixed latent batch (symmetric mode):
-    the sample moments of the generated batch, plus the pathwise
-    derivatives through G = y (C z + mu)."""
-
-    def __init__(self, g: GeneratorParams, z: np.ndarray, labels: np.ndarray):
-        if g.mode != SYMMETRIC2:
-            raise InvalidInput("latent generator moments are for symmetric2 mode")
-        self.z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        super().__init__(gen_apply(g, self.z, labels))
-        self.labels = np.asarray(labels, dtype=np.float64)
-
-    def tanh_mean(self, b: np.ndarray) -> float:
-        # pathwise mu-coefficient: mean_j y_j tanh(b^T G_j)
-        return float(np.mean(self.labels * np.tanh(self.xs @ b)))
-
-    def lambda_grad_logcosh(self, b: np.ndarray) -> np.ndarray:
-        w = self.labels * np.tanh(self.xs @ b)
-        return np.outer(b, w @ self.z / self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -585,15 +562,13 @@ def inner_max_solve(
         raise InvalidInput("tol must be > 0")
     xs = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
     xm = SampleMoments(xs)
-    if g.mode == SYMMETRIC2 and tied:
-        if z_eval is not None:
-            gm = LatentGenMoments(g, z_eval, labels)
-        else:
-            gm = GeneratorMoments(g, gh_order)
-        return _tied_solution(xm, gm, anchors, tol, max_iters)
     if z_eval is None:
-        raise InvalidInput("untied/general inner solve requires a latent batch")
+        if not (g.mode == SYMMETRIC2 and tied):
+            raise InvalidInput("untied/general inner solve requires a latent batch")
+        return _tied_solution(xm, GeneratorMoments(g, gh_order), anchors, tol, max_iters)
     gx = gen_apply(g, np.atleast_2d(np.asarray(z_eval, dtype=np.float64)), labels)
+    if g.mode == SYMMETRIC2 and tied:
+        return _tied_solution(xm, SampleMoments(gx), anchors, tol, max_iters)
     rows, consts, l2 = _inner_max_general(
         xs, gx, anchors, train_consts=(g.mode == SHARED_COV), tol=tol, max_iters=max_iters)
     sg = symmetrize(gx.T @ gx / gx.shape[0])

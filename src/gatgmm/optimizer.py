@@ -24,7 +24,8 @@ points when the envelope is unavailable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -119,6 +120,9 @@ def init_params(d: int, mode: str, sigma_init: float, rng: SeededRng,
     return g, dd
 
 
+_FIELD_KINDS = {"int": Integral, "float": Real, "bool": (bool, np.bool_), "str": str}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     max_iters: int = 4000
@@ -131,8 +135,6 @@ class TrainConfig:
     eta: float | None = None     # feasibility radius; needed for projection
     seed: int = 0
     eval_every: int = 200
-    grad_tol: float = 0.0        # 0 disables envelope-based early stopping
-    use_guaranteed_steps: bool = False
     project_feasible: bool = False
     mode: str = SYMMETRIC2
     k: int = 2
@@ -145,12 +147,23 @@ class TrainConfig:
     antithetic_from: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):  # configs read from JSON reach here unchecked
+            val = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if optional and val is None:
+                continue
+            # bool is an int subclass: only bool fields take one
+            is_bool = isinstance(val, _FIELD_KINDS["bool"])
+            if is_bool != (kind == "bool") or not isinstance(val, _FIELD_KINDS[kind]):
+                raise InvalidInput(f"{f.name} must be {f.type}, got {val!r}")
         if self.lr_gen < 0 or self.lr_disc < 0:
             raise InvalidInput("learning rates must be >= 0")
         if self.batch_size < 0 or self.max_iters < 0:
             raise InvalidInput("sizes must be nonnegative")
         if self.disc_steps_per_gen_step < 1:
             raise InvalidInput("disc_steps_per_gen_step must be >= 1")
+        if self.k < 2:
+            raise InvalidInput("k must be >= 2")
         if not self.lam > 0:
             raise InvalidInput("lam must be > 0")
         if self.eval_every < 1:
@@ -183,14 +196,13 @@ class TrainReport:
     final_disc: DiscriminatorParams | None = None
     wall_clock_seconds: float = 0.0
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        """The run's results; wall-clock time is left out so same-seed runs
+        serialize byte-identically."""
+        return {
             "iterates": [r.to_json() for r in self.iterates],
             "final_params": params_to_json(self.final_gen, self.final_disc),
         }
-        if include_timing:
-            out["wall_clock_seconds"] = self.wall_clock_seconds
-        return out
 
 
 def _feasible_scale(cov: np.ndarray, means: np.ndarray, eta: float) -> float:
@@ -236,8 +248,7 @@ def _eval_record(it, value, g, dd, anchors, xs, cfg, truth, t0):
     if truth is not None and cfg.mode == SYMMETRIC2:
         obj_vs_truth = gmm_objective(truth, g.means[0], g.cov_factor @ g.cov_factor.T)
     return EvalRecord(iteration=it, objective=value, grad_norm=envelope,
-                      gmm_objective=obj_vs_truth,
-                      seconds=time.perf_counter() - t0), envelope
+                      gmm_objective=obj_vs_truth, seconds=time.perf_counter() - t0)
 
 
 class _BlockRound:
@@ -275,13 +286,11 @@ def _params(mode, cov, means, quad, rows, consts, tied):
 
 def train_gda(data, cfg: TrainConfig, anchors: Anchors,
               truth: GmmParams | None = None) -> TrainReport:
-    """Alternating GDA on the minimax objective.
+    """Alternating GDA on the minimax objective for max_iters rounds.
 
-    Stops at max_iters, or earlier when grad_tol > 0 and the envelope
-    gradient norm at an eval point falls below it.  Raises InvalidInput
-    before the first round on empty or non-finite data and on anchors that
-    do not fit it, and Diverged with the iteration index on a non-finite
-    gradient or step.
+    Raises InvalidInput before the first round on empty or non-finite data
+    and on anchors that do not fit it, and Diverged with the iteration index
+    on a non-finite gradient or step.
     """
     xs = np.atleast_2d(np.asarray(getattr(data, "samples", data), dtype=np.float64))
     if xs.shape[0] < 1:
@@ -300,15 +309,6 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     if anchors.d != d or anchors.k != g.k:
         raise InvalidInput(f"anchors hold {anchors.k} vectors of dimension {anchors.d}; "
                            f"training needs {g.k} of dimension {d}")
-
-    if cfg.use_guaranteed_steps:
-        if cfg.eta is None:
-            raise InvalidInput("guaranteed step sizes need an explicit eta")
-        steps = guaranteed_stepsizes(cfg.lam, cfg.eta, g.k,
-                                   float(np.max(np.sum(anchors.d_vecs ** 2, axis=1))))
-        lr_disc, lr_gen = steps.alpha_max, steps.alpha_min
-    else:
-        lr_disc, lr_gen = cfg.lr_disc, cfg.lr_gen
 
     if cfg.max_iters == 0:
         return TrainReport(
@@ -345,13 +345,13 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
             quad_grad, row_grads, const_grads = rnd.disc_grads(quad, rows, consts)
             if not np.isfinite(np.sum(quad_grad) + np.sum(row_grads)):
                 raise Diverged(it)
-            quad = symmetrize(quad + lr_disc * quad_grad)
-            rows = rows + lr_disc * row_grads
+            quad = symmetrize(quad + cfg.lr_disc * quad_grad)
+            rows = rows + cfg.lr_disc * row_grads
             if const_grads is not None:
-                consts = consts + lr_disc * const_grads
+                consts = consts + cfg.lr_disc * const_grads
         cov_grad, means_grad = rnd.gen_grads(quad, rows, consts)
-        cov = cov - lr_gen * cov_grad
-        means = means - lr_gen * means_grad
+        cov = cov - cfg.lr_gen * cov_grad
+        means = means - cfg.lr_gen * means_grad
         if not np.isfinite(np.sum(cov) + np.sum(means)):  # also catches an overflowing step
             raise Diverged(it)
         if cfg.project_feasible:
@@ -362,13 +362,11 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
         if it % cfg.eval_every == 0 or it == cfg.max_iters:
             g, dd = _params(cfg.mode, cov, means, quad, rows, consts, tied)
             value = rnd.value(quad, rows, consts)
-            rec, envelope = _eval_record(it, value, g, dd, anchors, xs, cfg, truth, t0)
+            rec = _eval_record(it, value, g, dd, anchors, xs, cfg, truth, t0)
             if not np.isfinite(rec.grad_norm):
                 batch_norm = float(np.sqrt(np.sum(cov_grad ** 2) + np.sum(means_grad ** 2)))
                 rec = replace(rec, grad_norm=batch_norm)
             records.append(rec)
-            if cfg.grad_tol > 0 and np.isfinite(envelope) and envelope <= cfg.grad_tol:
-                break
 
     g, dd = _params(cfg.mode, cov, means, quad, rows, consts, tied)
     return TrainReport(iterates=records, final_gen=g, final_disc=dd,

@@ -22,7 +22,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .em import GmmParams, _log_joint, _lse_rows
 from .errors import InvalidInput, TooLarge
-from .gausscore import SeededRng, inv_sqrtm_psd, sqrtm_psd, symmetrize
+from .gausscore import SeededRng, inv_sqrtm_psd, sqrtm_psd
 
 __all__ = [
     "TransportPair",
@@ -33,7 +33,6 @@ __all__ = [
     "psi_randomized",
     "bayes_error",
     "duality_gap_bound_terms",
-    "duality_gap_bound",
     "w2_1d_exact",
     "w2_assignment_exact",
     "Duality1DResult",
@@ -149,10 +148,6 @@ def duality_gap_bound_terms(tp: TransportPair, pe: float, ex_norm2: float,
     return float(m1), float(m2), float(bound)
 
 
-def duality_gap_bound(tp: TransportPair, pe: float, ex_norm2: float, ex_norm4: float) -> float:
-    return duality_gap_bound_terms(tp, pe, ex_norm2, ex_norm4)[2]
-
-
 def w2_1d_exact(a, b) -> float:
     """Exact half-squared-quadratic OT between equal-size 1-D samples
     (sorted matching): (1/n) sum ||a_(i) - b_(i)||^2 / 2."""
@@ -255,6 +250,6 @@ def duality_gap_1d(
     # rule-of-three floor: a zero miscount only bounds pe above by ~3/n
     pe = max(float(np.mean(predicted != labels)), 3.0 / n_mc)
     norms2 = np.sum(mc ** 2, axis=1)
-    bound = duality_gap_bound(tp, pe, float(norms2.mean()), float((norms2 ** 2).mean()))
+    bound = duality_gap_bound_terms(tp, pe, float(norms2.mean()), float((norms2 ** 2).mean()))[2]
 
     return Duality1DResult(dual=dual, w2=w2, gap=w2 - dual, se=se, bound=bound, pe=pe)

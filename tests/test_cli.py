@@ -1,8 +1,16 @@
+import dataclasses
 import json
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from gatgmm import cli
 from gatgmm.cli import main
+from gatgmm.datagen import make_isotropic
+from gatgmm.em import GmmParams, gmm_loglik
+from gatgmm.optimizer import TrainConfig
 
 
 def run(args):
@@ -124,10 +132,101 @@ def test_missing_file_is_config_error(tmp_path):
 @pytest.mark.parametrize("extra", [
     {"train": {"eval_every": 0}},
     {"anchor_policy": "fixed-vector", "anchor_vector": [1.0, 0.0]},
+    {"train": {"no_such_field": 1}},
+    {"dataset_params": {"d": "three"}},
+    {"anchor_policy": "fixed-vector"},
 ])
 def test_bad_train_config_is_config_error(tmp_path, extra):
     cfg = _small_train_cfg(tmp_path, **extra)
     assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+
+
+# "@" stands for the test's tmp_path; each case writes its files, then runs argv
+@pytest.mark.parametrize("files, argv, env", [
+    ({"c.json": "[1, 2]"}, ["train", "--config", "@c.json", "--out", "@run"], {}),
+    ({"p.json": "{"}, ["eval", "--dataset", "isotropic", "--params", "@p.json"], {}),
+    ({"p.json": '{"mode": "symmetric2"}'},
+     ["eval", "--dataset", "isotropic", "--params", "@p.json"], {}),
+    ({"s.json": "[{}, {}]"}, ["sweep", "--configs", "@s.json"], {"GATGMM_THREADS": "two"}),
+    ({"d.csv": "x0,x1\n1,2\n3,4\n", "d.meta.json": '{"kind": "isotropic"}'},
+     ["train", "--dataset", "file:@d.csv", "--out", "@run"], {}),
+], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
+        "meta-incomplete"])
+def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    assert run([a.replace("@", f"{tmp_path}/") for a in argv]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_train_kmix_defaults(tmp_path):
+    assert run(["train", "--dataset", "kmix", "--iters", "50", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("dataset, params", [
+    ("kmix", {"d": 4, "n": 64}),
+    ("isotropic", {"d": 3, "n": 64, "scale": 0.02}),
+])
+def test_eval_reproduces_train_nll(tmp_path, dataset, params):
+    cfg = _cfg(tmp_path, {"dataset": dataset, "dataset_params": params,
+                          "train": {"max_iters": 60, "eval_every": 30, "sigma_init": 0.1}})
+    assert run(["train", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path / "run")]) == 0
+    assert run(["eval", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path / "ev"),
+                "--params", str(tmp_path / "run" / "params.json")]) == 0
+    trained = json.loads((tmp_path / "run" / "report.json").read_text())["metrics"]
+    evaluated = json.loads((tmp_path / "ev" / "metrics_record.json").read_text())
+    assert evaluated["nll"] == trained["nll"]
+
+
+def test_holdout_redraws_the_file_dataset_recipe(tmp_path):
+    data = tmp_path / "data"
+    gen_cfg = _cfg(tmp_path, {"dataset_params": {"d": 3, "n": 40, "scale": 0.5}})
+    assert run(["gen-data", "--dataset", "isotropic", "--config", str(gen_cfg), "--seed", "3",
+                "--out", str(data)]) == 0
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", f"file:{data}/isotropic.csv", "--method", "em",
+                "--holdout", "--out", str(out)]) == 0
+    fit = GmmParams.from_json(json.loads((out / "params.json").read_text()))
+    holdout = make_isotropic(d=3, n=40, scale=0.5, seed=3 + 104729)
+    nll = json.loads((out / "report.json").read_text())["metrics"]["nll"]
+    assert nll == -gmm_loglik(fit, holdout.samples)
+
+
+_RIGHT = {
+    "int": st.integers(-2, 20),
+    "float": st.sampled_from([-1.0, 0.0, 1e-3, 0.05, 0.5, 2.0, 1e3, float("nan"), float("inf")]),
+    "bool": st.booleans(),
+    "str": st.sampled_from(["symmetric2", "shared_cov", "bogus"]),
+}
+_WRONG = st.sampled_from(["1", [1, 2], {"a": 1}, None, True, 1.5])
+_KINDS = {f.name: f.type.partition(" | ")[0] for f in dataclasses.fields(TrainConfig)}
+
+
+def _value(name):
+    if name not in _KINDS:  # a field TrainConfig does not have
+        return st.just(1)
+    right = _RIGHT[_KINDS[name]]
+    return st.one_of(right, right, right, _WRONG)
+
+
+_TRAIN = st.lists(st.sampled_from(sorted(_KINDS) + ["grad_tol", "no_such_field"]),
+                  max_size=4, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({n: _value(n) for n in names}))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dataset=st.sampled_from(["isotropic", "kmix"]), d=st.integers(1, 3), train=_TRAIN,
+       iters=st.integers(0, 20))
+def test_random_train_configs_exit_cleanly(tmp_path, dataset, d, train, iters):
+    train.setdefault("max_iters", iters)  # every int drawn is <= 20
+    cfg = _cfg(tmp_path, {"dataset": dataset, "dataset_params": {"d": d, "n": 16},
+                          "train": train})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) in (0, 2, 3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -170,4 +269,32 @@ def test_sweep_runs_configs(tmp_path, capsys, monkeypatch):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfgs))
     assert run(["sweep", "--configs", str(path)]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+
+def test_sweep_pool_never_exceeds_run_count(tmp_path, capsys, monkeypatch):
+    class RecordingPool:
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("GATGMM_THREADS", "64")
+    cfgs = [{"dataset": "isotropic", "method": "em", "seed": seed,
+             "dataset_params": {"d": 2, "n": 32}, "out": str(tmp_path / f"sweep{seed}")}
+            for seed in (1, 2)]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfgs))
+    assert run(["sweep", "--configs", str(path)]) == 0
+    assert RecordingPool.sizes == [2]
     assert len(capsys.readouterr().out.strip().splitlines()) == 2

@@ -5,7 +5,6 @@ from gatgmm.errors import InvalidInput, NotPsd
 from gatgmm.gausscore import (
     SeededRng,
     random_orthogonal,
-    sample_gaussian,
     sqrtm_psd,
     sym_eigen,
     symmetrize,
@@ -120,18 +119,3 @@ def test_rng_streams_differ_and_replay():
     c1 = SeededRng(5).split(3)
     c2 = SeededRng(5).split(3)
     assert np.array_equal(c1.gen.standard_normal(4), c2.gen.standard_normal(4))
-
-
-def test_sample_gaussian_degenerate_factor():
-    mean = np.array([1.0, -2.0])
-    xs = sample_gaussian(mean, np.zeros((2, 2)), 5, SeededRng(0))
-    assert np.allclose(xs, mean)
-
-
-def test_sample_gaussian_moments():
-    n = 100000
-    xs = sample_gaussian(np.zeros(3), np.eye(3), n, SeededRng(1))
-    assert np.all(np.abs(xs.mean(axis=0)) <= 4 / np.sqrt(n))
-    xs2 = sample_gaussian(np.zeros(1), 2.0 * np.eye(1), n, SeededRng(2))
-    v = xs2.var()
-    assert 3.8 <= v <= 4.2

@@ -346,6 +346,12 @@ def test_moment_round_matches_block_gradients(d, n, overrides):
     dict(eval_every=0),
     dict(project_feasible=True),
     dict(project_feasible=True, eta=1.0),
+    dict(k=1),
+    dict(max_iters=2.5),
+    dict(lr_gen="0.1"),
+    dict(tied="yes"),
+    dict(sigma_init=[0.1]),
+    dict(antithetic_from=1.0),
 ])
 def test_train_config_rejects_bad_fields(fields):
     with pytest.raises(InvalidInput):
