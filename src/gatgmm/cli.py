@@ -58,6 +58,17 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+def _check_fields(cfg: dict) -> dict:
+    """Type-check the top-level run fields a config may set."""
+    for key in ("dataset", "method", "out", "anchor_policy"):
+        if key in cfg and not isinstance(cfg[key], str):
+            raise ConfigError(f"{key} must be a string, got {cfg[key]!r}")
+    seed = cfg.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    return cfg
+
+
 def _merged_config(args) -> dict:
     """Config file first, command-line flags override."""
     cfg = _load_config(getattr(args, "config", None))
@@ -79,6 +90,7 @@ def _merged_config(args) -> dict:
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
+    _check_fields(cfg)
     train = dict(_object(cfg.get("train", {}), "train"))
     for key, val in train_overrides.items():
         if val is not None:
@@ -95,7 +107,7 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
         return datagen.load_csv(selector[len("file:"):])
     params = _object(cfg.get("dataset_params", {}), "dataset_params")
     try:
-        seed = int(cfg.get("seed", 0))
+        seed = cfg.get("seed", 0)
         if selector == "isotropic":
             return datagen.make_isotropic(d=int(params.get("d", 20)),
                                           n=int(params.get("n", 640)),
@@ -115,7 +127,7 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
             return datagen.make_k_mixture(d=d, k=k, means=np.asarray(means),
                                           cov=cov, n=int(params.get("n", 640)), seed=seed)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad seed or dataset_params: {exc}") from exc
+        raise ConfigError(f"bad dataset_params: {exc}") from exc
     raise ConfigError(f"unknown dataset selector {selector!r}")
 
 
@@ -210,14 +222,18 @@ def _scatter_outputs(outdir: Path, ds: datagen.Dataset, model_samples: np.ndarra
 
 def _metrics_record(ds: datagen.Dataset, fit: em.GmmParams,
                     nll_xs: np.ndarray) -> metrics.MetricsRecord:
+    """gmm_objective against a two-component truth, the matched k-component
+    score against any other truth with the fit's k, else nan."""
     fitted_mu, fitted_cov = fit.means[0], fit.covs[0]
     direction = metrics.principal_direction(ds.samples)
-    if ds.meta is not None and ds.meta.truth is not None and ds.meta.truth.k == 2:
-        truth = ds.meta.truth
+    truth = ds.meta.truth if ds.meta is not None else None
+    if truth is not None and truth.k == 2:
         gobj = metrics.gmm_objective(truth, fitted_mu, fitted_cov)
         holds, margin = metrics.condition1_check(truth.means[0], truth.covs[0], direction)
     else:
         gobj = float("nan")
+        if truth is not None and truth.k == fit.k:
+            gobj = metrics.gmm_objective_matched(truth, fit)
         holds, margin = metrics.condition1_check(fitted_mu, fitted_cov, direction)
     return metrics.MetricsRecord(gmm_objective=gobj, nll=-em.gmm_loglik(fit, nll_xs),
                                  condition1_holds=bool(holds),
@@ -253,7 +269,7 @@ def _run_experiment(cfg: dict) -> dict:
     ds = _resolve_dataset(cfg)
     kind = _dataset_kind(cfg)
     method = cfg.get("method", "gatgmm")
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     outdir = Path(cfg.get("out", f"runs/{kind}-{method}-{seed}"))
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -504,7 +520,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"cannot read sweep configs: {exc}") from exc
     if not isinstance(configs, list):
         raise ConfigError("sweep config file must hold a JSON list of run configs")
-    configs = [_object(cfg, "sweep run config") for cfg in configs]
+    configs = [_check_fields(_object(cfg, "sweep run config")) for cfg in configs]
     try:
         workers = int(os.environ.get("GATGMM_THREADS", "1") or "1")
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """Evaluation metrics: Gaussian transport distance, its sign-minimized
-mixture form, the orthant-split sample estimate, NLL, and the separability
-margin used to place anchors.
+mixture form, its matched k-component form, the orthant-split sample
+estimate, NLL, and the separability margin used to place anchors.
 
 The Gaussian distance here is the full squared 2-Wasserstein value
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .em import GmmParams
 from .errors import InsufficientSamples, InvalidInput
@@ -25,6 +26,7 @@ __all__ = [
     "MetricsRecord",
     "bures_w2",
     "gmm_objective",
+    "gmm_objective_matched",
     "gmm_objective_orthant",
     "condition1_check",
     "principal_direction",
@@ -86,6 +88,18 @@ def gmm_objective(truth: GmmParams, fitted_mu, fitted_cov) -> float:
     if -1e-8 < val < 0.0:
         return 0.0
     return val
+
+
+def gmm_objective_matched(truth: GmmParams, fit: GmmParams) -> float:
+    """Mean Gaussian transport distance over truth/fit component pairs
+    matched by optimal assignment: the k-component score (weights are not
+    compared)."""
+    if truth.k != fit.k or truth.d != fit.d:
+        raise InvalidInput(f"truth is {truth.k} x d={truth.d}, fit is {fit.k} x d={fit.d}")
+    cost = np.array([[bures_w2(truth.means[i], truth.covs[i], fit.means[j], fit.covs[j])
+                      for j in range(fit.k)] for i in range(truth.k)])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
 
 
 def gmm_objective_orthant(truth: GmmParams, samples: np.ndarray,

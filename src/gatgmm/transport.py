@@ -115,8 +115,12 @@ def sample_mixture(p: GmmParams, n: int, rng: SeededRng) -> tuple[np.ndarray, np
     """Draw n labeled samples from the mixture; returns (points, labels)."""
     labels = rng.gen.choice(p.k, size=int(n), p=p.weights)
     z = rng.gen.standard_normal((int(n), p.d))
-    factors = np.stack([sqrtm_psd(p.covs[i]) for i in range(p.k)])
-    return p.means[labels] + np.einsum("nij,nj->ni", factors[labels], z), labels
+    # one n x d product per component, kept on that component's rows; a
+    # gather of per-draw factors would build an n x d x d array
+    shift = z @ sqrtm_psd(p.covs[0]).T
+    for i in range(1, p.k):
+        shift = np.where((labels == i)[:, None], z @ sqrtm_psd(p.covs[i]).T, shift)
+    return p.means[labels] + shift, labels
 
 
 def bayes_error(p: GmmParams, n_mc: int, rng: SeededRng) -> float:
@@ -190,12 +194,38 @@ class Duality1DResult:
     pe: float          # MC Bayes error of the source mixture
 
 
-def _grid_c_transform(grid: np.ndarray, values: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Exhaustive Legendre-type transform max_x' values(x') - (x - x')^2/2."""
+def _grid_c_transform(grid: np.ndarray, values: np.ndarray, chunk: int = 64) -> np.ndarray:
+    """Grid c-transform out[i] = max_j values[j] - (grid[i] - grid[j])^2 / 2.
+
+    ``grid`` must be ascending, ties allowed (``duality_gap_1d`` passes a
+    linspace), and both arrays finite.  On an ascending grid the cost
+    -(x - x')^2/2 has increasing differences, so the first maximizer j*(i) is
+    nondecreasing in i for any ``values`` (Topkis).  Every row of a chunk
+    therefore has its maximizer between j* of the chunk's first row and j* of
+    the next chunk's first row (of the last grid point, for the last chunk):
+    only those rows are searched in full, and each chunk takes the same
+    expression's max over that column window, which is the exhaustive float
+    maximum.  Rounding moves each computed entry at most eta from its exact
+    value, so a column outside the window can tie or win only within
+    reach = 4 eta / (smallest positive gap) of it; the window is widened by
+    reach (about 3e-10 on the duality grids, far below one gap).  The work is
+    about N^2/chunk + N*chunk entries instead of N^2.
+    """
+    n = grid.size
+    starts = np.arange(0, n, chunk)
+    rows = np.append(starts, n - 1)
+    args = np.argmax(values[None, :] - 0.5 * (grid[rows, None] - grid[None, :]) ** 2, axis=1)
+    gaps = np.diff(grid)
+    gaps = gaps[gaps > 0]
+    eta = 2.0 ** -52 * (np.max(np.abs(values)) + 3.0 * (grid[-1] - grid[0]) ** 2)
+    reach = 4.0 * eta / gaps.min() if gaps.size else 0.0
+    los = np.searchsorted(grid, grid[args[:-1]] - reach, side="left")
+    his = np.searchsorted(grid, grid[args[1:]] + reach, side="right")
     out = np.empty_like(values)
-    for start in range(0, grid.size, chunk):
+    for start, lo, hi in zip(starts, los, his):
         sl = grid[start:start + chunk, None]
-        out[start:start + chunk] = np.max(values[None, :] - 0.5 * (sl - grid[None, :]) ** 2,
+        cols = slice(lo, hi)
+        out[start:start + chunk] = np.max(values[None, cols] - 0.5 * (sl - grid[None, cols]) ** 2,
                                           axis=1)
     return out
 
@@ -214,10 +244,20 @@ def duality_gap_1d(
     """Desk-scale duality check between two symmetric 1-D two-component mixtures.
 
     The surrogate potential integrates the conditional-expectation map on a
-    uniform grid (D~ = x^2/2 - phi with phi' = psi), its c-transform is an
-    exhaustive grid maximum, and both sides of the weak-duality inequality
-    are then estimated on n_pairs fresh samples per measure.
+    uniform grid of grid_points over +-(max |mu| + pad * max sigma)
+    (D~ = x^2/2 - phi with phi' = psi), its c-transform is the exact grid
+    maximum (:func:`_grid_c_transform`), and both sides of the weak-duality
+    inequality are then estimated on n_pairs fresh samples per measure; the
+    Bayes error and the bound's moments use n_mc draws of the source.
+    Non-finite or nonpositive scales, pad <= 0, n_pairs < 1, n_mc < 1 and
+    grid_points < 2 raise InvalidInput.
     """
+    if not all(np.isfinite(v) for v in (mu_src, sigma_src, mu_tgt, sigma_tgt, pad)):
+        raise InvalidInput("means, scales and pad must be finite")
+    if min(sigma_src, sigma_tgt) <= 0.0 or pad <= 0.0:
+        raise InvalidInput("scales and pad must be positive")
+    if n_pairs < 1 or n_mc < 1 or grid_points < 2:
+        raise InvalidInput("n_pairs and n_mc must be >= 1 and grid_points >= 2")
     source = GmmParams.symmetric2(np.array([mu_src]), np.array([[sigma_src ** 2]]))
     target = GmmParams.symmetric2(np.array([mu_tgt]), np.array([[sigma_tgt ** 2]]))
     tp = TransportPair.build(source, target)

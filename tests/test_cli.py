@@ -150,8 +150,18 @@ def test_bad_train_config_is_config_error(tmp_path, extra):
     ({"s.json": "[{}, {}]"}, ["sweep", "--configs", "@s.json"], {"GATGMM_THREADS": "two"}),
     ({"d.csv": "x0,x1\n1,2\n3,4\n", "d.meta.json": '{"kind": "isotropic"}'},
      ["train", "--dataset", "file:@d.csv", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": 5}'}, ["train", "--config", "@c.json", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "out": 5, "dataset_params": {"d": 2, "n": 16}}'},
+     ["train", "--config", "@c.json", "--method", "em"], {}),
+    ({"c.json": '{"dataset": "isotropic", "seed": 1.5}'},
+     ["train", "--config", "@c.json", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "seed": true}'},
+     ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
+    ({"s.json": '[{"dataset": "isotropic", "method": "em", "out": 5}]'},
+     ["sweep", "--configs", "@s.json"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
-        "meta-incomplete"])
+        "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
+        "seed-bool", "sweep-out-not-string"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -159,6 +169,26 @@ def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, e
         monkeypatch.setenv(key, val)
     assert run([a.replace("@", f"{tmp_path}/") for a in argv]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_compare_kmix_reports_finite_scores(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"dataset": "kmix", "dataset_params": {"d": 4, "n": 64},
+                          "train": {"max_iters": 60, "eval_every": 30, "sigma_init": 0.1}})
+    assert run(["compare", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    for row in out.splitlines()[1:]:
+        assert float(row.split(",")[1]) > 0.0
+
+
+def test_eval_kmix_truth_scores_zero(tmp_path):
+    cfg = {"dataset": "kmix", "dataset_params": {"d": 4, "n": 64}, "seed": 4}
+    truth = cli._resolve_dataset(cfg).meta.truth
+    params = _cfg(tmp_path, truth.to_json(), "truth.json")
+    assert run(["eval", "--config", str(_cfg(tmp_path, cfg)), "--params", str(params),
+                "--out", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "metrics_record.json").read_text())
+    assert record["gmm_objective"] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_train_kmix_defaults(tmp_path):

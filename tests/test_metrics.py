@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gatgmm.metrics import (
     bures_w2,
     condition1_check,
     gmm_objective,
+    gmm_objective_matched,
     gmm_objective_orthant,
     principal_direction,
 )
@@ -61,6 +64,45 @@ def test_gmm_objective_sign_invariance():
     assert gmm_objective(truth, mu, cov) == gmm_objective(truth, -mu, cov)
     assert gmm_objective(truth, truth.means[0], truth.covs[0]) == pytest.approx(0.0, abs=1e-10)
     assert gmm_objective(truth, -truth.means[0], truth.covs[0]) == pytest.approx(0.0, abs=1e-10)
+
+
+def _kmix(seed, k=4, d=3):
+    rng = np.random.default_rng(seed)
+    covs = []
+    for _ in range(k):
+        a = rng.standard_normal((d, d))
+        covs.append(symmetrize(a @ a.T / d + 0.1 * np.eye(d)))
+    return GmmParams(weights=np.full(k, 1.0 / k), means=3.0 * rng.standard_normal((k, d)),
+                     covs=np.stack(covs))
+
+
+def test_gmm_objective_matched_zero_at_truth_in_any_order():
+    truth = _kmix(0)
+    perm = [2, 0, 3, 1]
+    shuffled = GmmParams(weights=truth.weights[perm], means=truth.means[perm],
+                         covs=truth.covs[perm])
+    assert gmm_objective_matched(truth, truth) == pytest.approx(0.0, abs=1e-10)
+    assert gmm_objective_matched(truth, shuffled) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_gmm_objective_matched_is_the_best_pairing():
+    truth, fit = _kmix(1), _kmix(2)
+    cost = [[bures_w2(truth.means[i], truth.covs[i], fit.means[j], fit.covs[j])
+             for j in range(4)] for i in range(4)]
+    brute = min(np.mean([cost[i][p[i]] for i in range(4)]) for p in permutations(range(4)))
+    assert gmm_objective_matched(truth, fit) == pytest.approx(brute, rel=1e-12)
+
+
+def test_gmm_objective_matched_equals_sign_minimized_for_two_components():
+    truth = GmmParams.symmetric2(np.array([1.0, -0.5]), np.array([[0.3, 0.1], [0.1, 0.2]]))
+    fit = GmmParams.symmetric2(np.array([-0.8, 0.6]), np.array([[0.2, 0.0], [0.0, 0.4]]))
+    assert gmm_objective_matched(truth, fit) == pytest.approx(
+        gmm_objective(truth, fit.means[0], fit.covs[0]), rel=1e-12)
+
+
+def test_gmm_objective_matched_rejects_component_mismatch():
+    with pytest.raises(InvalidInput):
+        gmm_objective_matched(_kmix(0, k=4), _kmix(0, k=3))
 
 
 def test_gmm_objective_requires_symmetric_truth():

@@ -2,10 +2,14 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gatgmm import transport
+from gatgmm.datagen import make_rotated
 from gatgmm.em import GmmParams
 from gatgmm.errors import InvalidInput, TooLarge
-from gatgmm.gausscore import SeededRng
+from gatgmm.gausscore import SeededRng, sqrtm_psd
 from gatgmm.transport import (
     TransportPair,
     bayes_error,
@@ -265,3 +269,113 @@ def test_duality_sandwich_separations():
         assert res.dual <= res.w2 + 2 * res.se, f"sep {sep}"
         assert res.gap <= res.bound, f"sep {sep}"
     assert results[5.0].gap <= results[2.0].gap
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_mc": 0}, {"n_pairs": 0}, {"grid_points": 0}, {"grid_points": 1},
+    {"sigma_tgt": -1.0}, {"sigma_src": 0.0}, {"mu_src": float("nan")},
+    {"mu_tgt": float("inf")}, {"sigma_src": float("inf")}, {"pad": float("nan")},
+    {"pad": -8.0},
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_duality_rejects_bad_inputs(kwargs):
+    args = {"mu_src": 2.0, "sigma_src": 1.0, "mu_tgt": 2.3, "sigma_tgt": 0.8, **kwargs}
+    with pytest.raises(InvalidInput):
+        duality_gap_1d(**args)
+
+
+# --- grid c-transform ------------------------------------------------------------
+
+
+def exhaustive_c_transform(grid, values, chunk=256):
+    """Reference: max over every grid point, in row chunks."""
+    out = np.empty_like(values)
+    for start in range(0, grid.size, chunk):
+        sl = grid[start:start + chunk, None]
+        out[start:start + chunk] = np.max(values[None, :] - 0.5 * (sl - grid[None, :]) ** 2,
+                                          axis=1)
+    return out
+
+
+@pytest.mark.parametrize("args", [(sep, 1.0, sep + 0.3, 0.8) for sep in (2.0, 3.0, 4.0, 5.0)]
+                         + [(3.0, 1.0, 3.0, 1.0)])
+def test_grid_c_transform_matches_exhaustive_on_duality_grids(monkeypatch, args):
+    windowed = transport._grid_c_transform
+    calls = []
+
+    def spy(grid, values):
+        out = windowed(grid, values)
+        calls.append((grid, values, out))
+        return out
+
+    monkeypatch.setattr(transport, "_grid_c_transform", spy)
+    duality_gap_1d(*args, n_mc=100, seed=7)
+    (grid, values, out), = calls
+    assert grid.size == 4001
+    assert np.array_equal(out, exhaustive_c_transform(grid, values))
+
+
+def _grid(kind, n, rng):
+    scale = 10.0 ** rng.uniform(-2, 2)
+    if kind == "linspace":
+        return np.linspace(-scale, scale, n)
+    if kind == "ties":  # few distinct points, many repeats
+        return np.sort(rng.integers(-5, 6, n) * scale / 5)
+    if kind == "narrow":  # squared gaps at the rounding level of the values
+        return np.sort(rng.uniform(-1.0, 1.0) + rng.uniform(0.0, 10.0 ** rng.uniform(-7, -6), n))
+    return np.sort(rng.uniform(-scale, scale, n))
+
+
+def _values(kind, grid, rng):
+    n = grid.size
+    if kind == "flat":
+        return np.full(n, rng.uniform(-3.0, 3.0))
+    if kind == "rounded":
+        return np.round(rng.uniform(-3.0, 3.0, n))
+    if kind == "near-ties":  # differences about as small as the quadratic term
+        return rng.uniform(-3.0, 3.0) + rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-16, -13)
+    if kind == "convex":  # shaped like the duality potentials
+        return 0.5 * grid ** 2 - np.cumsum(rng.standard_normal(n)) * 1e-2
+    return rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 900), chunk=st.sampled_from([1, 7, 64]),
+       grid_kind=st.sampled_from(["linspace", "uniform", "ties", "narrow"]),
+       values_kind=st.sampled_from(["random", "flat", "rounded", "near-ties", "convex"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_c_transform_matches_exhaustive(n, chunk, grid_kind, values_kind, seed):
+    rng = np.random.default_rng(seed)
+    grid = _grid(grid_kind, n, rng)
+    values = _values(values_kind, grid, rng)
+    assert np.array_equal(transport._grid_c_transform(grid, values, chunk),
+                          exhaustive_c_transform(grid, values))
+
+
+# --- mixture sampling ----------------------------------------------------------
+
+
+def einsum_sample_mixture(p, n, rng):
+    """Reference: gather every draw's factor, then one batched product."""
+    labels = rng.gen.choice(p.k, size=n, p=p.weights)
+    z = rng.gen.standard_normal((n, p.d))
+    factors = np.stack([sqrtm_psd(p.covs[i]) for i in range(p.k)])
+    return p.means[labels] + np.einsum("nij,nj->ni", factors[labels], z), labels
+
+
+@pytest.mark.parametrize("p", [
+    GmmParams.symmetric2(np.array([1.5]), np.array([[0.7]])),
+    GmmParams(weights=np.array([0.2, 0.3, 0.5]), means=np.array([[-2.0], [0.0], [3.0]]),
+              covs=np.array([[[0.5]], [[1.0]], [[2.0]]])),
+    make_rotated(d=100, n=16, seed=1).meta.truth,
+    GmmParams(weights=np.array([0.5, 0.25, 0.25]), means=np.arange(9.0).reshape(3, 3),
+              covs=np.stack([np.diag([1.0, 2.0, 3.0]), 0.5 * np.eye(3),
+                             np.diag([4.0, 0.1, 1.0])])),
+], ids=["d1-k2", "d1-k3", "d100-k2", "d3-k3"])
+def test_sample_mixture_matches_einsum_form(p):
+    xs, labels = sample_mixture(p, 500, SeededRng(11))
+    ref, ref_labels = einsum_sample_mixture(p, 500, SeededRng(11))
+    assert np.array_equal(labels, ref_labels)
+    if p.d == 1:
+        assert np.array_equal(xs, ref)
+    else:
+        assert np.max(np.abs(xs - ref)) <= 1e-12 * np.max(np.abs(ref))
