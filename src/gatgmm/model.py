@@ -39,6 +39,7 @@ __all__ = [
     "gen_forward",
     "gen_apply",
     "draw_latents",
+    "check_latents",
     "gen_sample_batch",
     "gen_second_moment",
     "disc_value",
@@ -170,23 +171,25 @@ def draw_latents(g: GeneratorParams, n: int, rng: SeededRng) -> tuple[np.ndarray
     return z, labels
 
 
-def _check_labels(g: GeneratorParams, labels: np.ndarray, n: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise InvalidInput(f"labels must be one per latent row ({n}), got shape {labels.shape}")
+def check_latents(g: GeneratorParams, z: np.ndarray,
+                  labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, labels) as arrays: z is (n, d) with one valid label per row."""
+    z, labels = np.atleast_2d(np.asarray(z, dtype=np.float64)), np.asarray(labels)
+    if z.shape[1] != g.d or labels.shape != z.shape[:1]:
+        raise InvalidInput(f"need (n, {g.d}) latents and n labels, got shapes {z.shape} "
+                           f"and {labels.shape}")
     if g.mode == SYMMETRIC2:
         if not np.all(np.isin(labels, (-1, 1))):
             raise InvalidInput("symmetric2 labels must be +1 or -1")
     else:
         if labels.size and (labels.min() < 0 or labels.max() >= g.k):
             raise InvalidInput(f"shared_cov labels must lie in 0..{g.k - 1}")
-    return labels
+    return z, labels
 
 
 def gen_apply(g: GeneratorParams, z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Vectorized generator forward map on an (n, d) latent batch."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    labels = _check_labels(g, labels, z.shape[0])
+    z, labels = check_latents(g, z, labels)
     base = z @ g.cov_factor.T
     if g.mode == SYMMETRIC2:
         return (base + g.means[0]) * np.asarray(labels, dtype=np.float64)[:, None]

@@ -25,7 +25,9 @@ the anchors.  The decomposed optimum is reported as
     total = l1 + l2,
 
 both blocks nonnegative, and the Danskin envelope gradient exposed here
-differentiates this same total.
+differentiates this same total.  The total is not F at its maximizer D*:
+F's quadratic block (1/2) x^T A x - (lam/2) ||A||^2 peaks at
+||Sx - Sg||_F^2 / (8 lam) = l1 / 4, so F(gen, D*) = l2 + l1 / 4.
 
 Population (evaluation-mode) expectations use Gauss-Hermite quadrature on
 one-dimensional projections: for a symmetric two-component law every
@@ -39,6 +41,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -50,6 +53,7 @@ from .model import (
     DiscriminatorParams,
     GeneratorParams,
     GradPack,
+    check_latents,
     disc_grad_x_batch,
     disc_smoothness_bound,
     disc_value_batch,
@@ -65,7 +69,8 @@ __all__ = [
     "SampleMoments",
     "MixtureMoments",
     "GeneratorMoments",
-    "TiedMomentRound",
+    "LatentMoments",
+    "TiedGame",
     "minimax_value_and_grads",
     "disc_block_value_and_grads",
     "gen_block_grads",
@@ -114,24 +119,28 @@ _KINDS = {
 
 @lru_cache(maxsize=None)
 def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    if not (isinstance(order, Real) and float(order).is_integer() and 10 <= order <= 200):
+        raise InvalidInput(f"quadrature order must be an integer in [10, 200], got {order!r}")
     # physicists' Hermite; change of variables so sum(w) = 1 and
     # E[f(Z)] ~= w @ f(x) for standard normal Z
-    x, w = np.polynomial.hermite.hermgauss(order)
+    x, w = np.polynomial.hermite.hermgauss(int(order))
     return x * np.sqrt(2.0), w / np.sqrt(np.pi)
+
+
+def _gh(mean, std, kind: str, order: int):
+    """E[f(mean + std*Z)] for each entry of the arrays (or scalars) mean, std."""
+    x, w = _gh_nodes(order)
+    mean, std = np.asarray(mean)[..., None], np.asarray(std)[..., None]
+    return _KINDS[kind](mean + std * x) @ w
 
 
 def gh_expect(mean: float, std: float, kind: str, order: int = 64) -> float:
     """E[f(mean + std*Z)], Z standard normal, by Gauss-Hermite quadrature."""
-    if std < 0:
-        raise InvalidInput("std must be >= 0")
-    if not 10 <= int(order) <= 200:
-        raise InvalidInput("quadrature order must lie in [10, 200]")
-    try:
-        f = _KINDS[kind]
-    except KeyError:
-        raise InvalidInput(f"unknown kind {kind!r}; one of {sorted(_KINDS)}") from None
-    x, w = _gh_nodes(int(order))
-    return float(w @ f(mean + std * x))
+    if not std >= 0:
+        raise InvalidInput(f"std must be >= 0, got {std!r}")
+    if kind not in _KINDS:
+        raise InvalidInput(f"unknown kind {kind!r}; one of {sorted(_KINDS)}")
+    return float(_gh(mean, std, kind, order))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +198,8 @@ def penalty_value(dd: DiscriminatorParams, anchors: Anchors) -> float:
 
 @dataclass(frozen=True)
 class ObjectiveValue:
-    """Decomposed inner-maximum value: total = l1 + l2."""
+    """Decomposed inner-maximum value: total = l1 + l2.  ``total`` is not F
+    at the maximizer D*: F(gen, D*) = l2 + l1 / 4 (see the module docstring)."""
 
     total: float
     l1: float
@@ -199,6 +209,11 @@ class ObjectiveValue:
 
 # ---------------------------------------------------------------------------
 # moment oracles (x-side and generator-side expectations)
+# Each has ``second`` = E[X X^T], ``mean_sq`` = E||X||^2, and, for a d x r
+# direction stack B (a (d,) vector drops the r axis), logcosh_expect(B) =
+# E logcosh(X^T B) and logcosh_grad(B) = E X tanh(X^T B).  Generator-side
+# oracles (G = y (C z + mu)) add cross = E[G (y z)^T], gbar = E[y G] and
+# tanh_moments(B) = (E[y z tanh(G^T B)], E[y tanh(G^T B)]).
 
 
 class SampleMoments:
@@ -213,11 +228,10 @@ class SampleMoments:
         self.second = symmetrize(xs.T @ xs / self.n)
         self.mean_sq = float(np.trace(self.second))
 
-    def logcosh_expect(self, b: np.ndarray) -> float:
-        return float(np.mean(_logcosh(self.xs @ b)))
+    def logcosh_expect(self, b: np.ndarray) -> np.ndarray:
+        return np.mean(_logcosh(self.xs @ b), axis=0)
 
     def logcosh_grad(self, b: np.ndarray) -> np.ndarray:
-        """mean x tanh(b^T x) = grad_b of logcosh_expect."""
         return self.xs.T @ np.tanh(self.xs @ b) / self.n
 
 
@@ -227,47 +241,80 @@ class MixtureMoments:
 
     def __init__(self, mu: np.ndarray, cov: np.ndarray, order: int = 64):
         self.mu = np.asarray(mu, dtype=np.float64).ravel()
+        cov = np.asarray(cov, dtype=np.float64)
+        if cov.shape != (self.mu.size, self.mu.size):
+            raise InvalidInput(f"mixture mean of length {self.mu.size}, cov of shape {cov.shape}")
         self.cov = symmetrize(cov)
-        self.order = int(order)
+        self.order = order
         self.second = symmetrize(self.cov + np.outer(self.mu, self.mu))
         self.mean_sq = float(np.trace(self.second))
 
-    def _proj(self, b: np.ndarray) -> tuple[float, float]:
-        m = float(b @ self.mu)
-        s2 = float(b @ self.cov @ b)
-        return m, np.sqrt(max(s2, 0.0))
+    def _proj(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and std of b^T W, W ~ N(mu, cov), per column of b."""
+        s2 = np.sum(b * (self.cov @ b), axis=0)
+        return self.mu @ b, np.sqrt(np.maximum(s2, 0.0))
 
-    def logcosh_expect(self, b: np.ndarray) -> float:
-        m, s = self._proj(b)
-        return gh_expect(m, s, "logcosh", self.order)
+    def logcosh_expect(self, b: np.ndarray) -> np.ndarray:
+        return _gh(*self._proj(b), "logcosh", self.order)
 
     def logcosh_grad(self, b: np.ndarray) -> np.ndarray:
-        # Stein: E[X tanh(b'X)] = mu E[tanh] + cov b E[tanh'] on one component;
-        # the integrand is even, so the mixture value coincides.
+        # Stein: E[X tanh(b'X)] = mu E[tanh] + cov b E[tanh'] on one component
         m, s = self._proj(b)
-        return (self.mu * gh_expect(m, s, "tanh", self.order)
-                + self.cov @ b * gh_expect(m, s, "tanh_prime", self.order))
-
-    def tanh_mean(self, b: np.ndarray) -> float:
-        """Single-component E[tanh(b^T W)], W ~ N(mu, cov)."""
-        m, s = self._proj(b)
-        return gh_expect(m, s, "tanh", self.order)
+        return (np.multiply.outer(self.mu, _gh(m, s, "tanh", self.order))
+                + self.cov @ b * _gh(m, s, "tanh_prime", self.order))
 
 
 class GeneratorMoments(MixtureMoments):
-    """Population expectations of the symmetric generator law, plus the
-    covariance-factor directions needed for envelope gradients."""
+    """Population expectations of the symmetric generator law; by Stein's
+    lemma in z, cross = C, gbar = mu and E[y z tanh(b^T G)] = E[tanh'] C^T b."""
 
     def __init__(self, g: GeneratorParams, order: int = 64):
         if g.mode != SYMMETRIC2:
             raise InvalidInput("quadrature generator moments require symmetric2 mode")
-        self.g = g
         super().__init__(g.means[0], g.cov_factor @ g.cov_factor.T, order)
+        self.cross, self.gbar = g.cov_factor, self.mu
 
-    def lambda_grad_logcosh(self, b: np.ndarray) -> np.ndarray:
-        """grad_C of E[logcosh(b^T G)] = E[tanh'] * b (C^T b)^T (Stein in z)."""
+    def tanh_moments(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m, s = self._proj(b)
-        return gh_expect(m, s, "tanh_prime", self.order) * np.outer(b, self.g.cov_factor.T @ b)
+        return (self.cross.T @ b * _gh(m, s, "tanh_prime", self.order),
+                _gh(m, s, "tanh", self.order))
+
+
+class LatentMoments:
+    """Sampled expectations of G = y (C z + mu) over a latent batch (z, labels),
+    never forming the m x d batch G: with sz = z^T z / m and the latent mean
+    zbar, cross = C sz + mu zbar^T, gbar = C zbar + mu, E[G G^T] = cross C^T +
+    gbar mu^T, E[G t] = C z^T (y t) / m + mu mean(y t), G^T B = y (z C^T + mu^T) B."""
+
+    def __init__(self, cov: np.ndarray, mu: np.ndarray, z: np.ndarray, labels: np.ndarray):
+        m = z.shape[0]
+        self.cov, self.mu, self.z = cov, mu, z
+        self.y = np.asarray(labels, dtype=np.float64)[:, None]
+        zbar = np.sum(z, axis=0) / m
+        self.cross = cov @ (z.T @ z / m) + np.outer(mu, zbar)
+        self.gbar = cov @ zbar + mu
+        self.second = symmetrize(self.cross @ cov.T + np.outer(self.gbar, mu))
+
+    @property
+    def mean_sq(self) -> float:  # a property: GDA rounds never read it
+        return float(np.trace(self.second))
+
+    def _proj(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = self.y if b.ndim == 2 else self.y[:, 0]
+        return y, y * (self.z @ (b.T @ self.cov).T + b.T @ self.mu)
+
+    def logcosh_expect(self, b: np.ndarray) -> np.ndarray:
+        return np.mean(_logcosh(self._proj(b)[1]), axis=0)
+
+    def tanh_moments(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y, proj = self._proj(b)
+        yt = y * np.tanh(proj)
+        m = yt.shape[0]
+        return self.z.T @ yt / m, np.sum(yt, axis=0) / m
+
+    def logcosh_grad(self, b: np.ndarray) -> np.ndarray:
+        zt, yt_mean = self.tanh_moments(b)
+        return self.cov @ zt + np.multiply.outer(self.mu, yt_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -299,69 +346,42 @@ def _logit_block(rows: np.ndarray, consts: np.ndarray, anchors: Anchors, xs: np.
 _TIED_SIGNS = np.array([[1.0], [-1.0]])  # D has +logcosh(b1'x) - logcosh(b3'x)
 
 
-class TiedMomentRound:
-    """The tied symmetric GDA round in latent-moment space.
+class TiedGame:
+    """F in the tied symmetric mode over a data oracle xm and a generator
+    oracle gm, at the discriminator (quad, rows), rows = (b1, b3) as 2 x d:
 
-    With G = y (C z + mu), every generator-side term of the tied
-    ``disc_block_value_and_grads`` and of ``gen_block_grads`` follows from
-    the latent moments sz = z^T z / m and zbar, the projections
-    G B = y (z C^T B + mu^T B) of the free rows B = (b1, b3), and
-    contractions z^T (y t) / m of per-sample weights:
+        F = tr(quad half_gap) + delta(b1) - delta(b3) - (lam/2) (||quad||^2
+            + 2 ||b1 - d||^2 + 2 ||b3 - d||^2),   half_gap = (Sx - Sg) / 2,
+        delta(b) = E_X logcosh(b^T X) - E_G logcosh(b^T G).
 
-        E[(C z + mu) z^T] = C sz + mu zbar^T,   E[C z + mu] = C zbar + mu,
-        E[G G^T] = (C sz + mu zbar^T) C^T + (C zbar + mu) mu^T,
-        E[G t]   = C z^T (y t) / m + mu mean(y t).
+    ``consts`` (trained only in the generic modes) is not read."""
 
-    The m x d batch G is never formed: a round costs one syrk and a few
-    d^3 products, plus O(m d) per discriminator step.  A round is built on
-    the generator (cov, mu), the data batch xs with its second moment sx,
-    and the latent batch (z, labels); its methods take the discriminator as
-    (quad, rows) with rows = (b1, b3) stacked as 2 x d.  ``consts`` (trained
-    only in the generic modes) is not read.
-    """
+    def __init__(self, anchors: Anchors, xm, gm):
+        d = anchors.d
+        if xm.second.shape != (d, d) or gm.second.shape != (d, d):
+            raise InvalidInput(f"data, generator and anchors have d {len(xm.second)}, "
+                               f"{len(gm.second)}, {d}")
+        self.anchors, self.xm, self.gm = anchors, xm, gm
+        self.half_gap = 0.5 * (xm.second - gm.second)
 
-    def __init__(self, anchors: Anchors, cov: np.ndarray, mu: np.ndarray,
-                 xs: np.ndarray, sx: np.ndarray, z: np.ndarray, labels: np.ndarray):
-        m = z.shape[0]
-        self.anchors, self.cov, self.mu, self.xs, self.z = anchors, cov, mu, xs, z
-        self.y = np.asarray(labels, dtype=np.float64)[:, None]
-        zbar = np.sum(z, axis=0) / m
-        self.gz = cov @ (z.T @ z / m) + np.outer(mu, zbar)
-        self.gbar = cov @ zbar + mu
-        self.sg = symmetrize(self.gz @ cov.T + np.outer(self.gbar, mu))
-        self.half_gap = 0.5 * (sx - self.sg)
-
-    def _proj(self, rows: np.ndarray) -> np.ndarray:
-        return self.y * (self.z @ (rows @ self.cov).T + rows @ self.mu)
-
-    def _tanh_moments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """z^T (y t) / m and mean(y t) for t = tanh(G B)."""
-        yt = self.y * np.tanh(self._proj(rows))
-        m = yt.shape[0]
-        return self.z.T @ yt / m, np.sum(yt, axis=0) / m
-
-    def disc_grads(self, quad, rows, consts):
-        """Ascent gradients (quad_grad, row_grads, None) of the tied
-        ``disc_block_value_and_grads``."""
-        lam, xs = self.anchors.lam, self.xs
-        zt, yt_mean = self._tanh_moments(rows)
-        g_mom = self.cov @ zt + np.outer(self.mu, yt_mean)
-        x_mom = xs.T @ np.tanh(xs @ rows.T) / xs.shape[0]
-        row_grads = _TIED_SIGNS * (x_mom - g_mom).T - 2.0 * lam * (rows - self.anchors.d_vecs[0])
+    def disc_grads(self, quad, rows, consts=None):
+        """Ascent gradients (quad_grad, row_grads, None) of F."""
+        lam = self.anchors.lam
+        mom = self.xm.logcosh_grad(rows.T) - self.gm.logcosh_grad(rows.T)
+        row_grads = _TIED_SIGNS * mom.T - 2.0 * lam * (rows - self.anchors.d_vecs[0])
         return self.half_gap - lam * quad, row_grads, None
 
-    def gen_grads(self, quad, rows, consts):
-        """Descent gradients (cov_grad, means_grad) of ``gen_block_grads``."""
-        zt, yt_mean = self._tanh_moments(rows)
+    def gen_grads(self, quad, rows, consts=None):
+        """Descent gradients (cov_grad, means_grad) of F in the generator."""
+        zt, yt_mean = self.gm.tanh_moments(rows.T)
         signed = (_TIED_SIGNS * rows).T  # columns (b1, -b3)
-        cov_step = quad @ self.gz + signed @ zt.T
-        mean_step = quad @ self.gbar + signed @ yt_mean
+        cov_step = quad @ self.gm.cross + signed @ zt.T
+        mean_step = quad @ self.gm.gbar + signed @ yt_mean
         return -cov_step, -mean_step[None, :]
 
-    def value(self, quad, rows, consts) -> float:
-        """Objective value at the discriminator (quad, rows)."""
-        lc = (np.mean(_logcosh(self.xs @ rows.T), axis=0)
-              - np.mean(_logcosh(self._proj(rows)), axis=0))
+    def value(self, quad, rows, consts=None) -> float:
+        """F at the discriminator (quad, rows)."""
+        lc = self.xm.logcosh_expect(rows.T) - self.gm.logcosh_expect(rows.T)
         pen = float(np.sum(quad ** 2)) + 2.0 * float(np.sum((rows - self.anchors.d_vecs[0]) ** 2))
         return float(np.sum(quad * self.half_gap) + lc[0] - lc[1]) - 0.5 * self.anchors.lam * pen
 
@@ -422,17 +442,10 @@ def minimax_value_and_grads(
     C block contracts the outer product of grad_x D(G(z)) with z.
     """
     xs = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
-    z = np.atleast_2d(np.asarray(z_batch, dtype=np.float64))
-    labels = np.asarray(labels)
-    d = g.d
-    if xs.shape[1] != d or z.shape[1] != d or dd.d != d or anchors.d != d:
+    z, labels = check_latents(g, z_batch, labels)
+    if xs.shape[1] != g.d or dd.d != g.d or anchors.d != g.d:
         raise InvalidInput("dimension mismatch between batches and parameters")
-    if labels.shape[0] != z.shape[0]:
-        raise InvalidInput("labels length must match z_batch rows")
-    if anchors.k != dd.k:
-        raise InvalidInput("anchor count does not match discriminator slot count")
-
-    gx = gen_apply(g, z, labels)
+    gx = gen_apply(g, z, labels)  # the anchor count is checked with the penalty
     value, quad_grad, logit_grads, const_grads = disc_block_value_and_grads(
         dd, anchors, xs, gx, train_consts=(g.mode == SHARED_COV))
     cov_grad, means_grad = gen_block_grads(g, dd, gx, z, labels)
@@ -459,44 +472,32 @@ def _check_margin(lam: float, x_mean_sq: float, g_mean_sq: float) -> float:
     return margin
 
 
-def _inner_max_tied(xm, gm, anchors: Anchors, tol: float, max_iters: int):
-    """Ascend the two free logit vectors of the tied symmetric problem.
-
-    b1 maximizes  +delta(b) - lam ||b - d||^2,
-    b3 maximizes  -delta(b) - lam ||b - d||^2,
-    delta(b) = E_X logcosh(b^T X) - E_G logcosh(b^T G).
-    """
-    lam = anchors.lam
-    d_vec = anchors.d_vecs[0]
+def _inner_max_tied(game: TiedGame, tol: float, max_iters: int):
+    """Tied inner maximum: ascend the rows (b1, b3), two decoupled strongly
+    concave problems, until each row's gradient norm is <= tol."""
+    xm, gm, lam = game.xm, game.gm, game.anchors.lam
     _check_margin(lam, xm.mean_sq, gm.mean_sq)
     step = 1.0 / (2.0 * lam + xm.mean_sq + gm.mean_sq)
-
-    out = []
-    for sign in (1.0, -1.0):
-        b = d_vec.copy()
-        for _ in range(max_iters):
-            grad = sign * (xm.logcosh_grad(b) - gm.logcosh_grad(b)) - 2.0 * lam * (b - d_vec)
-            if np.linalg.norm(grad) <= tol:
-                break
-            b = b + step * grad
-        else:
-            warnings.warn("tied inner maximization hit the iteration cap", RuntimeWarning)
-        val = (sign * (xm.logcosh_expect(b) - gm.logcosh_expect(b))
-               - lam * float(np.sum((b - d_vec) ** 2)))
-        out.append((b, val))
-    (b1, v1), (b3, v3) = out
-    return b1, b3, v1 + v3
+    rows = np.repeat(game.anchors.d_vecs[:1], 2, axis=0)
+    for _ in range(max_iters):
+        grad = game.disc_grads(0.0, rows)[1]
+        if np.max(np.linalg.norm(grad, axis=1)) <= tol:
+            break
+        rows = rows + step * grad
+    else:
+        warnings.warn("tied inner maximization hit the iteration cap", RuntimeWarning)
+    b1, b3 = rows
+    return _solution(xm.second, gm.second, game.anchors, game.value(0.0, rows),
+                     np.stack([b1, -b1, b3, -b3]), np.zeros(4), tied=True)
 
 
-def _inner_max_general(xs: np.ndarray, gx: np.ndarray, anchors: Anchors,
+def _inner_max_general(xm: SampleMoments, gm: SampleMoments, anchors: Anchors,
                        train_consts: bool, tol: float, max_iters: int):
     """Joint ascent over all 2k logit rows (and constants when trained)."""
-    lam = anchors.lam
-    x_mean_sq = float(np.mean(np.sum(xs ** 2, axis=1)))
-    g_mean_sq = float(np.mean(np.sum(gx ** 2, axis=1)))
-    _check_margin(lam, x_mean_sq, g_mean_sq)
+    lam, xs, gx = anchors.lam, xm.xs, gm.xs
+    _check_margin(lam, xm.mean_sq, gm.mean_sq)
     pad = 2.0 if train_consts else 0.0  # constant feature adds 1 per side
-    step = 1.0 / (lam + x_mean_sq + g_mean_sq + pad)
+    step = 1.0 / (lam + xm.mean_sq + gm.mean_sq + pad)
 
     sv = anchors.slot_vectors()
     se = anchors.slot_consts()
@@ -517,7 +518,7 @@ def _inner_max_general(xs: np.ndarray, gx: np.ndarray, anchors: Anchors,
         gap = _logit_block(rows, consts, anchors, xs, gx, train_consts)[0]
 
     val = gap - 0.5 * lam * (float(np.sum((rows - sv) ** 2)) + float(np.sum((consts - se) ** 2)))
-    return rows, consts, val
+    return _solution(xm.second, gm.second, anchors, val, rows, consts, tied=False)
 
 
 def _solution(sx: np.ndarray, sg: np.ndarray, anchors: Anchors, l2: float,
@@ -530,14 +531,6 @@ def _solution(sx: np.ndarray, sg: np.ndarray, anchors: Anchors, l2: float,
     l1 = float(np.sum((sx - sg) ** 2)) / (2.0 * lam)
     reg = 0.5 * lam * penalty_value(dd, anchors)
     return dd, ObjectiveValue(total=l1 + l2, l1=l1, l2=l2, reg=reg)
-
-
-def _tied_solution(xm, gm, anchors: Anchors, tol: float, max_iters: int):
-    """Tied symmetric inner maximum for the moment oracles xm (data) and gm
-    (generator)."""
-    b1, b3, l2 = _inner_max_tied(xm, gm, anchors, tol, max_iters)
-    return _solution(xm.second, gm.second, anchors, l2, np.stack([b1, -b1, b3, -b3]),
-                     np.zeros(4), tied=True)
 
 
 def inner_max_solve(
@@ -555,24 +548,26 @@ def inner_max_solve(
 
     The quadratic block is closed-form, the logit block is ascended to
     gradient norm <= tol.  With ``z_eval`` the generator side is the
-    empirical batch; without it (symmetric tied mode only) the generator
-    side uses analytic second moments and quadrature.
+    empirical latent batch; without it (symmetric tied mode only) the
+    generator side uses analytic second moments and quadrature.  The value
+    returned is l1 + l2, not F at the maximizer (see ``ObjectiveValue``).
     """
     if not tol > 0:
         raise InvalidInput("tol must be > 0")
-    xs = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
-    xm = SampleMoments(xs)
-    if z_eval is None:
-        if not (g.mode == SYMMETRIC2 and tied):
-            raise InvalidInput("untied/general inner solve requires a latent batch")
-        return _tied_solution(xm, GeneratorMoments(g, gh_order), anchors, tol, max_iters)
-    gx = gen_apply(g, np.atleast_2d(np.asarray(z_eval, dtype=np.float64)), labels)
+    xm = SampleMoments(x_batch)
     if g.mode == SYMMETRIC2 and tied:
-        return _tied_solution(xm, SampleMoments(gx), anchors, tol, max_iters)
-    rows, consts, l2 = _inner_max_general(
-        xs, gx, anchors, train_consts=(g.mode == SHARED_COV), tol=tol, max_iters=max_iters)
-    sg = symmetrize(gx.T @ gx / gx.shape[0])
-    return _solution(xm.second, sg, anchors, l2, rows, consts, tied=False)
+        if z_eval is None:
+            gm = GeneratorMoments(g, gh_order)
+        else:
+            z, labels = check_latents(g, z_eval, labels)
+            gm = LatentMoments(g.cov_factor, g.means[0], z, labels)
+        return _inner_max_tied(TiedGame(anchors, xm, gm), tol, max_iters)
+    if z_eval is None:
+        raise InvalidInput("untied/general inner solve requires a latent batch")
+    if xm.xs.shape[1] != g.d or anchors.d != g.d:
+        raise InvalidInput("dimension mismatch between the x batch, anchors and generator")
+    return _inner_max_general(xm, SampleMoments(gen_apply(g, z_eval, labels)), anchors,
+                              g.mode == SHARED_COV, tol, max_iters)
 
 
 def inner_max_solve_population(
@@ -588,8 +583,8 @@ def inner_max_solve_population(
     (1/2) N(mu_x, cov_x) + (1/2) N(-mu_x, cov_x), fully quadrature-based."""
     if not tol > 0:
         raise InvalidInput("tol must be > 0")
-    return _tied_solution(MixtureMoments(mu_x, cov_x, gh_order), GeneratorMoments(g, gh_order),
-                          anchors, tol, max_iters)
+    game = TiedGame(anchors, MixtureMoments(mu_x, cov_x, gh_order), GeneratorMoments(g, gh_order))
+    return _inner_max_tied(game, tol, max_iters)
 
 
 def envelope_generator_grad(
@@ -600,35 +595,36 @@ def envelope_generator_grad(
     gh_order: int = 64,
     max_iters: int = 100000,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Danskin gradient of the inner-maximum total with respect to (mu, C).
-
-    ``x_moments`` is a SampleMoments or MixtureMoments oracle; the generator
-    side is always evaluated by quadrature.  Returns (grad_mu, grad_cov_factor).
+    """Danskin gradient of the inner-maximum total l1 + l2 with respect to
+    (mu, C), as (grad_mu, grad_cov_factor), for a SampleMoments or
+    MixtureMoments data side and the quadrature generator side.  It is the
+    tied game's generator gradient at the maximizer with four times its
+    quad: l1 is four times F's quadratic-block maximum ||Sx - Sg||^2 / (8 lam).
     """
-    if g.mode != SYMMETRIC2:
-        raise InvalidInput("envelope gradient is defined for the symmetric2 mode")
-    gm = GeneratorMoments(g, gh_order)
-    b1, b3, _ = _inner_max_tied(x_moments, gm, anchors, tol_inner, max_iters)
-    lam = anchors.lam
-    mismatch = gm.second - x_moments.second
-    grad_mu = (2.0 / lam) * (mismatch @ g.means[0])
-    grad_mu = grad_mu - gm.tanh_mean(b1) * b1 + gm.tanh_mean(b3) * b3
-    grad_cov = (2.0 / lam) * (mismatch @ g.cov_factor)
-    grad_cov = grad_cov - gm.lambda_grad_logcosh(b1) + gm.lambda_grad_logcosh(b3)
-    return grad_mu, grad_cov
+    game = TiedGame(anchors, x_moments, GeneratorMoments(g, gh_order))
+    dd, _ = _inner_max_tied(game, tol_inner, max_iters)
+    cov_grad, means_grad = game.gen_grads(4.0 * dd.quad, dd.logits[[0, 2]])
+    return means_grad[0], cov_grad
 
 
 # ---------------------------------------------------------------------------
 # c-transform and its regularized upper bound
 
 
+def _critic_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    if xs.shape[1:] != (dd.d,) or not np.all(np.isfinite(xs)):
+        raise InvalidInput(f"need a finite (n, {dd.d}) batch, got shape {xs.shape}")
+    return xs
+
+
 def c_transform_batch(dd: DiscriminatorParams, xs: np.ndarray,
                       tol: float = 1e-8, max_iters: int = 10000) -> np.ndarray:
     """max_u D(x + u) - ||u||^2 / 2 per row, by fixed-step ascent from u = 0."""
+    xs = _critic_batch(dd, xs)
     eta = disc_smoothness_bound(dd)
     if eta >= 1.0:
         raise NotCConcave(f"curvature bound {eta:.6g} >= 1")
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     step = 0.5 * (1.0 - eta)
     u = np.zeros_like(xs)
     for _ in range(max_iters):
@@ -655,7 +651,7 @@ def c_transform_upper_bound(dd: DiscriminatorParams, anchors: Anchors,
         raise InvalidInput("eta must be < 1")
     if disc_smoothness_bound(dd) > eta + 1e-12:
         raise InvalidInput("discriminator curvature bound exceeds eta")
-    xs = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
+    xs = _critic_batch(dd, x_batch)
     mean_d = float(np.mean(disc_value_batch(dd, xs)))
     mean_sq = float(np.mean(np.sum(xs ** 2, axis=1)))
     k = dd.k

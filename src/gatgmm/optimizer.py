@@ -4,12 +4,12 @@ One round = ``disc_steps_per_gen_step`` ascent steps on the discriminator
 block followed by one descent step on the generator, each evaluated on the
 current minibatch with a fresh latent batch per round.  One loop in
 ``train_gda`` serves every mode and a per-mode round supplies the gradients:
-``objective.TiedMomentRound`` in the tied symmetric mode, which works in
-latent-moment space, never forms the generated batch, and agrees to rounding
-with the generic block (the tied ``disc_block_value_and_grads`` +
-``gen_block_grads``), and the generic block itself otherwise.  Every mode's
-eval records report F at the round's generator and its discriminator after
-the round's last ascent step.  All
+in the tied symmetric mode ``objective.TiedGame`` over the minibatch's
+``SampleMoments`` and the latent batch's ``LatentMoments``, which never forms
+the generated batch and agrees to rounding with the generic block (the tied
+``disc_block_value_and_grads`` + ``gen_block_grads``), and the generic block
+itself otherwise.  Every mode's eval records report F at the round's
+generator and its discriminator after the round's last ascent step.  All
 randomness flows through split streams of a single Philox seed, so a
 (config, seed) pair replays bit-identically.
 
@@ -45,9 +45,10 @@ from .model import (
 )
 from .objective import (
     Anchors,
+    LatentMoments,
     MixtureMoments,
     SampleMoments,
-    TiedMomentRound,
+    TiedGame,
     disc_block_value_and_grads,
     envelope_generator_grad,
     gen_block_grads,
@@ -231,8 +232,7 @@ def stationarity_grad_norm(g: GeneratorParams, target, anchors: Anchors,
             raise InvalidInput("population stationarity needs a symmetric 2-component truth")
         xm = MixtureMoments(target.means[0], target.covs[0], gh_order)
     else:
-        xs = np.asarray(getattr(target, "samples", target), dtype=np.float64)
-        xm = SampleMoments(xs)
+        xm = SampleMoments(getattr(target, "samples", target))
     grad_mu, grad_cov = envelope_generator_grad(g, xm, anchors, tol_inner, gh_order)
     return float(np.sqrt(np.sum(grad_mu ** 2) + np.sum(grad_cov ** 2)))
 
@@ -255,15 +255,15 @@ class _BlockRound:
     """Round of every mode but tied symmetric: the generated batch and the
     generic block gradients."""
 
-    def __init__(self, anchors: Anchors, g: GeneratorParams, xs, sx, z, labels):
-        self.anchors, self.g, self.xs, self.sx = anchors, g, xs, sx
+    def __init__(self, anchors: Anchors, g: GeneratorParams, xm: SampleMoments, z, labels):
+        self.anchors, self.g, self.xm = anchors, g, xm
         self.z, self.labels = z, labels
         self.gx = gen_apply(g, z, labels)
 
     def _disc_block(self, quad, rows, consts):
         dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
-        return disc_block_value_and_grads(dd, self.anchors, self.xs, self.gx,
-                                          self.g.mode == SHARED_COV, sx=self.sx)
+        return disc_block_value_and_grads(dd, self.anchors, self.xm.xs, self.gx,
+                                          self.g.mode == SHARED_COV, sx=self.xm.second)
 
     def disc_grads(self, quad, rows, consts):
         return self._disc_block(quad, rows, consts)[1:]
@@ -321,14 +321,13 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
     m = cfg.latent_batch if cfg.latent_batch > 0 else batch
     pair_from = cfg.antithetic_from if cfg.mode == SYMMETRIC2 else None
-    full_sx = symmetrize(xs.T @ xs / n) if batch == n else None
+    full_xm = SampleMoments(xs) if batch == n else None
     cov, means, quad, consts = g.cov_factor, g.means, dd.quad, dd.consts
     rows = dd.logits[[0, 2]] if tied else dd.logits  # the free logit rows
     records: list[EvalRecord] = []
     t0 = time.perf_counter()
     for it in range(1, cfg.max_iters + 1):
-        xb = xs if batch == n else xs[batch_rng.gen.integers(0, n, size=batch)]
-        sx = full_sx if full_sx is not None else symmetrize(xb.T @ xb / batch)
+        xm = full_xm or SampleMoments(xs[batch_rng.gen.integers(0, n, size=batch)])
         if pair_from is not None and it > pair_from:
             half = z_rng.gen.standard_normal(((m + 1) // 2, d))
             z = np.concatenate([half, -half])[:m]
@@ -336,10 +335,10 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
         else:
             z, labels = draw_latents(g, m, z_rng)
         if tied:
-            rnd = TiedMomentRound(anchors, cov, means[0], xb, sx, z, labels)
+            rnd = TiedGame(anchors, xm, LatentMoments(cov, means[0], z, labels))
         else:
             rnd = _BlockRound(anchors, GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means),
-                              xb, sx, z, labels)
+                              xm, z, labels)
 
         for _ in range(cfg.disc_steps_per_gen_step):
             quad_grad, row_grads, const_grads = rnd.disc_grads(quad, rows, consts)

@@ -22,10 +22,13 @@ from gatgmm.model import (
 from gatgmm.objective import (
     Anchors,
     GeneratorMoments,
+    LatentMoments,
     MixtureMoments,
     SampleMoments,
+    TiedGame,
     c_transform,
     c_transform_batch,
+    disc_block_value_and_grads,
     envelope_generator_grad,
     gh_expect,
     inner_max_solve,
@@ -34,6 +37,7 @@ from gatgmm.objective import (
     minimax_value_and_grads,
     c_transform_upper_bound,
 )
+from gatgmm.optimizer import stationarity_grad_norm
 
 FD_H = 1e-5
 FD_REL = 1e-6
@@ -76,6 +80,10 @@ def test_gh_validates():
         gh_expect(0.0, 1.0, "tanh", order=5)
     with pytest.raises(InvalidInput):
         gh_expect(0.0, 1.0, "sinh")
+    with pytest.raises(InvalidInput):
+        gh_expect(0.0, float("nan"), "tanh")
+    with pytest.raises(InvalidInput):
+        gh_expect(0.0, 1.0, "tanh", order=12.5)
 
 
 def test_tanh_moment_inequality_grid():
@@ -96,6 +104,74 @@ def test_tanh_curvature_inequality_grid():
         for std in (0.1, 0.5, 1.0, 2.0):
             val = 2 * gh_expect(mu, std, "tanh_pp") + gh_expect(mu, std, "tanh_ppp")
             assert val <= 1e-10
+
+
+# --- moment oracles -----------------------------------------------------------
+
+
+def _logcosh_ref(t):
+    return np.logaddexp(t, -t) - np.log(2.0)
+
+
+@pytest.mark.parametrize("d, r", [(1, 1), (3, 2), (20, 2)])
+def test_latent_moments_match_formed_batch(d, r):
+    rng = np.random.default_rng(30 + d)
+    m = 57
+    g = sym2(0.4 * rng.standard_normal((d, d)), 0.8 * rng.standard_normal(d))
+    z, labels = rng.standard_normal((m, d)), rng.integers(0, 2, m) * 2 - 1
+    lm = LatentMoments(g.cov_factor, g.means[0], z, labels)
+    gx = gen_apply(g, z, labels)  # the reference: the formed generated batch
+    ref = SampleMoments(gx)
+    y = labels[:, None].astype(float)
+    b = rng.standard_normal((d, r))
+    assert rel_err(lm.second, ref.second) <= 1e-12
+    assert lm.mean_sq == pytest.approx(ref.mean_sq, rel=1e-12)
+    assert rel_err(lm.cross, gx.T @ (y * z) / m) <= 1e-12
+    assert rel_err(lm.gbar, np.mean(y * gx, axis=0)) <= 1e-12
+    for bb in (b, b[:, 0]):  # a direction stack and one vector
+        yt = y * np.tanh(gx @ bb.reshape(d, -1))
+        zt, yt_mean = lm.tanh_moments(bb)
+        assert rel_err(np.ravel(zt), np.ravel(z.T @ yt / m)) <= 1e-12
+        assert rel_err(np.ravel(yt_mean), np.mean(yt, axis=0)) <= 1e-12
+        assert rel_err(np.ravel(lm.logcosh_grad(bb)), np.ravel(ref.logcosh_grad(bb))) <= 1e-12
+        assert rel_err(np.ravel(lm.logcosh_expect(bb)),
+                       np.ravel(ref.logcosh_expect(bb))) <= 1e-12
+    assert np.shape(lm.logcosh_grad(b[:, 0])) == (d,)
+    assert isinstance(lm.logcosh_expect(b[:, 0]), float)
+
+
+def test_generator_moments_match_large_latent_batch():
+    # quadrature against a sampled oracle: m = 400 000 antithetic latents
+    # (z, -z) with independent labels.  Each quantity is the mean of m
+    # per-sample terms; the pair means are i.i.d., so their standard error
+    # se gives the tolerance 6 se (+1e-12 for quadrature and rounding).
+    d, m = 3, 400_000
+    rng = np.random.default_rng(33)
+    g = sym2(0.4 * rng.standard_normal((d, d)), 0.8 * rng.standard_normal(d))
+    half = rng.standard_normal((m // 2, d))
+    z = np.concatenate([half, -half])
+    labels = rng.integers(0, 2, m) * 2 - 1
+    b = 0.7 * rng.standard_normal((d, 2))
+    lm = LatentMoments(g.cov_factor, g.means[0], z, labels)
+    gm = GeneratorMoments(g, order=96)
+
+    gx = gen_apply(g, z, labels)
+    proj = gx @ b
+    yt = labels[:, None] * np.tanh(proj)
+    terms = [  # (quadrature, sampled, per-sample terms)
+        (gm.tanh_moments(b)[0], lm.tanh_moments(b)[0], z[:, :, None] * yt[:, None, :]),
+        (gm.tanh_moments(b)[1], lm.tanh_moments(b)[1], yt),
+        (gm.logcosh_grad(b), lm.logcosh_grad(b), gx[:, :, None] * np.tanh(proj)[:, None, :]),
+        (gm.logcosh_expect(b), lm.logcosh_expect(b), _logcosh_ref(proj)),
+    ]
+    for quad, sampled, per in terms:
+        pair = 0.5 * (per[:m // 2] + per[m // 2:])
+        se = np.std(pair, axis=0) / np.sqrt(m // 2)
+        assert np.allclose(sampled, np.mean(per, axis=0), rtol=1e-10, atol=1e-14)
+        assert np.all(np.abs(quad - sampled) <= 6.0 * se + 1e-12)
+    assert rel_err(gm.second, lm.second) <= 1e-2
+    assert rel_err(gm.cross, lm.cross) <= 1e-2
+    assert rel_err(gm.gbar, lm.gbar) <= 1e-2
 
 
 # --- value and gradients ----------------------------------------------------
@@ -394,6 +470,65 @@ def test_label_length_mismatch_is_invalid_input(mode, tied):
         inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tied=tied)
 
 
+_MISMATCHES = ["x batch", "x batch, latent side", "x batch, untied", "anchors", "z_eval",
+               "population mu_x", "population law", "stationarity batch", "envelope mixture"]
+
+
+@pytest.mark.parametrize("case", _MISMATCHES)
+def test_dimension_mismatch_is_invalid_input(case):
+    rng = np.random.default_rng(23)
+    d = 2
+    g = sym2(0.3 * np.eye(d), np.array([0.5, 0.2]))
+    xs, wide = 0.3 * rng.standard_normal((12, d)), 0.3 * rng.standard_normal((12, d + 1))
+    z, labels = rng.standard_normal((8, d)), rng.integers(0, 2, 8) * 2 - 1
+    anchors = Anchors.symmetric(np.array([0.6, 0.3]), lam=10.0)
+    cov2, cov3 = 0.1 * np.eye(d), 0.1 * np.eye(d + 1)
+    calls = {
+        "x batch": lambda: inner_max_solve(g, wide, anchors),
+        "x batch, latent side": lambda: inner_max_solve(g, wide, anchors, z_eval=z, labels=labels),
+        "x batch, untied": lambda: inner_max_solve(g, wide, anchors, z_eval=z, labels=labels,
+                                                   tied=False),
+        "anchors": lambda: inner_max_solve(g, xs, Anchors.symmetric(np.ones(d + 1), lam=10.0)),
+        "z_eval": lambda: inner_max_solve(g, xs, anchors, z_eval=rng.standard_normal((8, d + 1)),
+                                          labels=labels),
+        "population mu_x": lambda: inner_max_solve_population(g, np.ones(d + 1), cov2, anchors),
+        "population law": lambda: inner_max_solve_population(g, np.ones(d + 1), cov3, anchors),
+        "stationarity batch": lambda: stationarity_grad_norm(g, wide, anchors),
+        "envelope mixture": lambda: envelope_generator_grad(
+            g, MixtureMoments(np.ones(d + 1), cov2), anchors),
+    }
+    with pytest.raises(InvalidInput):
+        calls[case]()
+
+
+@pytest.mark.parametrize("side", ["tied latent", "tied quadrature", "untied"])
+def test_inner_max_solution_maximizes_F(side):
+    # D* zeroes F's block gradients, and F(g, D*) = l2 + l1 / 4, not total
+    rng = np.random.default_rng(24)
+    d = 3
+    g = sym2(0.3 * rng.standard_normal((d, d)), 0.6 * rng.standard_normal(d))
+    half = 0.3 * rng.standard_normal((30, d)) + rng.standard_normal(d)
+    xs = np.concatenate([half, -half])
+    z, labels = rng.standard_normal((40, d)), rng.integers(0, 2, 40) * 2 - 1
+    lam = float(np.mean(np.sum(xs ** 2, axis=1)) + np.trace(gen_second_moment(g))) + 1.0
+    anchors = Anchors.symmetric(rng.standard_normal(d), lam=lam)
+    if side == "tied quadrature":
+        dd, val = inner_max_solve(g, xs, anchors, tol=1e-12)
+        game = TiedGame(anchors, SampleMoments(xs), GeneratorMoments(g))
+        rows = dd.logits[[0, 2]]
+        value = game.value(dd.quad, rows)
+        grads = game.disc_grads(dd.quad, rows)[:2]
+    else:
+        dd, val = inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tol=1e-12,
+                                  tied=side == "tied latent")
+        value, *grads, const_grads = disc_block_value_and_grads(
+            dd, anchors, xs, gen_apply(g, z, labels), train_consts=False)
+        assert const_grads is None
+    assert max(float(np.max(np.abs(gr))) for gr in grads) <= 1e-9
+    assert value == pytest.approx(val.l2 + val.l1 / 4, abs=1e-12)
+    assert val.total == pytest.approx(val.l1 + val.l2) and val.l1 > 1e-3
+
+
 def test_inner_max_rejects_weak_concavity():
     g = sym2(np.eye(2), np.ones(2))
     xs = np.random.default_rng(8).standard_normal((16, 2)) + 2.0
@@ -516,6 +651,23 @@ def test_ct_bound_dominates_mean_c_transform():
         xs = rng.standard_normal((200, d))
         mean_ct = float(np.mean(c_transform_batch(dd, xs, tol=1e-9)))
         assert mean_ct <= c_transform_upper_bound(dd, anchors, xs, eta=eta) + 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no ascent on a bad batch
+@pytest.mark.parametrize("bad", ["nan", "inf", "width"])
+def test_c_transform_rejects_bad_batch(bad):
+    d = 2
+    dd = feasible_disc(np.random.default_rng(13), d, 0.9)
+    anchors = Anchors.symmetric(np.zeros(d), lam=1.0)
+    xs = np.random.default_rng(14).standard_normal((20, d))
+    if bad == "width":
+        xs = np.ones((20, d + 1))
+    else:
+        xs[3, 1] = float(bad)
+    with pytest.raises(InvalidInput):
+        c_transform_batch(dd, xs)
+    with pytest.raises(InvalidInput):
+        c_transform_upper_bound(dd, anchors, xs, eta=0.9)
 
 
 def test_ct_bound_validates_eta():

@@ -16,7 +16,9 @@ from gatgmm.model import (
 )
 from gatgmm.objective import (
     Anchors,
-    TiedMomentRound,
+    LatentMoments,
+    SampleMoments,
+    TiedGame,
     disc_block_value_and_grads,
     minimax_value_and_grads,
 )
@@ -247,7 +249,7 @@ def _replay(xs, cfg, anchors):
     """Replay train_gda's draws through the block gradients
     (disc_block_value_and_grads, then minimax_value_and_grads for the
     generator step and the eval value); in the tied symmetric mode also
-    measure the largest relative gap of TiedMomentRound to them over every
+    measure the largest relative gap of TiedGame to them over every
     step."""
     n, d = xs.shape
     root = SeededRng(cfg.seed)
@@ -266,8 +268,8 @@ def _replay(xs, cfg, anchors):
             z, labels = draw_latents(g, m, z_rng)
         gx = gen_apply(g, z, labels)
         if dd.tied:
-            rnd = TiedMomentRound(anchors, g.cov_factor, g.means[0], xb,
-                                  symmetrize(xb.T @ xb / batch), z, labels)
+            rnd = TiedGame(anchors, SampleMoments(xb),
+                           LatentMoments(g.cov_factor, g.means[0], z, labels))
         for _ in range(cfg.disc_steps_per_gen_step):
             _, quad_grad, logit_grads, const_grads = disc_block_value_and_grads(
                 dd, anchors, xb, gx, cfg.mode == SHARED_COV)
