@@ -30,9 +30,8 @@ _TRAIN_DEFAULTS = {
     "kmix": dict(max_iters=20000, lr_gen=2e-2, lr_disc=1e-1, lam=0.5,
                  sigma_init=0.1, eval_every=2000, mode=model.SHARED_COV, k=4,
                  tied=False),
-    "file": dict(max_iters=32000, lr_gen=1e-2, lr_disc=1e-1, lam=2.0,
-                 sigma_init=0.1, antithetic_from=16000, eval_every=4000),
 }
+_TRAIN_DEFAULTS["file"] = _TRAIN_DEFAULTS["rotated"]  # a data file trains as the rotated task
 
 
 class ConfigError(Exception):

@@ -46,7 +46,6 @@ __all__ = [
     "disc_value_batch",
     "disc_grad_x",
     "disc_grad_x_batch",
-    "disc_grad_params",
     "disc_smoothness_bound",
     "group_log_ratio",
     "gen_vec",
@@ -132,14 +131,30 @@ class DiscriminatorParams:
     def k(self) -> int:
         return self.logits.shape[0] // 2
 
+    @property
+    def free_rows(self) -> np.ndarray:
+        """The trained logit rows (a view): (b1, b3) when tied, else all 2k rows."""
+        return self.logits[0::2] if self.tied else self.logits
+
+    def fold(self, row_grads: np.ndarray) -> np.ndarray:
+        """Gradients in the 2k stored rows as gradients in ``free_rows``: when
+        tied, a mirrored row's gradient enters its free row with a minus sign."""
+        return row_grads[0::2] - row_grads[1::2] if self.tied else row_grads
+
+    @staticmethod
+    def from_free(quad: np.ndarray, rows: np.ndarray, consts: np.ndarray,
+                  tied: bool) -> "DiscriminatorParams":
+        """The discriminator whose ``free_rows`` are ``rows``; when tied, the
+        stored rows are (b1, -b1, b3, -b3)."""
+        if tied:
+            b1, b3 = np.asarray(rows, dtype=np.float64)
+            rows = np.stack([b1, -b1, b3, -b3])
+        return DiscriminatorParams(quad=quad, logits=rows, consts=consts, tied=tied)
+
     @staticmethod
     def tied_symmetric(quad: np.ndarray, b1: np.ndarray, b3: np.ndarray) -> "DiscriminatorParams":
         """Build a tied symmetric-mode discriminator from its free rows."""
-        b1 = np.asarray(b1, dtype=np.float64)
-        b3 = np.asarray(b3, dtype=np.float64)
-        logits = np.stack([b1, -b1, b3, -b3])
-        return DiscriminatorParams(quad=np.asarray(quad, dtype=np.float64),
-                                   logits=logits, consts=np.zeros(4), tied=True)
+        return DiscriminatorParams.from_free(quad, np.stack([b1, b3]), np.zeros(4), tied=True)
 
 
 @dataclass
@@ -264,18 +279,6 @@ def disc_grad_x(dd: DiscriminatorParams, x: np.ndarray) -> np.ndarray:
     return disc_grad_x_batch(dd, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-def disc_grad_params(dd: DiscriminatorParams, x: np.ndarray) -> GradPack:
-    """Gradients of disc_value(dd, x) with respect to the stored parameters;
-    in tied mode the mirrored rows fold into the free rows b1, b3."""
-    x = np.asarray(x, dtype=np.float64)
-    _, qn, qd = group_log_ratio(dd.logits, dd.consts, x[None, :])
-    logit_grads = np.concatenate([qn[0][:, None] * x, -qd[0][:, None] * x])
-    if dd.tied:
-        return GradPack(quad=0.5 * np.outer(x, x), logits=logit_grads[0::2] - logit_grads[1::2])
-    return GradPack(quad=0.5 * np.outer(x, x), logits=logit_grads,
-                    consts=np.concatenate([qn[0], -qd[0]]))
-
-
 def disc_smoothness_bound(dd: DiscriminatorParams) -> float:
     """lambda_max(A) + 2 max_i ||b_i||^2; gates c-transform validity (< 1)."""
     eigs = np.linalg.eigvalsh(dd.quad)
@@ -299,26 +302,22 @@ def gen_with_vec(g: GeneratorParams, vec: np.ndarray) -> GeneratorParams:
 
 
 def disc_vec(dd: DiscriminatorParams, include_consts: bool = False) -> np.ndarray:
-    """Free-parameter vector: quad then free logit rows, then consts if trained."""
-    if dd.tied:
-        return np.concatenate([dd.quad.ravel(), dd.logits[0], dd.logits[2]])
-    parts = [dd.quad.ravel(), dd.logits.ravel()]
-    if include_consts:
+    """Free-parameter vector: quad then free logit rows, then consts if trained
+    (never when tied)."""
+    parts = [dd.quad.ravel(), dd.free_rows.ravel()]
+    if include_consts and not dd.tied:
         parts.append(dd.consts)
     return np.concatenate(parts)
 
 
 def disc_with_vec(dd: DiscriminatorParams, vec: np.ndarray,
                   include_consts: bool = False) -> DiscriminatorParams:
-    d = dd.d
+    d, shape = dd.d, dd.free_rows.shape
     quad = symmetrize(vec[: d * d].reshape(d, d))
     rest = vec[d * d:]
-    if dd.tied:
-        return DiscriminatorParams.tied_symmetric(quad, rest[:d], rest[d:2 * d])
-    rows = dd.logits.shape[0]
-    logits = rest[: rows * d].reshape(rows, d)
-    consts = rest[rows * d:] if include_consts else dd.consts
-    return DiscriminatorParams(quad=quad, logits=logits, consts=consts, tied=False)
+    rows = rest[: shape[0] * d].reshape(shape)
+    consts = rest[shape[0] * d:] if include_consts and not dd.tied else dd.consts
+    return DiscriminatorParams.from_free(quad, rows, consts, dd.tied)
 
 
 # ---------------------------------------------------------------------------

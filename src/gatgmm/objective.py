@@ -29,6 +29,13 @@ differentiates this same total.  The total is not F at its maximizer D*:
 F's quadratic block (1/2) x^T A x - (lam/2) ||A||^2 peaks at
 ||Sx - Sg||_F^2 / (8 lam) = l1 / 4, so F(gen, D*) = l2 + l1 / 4.
 
+Solvers
+-------
+The tied logit block, the general logit block and the per-point c-transform
+share ``_ascend``: fixed-step ascent that rejects a tol <= 0 or a max_iters
+that is not an integer >= 1, stops once every independent problem's gradient
+norm is <= tol, and warns when it reaches max_iters.
+
 Population (evaluation-mode) expectations use Gauss-Hermite quadrature on
 one-dimensional projections: for a symmetric two-component law every
 integrand appearing here (logcosh, its tanh moments) is even, so the
@@ -41,7 +48,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -201,10 +208,12 @@ class ObjectiveValue:
     """Decomposed inner-maximum value: total = l1 + l2.  ``total`` is not F
     at the maximizer D*: F(gen, D*) = l2 + l1 / 4 (see the module docstring)."""
 
-    total: float
     l1: float
     l2: float
-    reg: float
+
+    @property
+    def total(self) -> float:
+        return self.l1 + self.l2
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +367,8 @@ class TiedGame:
 
     def __init__(self, anchors: Anchors, xm, gm):
         d = anchors.d
+        if anchors.k != 2:
+            raise InvalidInput(f"the tied game takes 2 anchors, got {anchors.k}")
         if xm.second.shape != (d, d) or gm.second.shape != (d, d):
             raise InvalidInput(f"data, generator and anchors have d {len(xm.second)}, "
                                f"{len(gm.second)}, {d}")
@@ -392,9 +403,8 @@ def disc_block_value_and_grads(dd: DiscriminatorParams, anchors: Anchors,
     """Objective value and discriminator-block ascent gradients given the
     generated batch gx; returns (value, quad_grad, logit_grads, const_grads).
 
-    In tied mode the gradients of the mirrored rows fold into the free rows:
-    the b1 gradient is row 0's minus row 1's, the b3 gradient row 2's minus
-    row 3's.  ``sx`` optionally carries the precomputed x-batch second moment
+    The row gradients are in ``dd.free_rows`` (``DiscriminatorParams.fold``).
+    ``sx`` optionally carries the precomputed x-batch second moment
     (the batch is often fixed across iterations)."""
     if sx is None:
         sx = symmetrize(xs.T @ xs / xs.shape[0])
@@ -403,9 +413,7 @@ def disc_block_value_and_grads(dd: DiscriminatorParams, anchors: Anchors,
     gap, row_grads, const_grads = _logit_block(dd.logits, dd.consts, anchors, xs, gx,
                                                train_consts)
     value = float(np.sum(dd.quad * half_gap)) + gap - reg
-    if dd.tied:
-        row_grads = row_grads[0::2] - row_grads[1::2]
-    return value, half_gap - anchors.lam * dd.quad, row_grads, const_grads
+    return value, half_gap - anchors.lam * dd.quad, dd.fold(row_grads), const_grads
 
 
 def gen_block_grads(g: GeneratorParams, dd: DiscriminatorParams, gx: np.ndarray,
@@ -465,72 +473,80 @@ def l1_value(g: GeneratorParams, data_second_moment: np.ndarray, lam: float) -> 
     return float(np.sum(diff ** 2)) / (2.0 * lam)
 
 
-def _check_margin(lam: float, x_mean_sq: float, g_mean_sq: float) -> float:
+def _check_margin(lam: float, x_mean_sq: float, g_mean_sq: float) -> None:
     margin = lam - (x_mean_sq + g_mean_sq)
     if margin <= 0:
         raise NotStronglyConcave(margin)
-    return margin
+
+
+def _ascend(grad, x: np.ndarray, step: float, tol: float, max_iters: int,
+            what: str) -> np.ndarray:
+    """Fixed-step ascent x <- x + step grad(x) over independent problems, one
+    per slice along the first axis of x, until every slice's gradient norm is
+    <= tol; warns when max_iters steps do not get there."""
+    if not (isinstance(tol, Real) and tol > 0):
+        raise InvalidInput(f"tol must be > 0, got {tol!r}")
+    if isinstance(max_iters, bool) or not (isinstance(max_iters, Integral) and max_iters >= 1):
+        raise InvalidInput(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    for _ in range(max_iters):
+        g = grad(x)
+        if np.max(np.linalg.norm(g.reshape(len(g), -1), axis=1)) <= tol:
+            return x
+        x = x + step * g
+    warnings.warn(f"{what} hit the iteration cap", RuntimeWarning)
+    return x
 
 
 def _inner_max_tied(game: TiedGame, tol: float, max_iters: int):
     """Tied inner maximum: ascend the rows (b1, b3), two decoupled strongly
-    concave problems, until each row's gradient norm is <= tol."""
+    concave problems."""
     xm, gm, lam = game.xm, game.gm, game.anchors.lam
     _check_margin(lam, xm.mean_sq, gm.mean_sq)
     step = 1.0 / (2.0 * lam + xm.mean_sq + gm.mean_sq)
-    rows = np.repeat(game.anchors.d_vecs[:1], 2, axis=0)
-    for _ in range(max_iters):
-        grad = game.disc_grads(0.0, rows)[1]
-        if np.max(np.linalg.norm(grad, axis=1)) <= tol:
-            break
-        rows = rows + step * grad
-    else:
-        warnings.warn("tied inner maximization hit the iteration cap", RuntimeWarning)
-    b1, b3 = rows
+    rows = _ascend(lambda r: game.disc_grads(0.0, r)[1],
+                   np.repeat(game.anchors.d_vecs[:1], 2, axis=0), step, tol, max_iters,
+                   "tied inner maximization")
     return _solution(xm.second, gm.second, game.anchors, game.value(0.0, rows),
-                     np.stack([b1, -b1, b3, -b3]), np.zeros(4), tied=True)
+                     rows, np.zeros(4), tied=True)
 
 
 def _inner_max_general(xm: SampleMoments, gm: SampleMoments, anchors: Anchors,
                        train_consts: bool, tol: float, max_iters: int):
-    """Joint ascent over all 2k logit rows (and constants when trained)."""
+    """Joint ascent over all 2k logit rows (and constants when trained) as one
+    problem, the vector [rows | consts]."""
     lam, xs, gx = anchors.lam, xm.xs, gm.xs
     _check_margin(lam, xm.mean_sq, gm.mean_sq)
     pad = 2.0 if train_consts else 0.0  # constant feature adds 1 per side
     step = 1.0 / (lam + xm.mean_sq + gm.mean_sq + pad)
+    sv, se = anchors.slot_vectors(), anchors.slot_consts()
+    split = sv.size
 
-    sv = anchors.slot_vectors()
-    se = anchors.slot_consts()
-    rows = sv.copy()
-    consts = se.copy()
-    for _ in range(max_iters):
-        gap, grad_rows, grad_c = _logit_block(rows, consts, anchors, xs, gx, train_consts)
-        gnorm_sq = float(np.sum(grad_rows ** 2))
-        if train_consts:
-            gnorm_sq += float(np.sum(grad_c ** 2))
-        if np.sqrt(gnorm_sq) <= tol:
-            break
-        rows = rows + step * grad_rows
-        if train_consts:
-            consts = consts + step * grad_c
-    else:
-        warnings.warn("general inner maximization hit the iteration cap", RuntimeWarning)
-        gap = _logit_block(rows, consts, anchors, xs, gx, train_consts)[0]
+    def block(x):
+        return _logit_block(x[0, :split].reshape(sv.shape), x[0, split:], anchors, xs, gx,
+                            train_consts)
 
-    val = gap - 0.5 * lam * (float(np.sum((rows - sv) ** 2)) + float(np.sum((consts - se) ** 2)))
+    def grad(x):
+        _, grad_rows, grad_c = block(x)
+        return np.concatenate([grad_rows.ravel(),
+                               np.zeros_like(se) if grad_c is None else grad_c])[None]
+
+    x = _ascend(grad, np.concatenate([sv.ravel(), se])[None], step, tol, max_iters,
+                "general inner maximization")
+    rows, consts = x[0, :split].reshape(sv.shape), x[0, split:]
+    val = block(x)[0] - 0.5 * lam * (float(np.sum((rows - sv) ** 2))
+                                     + float(np.sum((consts - se) ** 2)))
     return _solution(xm.second, gm.second, anchors, val, rows, consts, tied=False)
 
 
 def _solution(sx: np.ndarray, sg: np.ndarray, anchors: Anchors, l2: float,
-              logits: np.ndarray, consts: np.ndarray, tied: bool):
+              rows: np.ndarray, consts: np.ndarray, tied: bool):
     """Join the closed-form quadratic block A* = (Sx - Sg) / (2 lam) to a
-    solved logit block of value l2: the maximizer and its decomposed value."""
+    logit block of free rows ``rows`` solved to value l2: the maximizer and
+    its decomposed value."""
     lam = anchors.lam
     quad = symmetrize((sx - sg) / (2.0 * lam))
-    dd = DiscriminatorParams(quad=quad, logits=logits, consts=consts, tied=tied)
-    l1 = float(np.sum((sx - sg) ** 2)) / (2.0 * lam)
-    reg = 0.5 * lam * penalty_value(dd, anchors)
-    return dd, ObjectiveValue(total=l1 + l2, l1=l1, l2=l2, reg=reg)
+    dd = DiscriminatorParams.from_free(quad, rows, consts, tied)
+    return dd, ObjectiveValue(l1=float(np.sum((sx - sg) ** 2)) / (2.0 * lam), l2=l2)
 
 
 def inner_max_solve(
@@ -552,8 +568,6 @@ def inner_max_solve(
     generator side uses analytic second moments and quadrature.  The value
     returned is l1 + l2, not F at the maximizer (see ``ObjectiveValue``).
     """
-    if not tol > 0:
-        raise InvalidInput("tol must be > 0")
     xm = SampleMoments(x_batch)
     if g.mode == SYMMETRIC2 and tied:
         if z_eval is None:
@@ -581,8 +595,6 @@ def inner_max_solve_population(
 ) -> tuple[DiscriminatorParams, ObjectiveValue]:
     """Inner maximization against the population symmetric mixture
     (1/2) N(mu_x, cov_x) + (1/2) N(-mu_x, cov_x), fully quadrature-based."""
-    if not tol > 0:
-        raise InvalidInput("tol must be > 0")
     game = TiedGame(anchors, MixtureMoments(mu_x, cov_x, gh_order), GeneratorMoments(g, gh_order))
     return _inner_max_tied(game, tol, max_iters)
 
@@ -603,7 +615,7 @@ def envelope_generator_grad(
     """
     game = TiedGame(anchors, x_moments, GeneratorMoments(g, gh_order))
     dd, _ = _inner_max_tied(game, tol_inner, max_iters)
-    cov_grad, means_grad = game.gen_grads(4.0 * dd.quad, dd.logits[[0, 2]])
+    cov_grad, means_grad = game.gen_grads(4.0 * dd.quad, dd.free_rows)
     return means_grad[0], cov_grad
 
 
@@ -625,15 +637,8 @@ def c_transform_batch(dd: DiscriminatorParams, xs: np.ndarray,
     eta = disc_smoothness_bound(dd)
     if eta >= 1.0:
         raise NotCConcave(f"curvature bound {eta:.6g} >= 1")
-    step = 0.5 * (1.0 - eta)
-    u = np.zeros_like(xs)
-    for _ in range(max_iters):
-        grad = disc_grad_x_batch(dd, xs + u) - u
-        if float(np.max(np.sum(grad ** 2, axis=1))) <= tol * tol:
-            break
-        u += step * grad
-    else:
-        warnings.warn("c-transform ascent hit the iteration cap", RuntimeWarning)
+    u = _ascend(lambda u: disc_grad_x_batch(dd, xs + u) - u, np.zeros_like(xs),
+                0.5 * (1.0 - eta), tol, max_iters, "c-transform ascent")
     return disc_value_batch(dd, xs + u) - 0.5 * np.sum(u ** 2, axis=1)
 
 

@@ -237,7 +237,7 @@ def stationarity_grad_norm(g: GeneratorParams, target, anchors: Anchors,
     return float(np.sqrt(np.sum(grad_mu ** 2) + np.sum(grad_cov ** 2)))
 
 
-def _eval_record(it, value, g, dd, anchors, xs, cfg, truth, t0):
+def _eval_record(it, value, g, anchors, xs, cfg, truth, t0):
     envelope = float("nan")
     if cfg.mode == SYMMETRIC2 and cfg.tied:
         try:
@@ -275,13 +275,6 @@ class _BlockRound:
     def value(self, quad, rows, consts) -> float:
         """Objective value at the discriminator (quad, rows, consts)."""
         return self._disc_block(quad, rows, consts)[0]
-
-
-def _params(mode, cov, means, quad, rows, consts, tied):
-    g = GeneratorParams(mode=mode, cov_factor=cov, means=means)
-    if tied:
-        return g, DiscriminatorParams.tied_symmetric(quad, rows[0], rows[1])
-    return g, DiscriminatorParams(quad=quad, logits=rows, consts=consts)
 
 
 def train_gda(data, cfg: TrainConfig, anchors: Anchors,
@@ -323,7 +316,7 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     pair_from = cfg.antithetic_from if cfg.mode == SYMMETRIC2 else None
     full_xm = SampleMoments(xs) if batch == n else None
     cov, means, quad, consts = g.cov_factor, g.means, dd.quad, dd.consts
-    rows = dd.logits[[0, 2]] if tied else dd.logits  # the free logit rows
+    rows = dd.free_rows
     records: list[EvalRecord] = []
     t0 = time.perf_counter()
     for it in range(1, cfg.max_iters + 1):
@@ -359,14 +352,14 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
                 cov, means = t * cov, t * means
 
         if it % cfg.eval_every == 0 or it == cfg.max_iters:
-            g, dd = _params(cfg.mode, cov, means, quad, rows, consts, tied)
-            value = rnd.value(quad, rows, consts)
-            rec = _eval_record(it, value, g, dd, anchors, xs, cfg, truth, t0)
+            g = GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means)
+            rec = _eval_record(it, rnd.value(quad, rows, consts), g, anchors, xs, cfg, truth, t0)
             if not np.isfinite(rec.grad_norm):
                 batch_norm = float(np.sqrt(np.sum(cov_grad ** 2) + np.sum(means_grad ** 2)))
                 rec = replace(rec, grad_norm=batch_norm)
             records.append(rec)
 
-    g, dd = _params(cfg.mode, cov, means, quad, rows, consts, tied)
-    return TrainReport(iterates=records, final_gen=g, final_disc=dd,
+    return TrainReport(iterates=records,
+                       final_gen=GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means),
+                       final_disc=DiscriminatorParams.from_free(quad, rows, consts, tied),
                        wall_clock_seconds=time.perf_counter() - t0)

@@ -8,7 +8,6 @@ from gatgmm.model import (
     SYMMETRIC2,
     DiscriminatorParams,
     GeneratorParams,
-    disc_grad_params,
     disc_grad_x,
     disc_smoothness_bound,
     disc_value,
@@ -178,41 +177,18 @@ def test_disc_grad_x_finite_difference(d, tied):
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
 
-def test_disc_grad_params_tied_zero_projection():
-    b1 = np.array([1.0, 0.0])
-    dd = DiscriminatorParams.tied_symmetric(np.zeros((2, 2)), b1, np.array([0.5, 0.5]))
-    x = np.array([0.0, 2.0])  # b1 @ x = 0
-    gp = disc_grad_params(dd, x)
-    assert np.allclose(gp.logits[0], 0.0)
-    assert np.allclose(gp.quad, 0.5 * np.outer(x, x))
-
-
-@pytest.mark.parametrize("d", [1, 2, 5])
-@pytest.mark.parametrize("tied", [True, False])
-def test_disc_grad_params_finite_difference(d, tied):
-    rng = np.random.default_rng(200 + d)
-    h = 1e-5
-    include_c = not tied
-    for _ in range(10):
-        dd = random_disc(rng, d, tied=tied, k=2 if tied else 3)
-        if not tied:
-            dd = DiscriminatorParams(quad=dd.quad, logits=dd.logits,
-                                     consts=rng.standard_normal(dd.logits.shape[0]) * 0.3,
-                                     tied=False)
-        x = rng.standard_normal(d)
-        gp = disc_grad_params(dd, x)
-        analytic = np.concatenate([gp.quad.ravel(), gp.logits.ravel()]
-                                  + ([gp.consts] if include_c else []))
-        vec = disc_vec(dd, include_consts=include_c)
-        fd = np.zeros_like(vec)
-        for i in range(vec.size):
-            vp = vec.copy()
-            vp[i] += h
-            vm = vec.copy()
-            vm[i] -= h
-            fd[i] = (disc_value(disc_with_vec(dd, vp, include_c), x)
-                     - disc_value(disc_with_vec(dd, vm, include_c), x)) / (2 * h)
-        assert np.linalg.norm(analytic - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+@pytest.mark.parametrize("tied, k", [(True, 2), (False, 2), (False, 3)])
+@pytest.mark.parametrize("include_c", [False, True])
+def test_tied_layout_round_trip(tied, k, include_c):
+    dd = random_disc(np.random.default_rng(210 + k), 3, tied=tied, k=k)
+    back = [DiscriminatorParams.from_free(dd.quad, dd.free_rows, dd.consts, dd.tied),
+            disc_with_vec(dd, disc_vec(dd, include_c), include_c)]
+    assert dd.free_rows.shape == ((2, 3) if tied else (2 * k, 3))
+    for other in back:
+        assert other.tied == dd.tied
+        for a, b in [(other.quad, dd.quad), (other.logits, dd.logits),
+                     (other.consts, dd.consts)]:
+            assert np.array_equal(a, b)
 
 
 def test_smoothness_bound():

@@ -471,7 +471,8 @@ def test_label_length_mismatch_is_invalid_input(mode, tied):
 
 
 _MISMATCHES = ["x batch", "x batch, latent side", "x batch, untied", "anchors", "z_eval",
-               "population mu_x", "population law", "stationarity batch", "envelope mixture"]
+               "population mu_x", "population law", "stationarity batch", "envelope mixture",
+               "anchor count"]
 
 
 @pytest.mark.parametrize("case", _MISMATCHES)
@@ -496,6 +497,8 @@ def test_dimension_mismatch_is_invalid_input(case):
         "stationarity batch": lambda: stationarity_grad_norm(g, wide, anchors),
         "envelope mixture": lambda: envelope_generator_grad(
             g, MixtureMoments(np.ones(d + 1), cov2), anchors),
+        "anchor count": lambda: inner_max_solve(
+            g, xs, Anchors(d_vecs=np.ones((3, d)), e_consts=np.zeros(3), lam=10.0)),
     }
     with pytest.raises(InvalidInput):
         calls[case]()
@@ -515,7 +518,7 @@ def test_inner_max_solution_maximizes_F(side):
     if side == "tied quadrature":
         dd, val = inner_max_solve(g, xs, anchors, tol=1e-12)
         game = TiedGame(anchors, SampleMoments(xs), GeneratorMoments(g))
-        rows = dd.logits[[0, 2]]
+        rows = dd.free_rows
         value = game.value(dd.quad, rows)
         grads = game.disc_grads(dd.quad, rows)[:2]
     else:
@@ -677,3 +680,59 @@ def test_ct_bound_validates_eta():
     anchors = Anchors.symmetric(np.zeros(d), lam=1.0)
     with pytest.raises(InvalidInput):
         c_transform_upper_bound(dd, anchors, np.zeros((5, d)), eta=1.0)
+
+
+# --- solver controls and cap warnings ---------------------------------------------
+
+
+def _solve(solver, **controls):
+    """One solver call on a small strongly concave (or c-concave) instance."""
+    rng = np.random.default_rng(25)
+    d = 2
+    g = sym2(0.3 * np.eye(d), np.array([0.5, 0.2]))
+    xs = 0.3 * rng.standard_normal((12, d))
+    z, labels = rng.standard_normal((8, d)), rng.integers(0, 2, 8) * 2 - 1
+    anchors = Anchors.symmetric(np.array([0.6, 0.3]), lam=10.0)
+    mu, cov = np.array([0.4, 0.1]), 0.1 * np.eye(d)
+    critic = feasible_disc(rng, d, 0.9)
+    kmix = GeneratorParams(mode=SHARED_COV, cov_factor=0.3 * np.eye(d),
+                           means=0.5 * rng.standard_normal((3, d)))
+    kmix_anchors = Anchors(d_vecs=0.4 * rng.standard_normal((3, d)),
+                           e_consts=0.1 * rng.standard_normal(3), lam=10.0)
+    calls = {
+        "tied latent": lambda: inner_max_solve(g, xs, anchors, z_eval=z, labels=labels,
+                                               **controls),
+        "tied quadrature": lambda: inner_max_solve(g, xs, anchors, **controls),
+        "general shared_cov": lambda: inner_max_solve(kmix, xs, kmix_anchors, z_eval=z,
+                                                      labels=labels % 3, **controls),
+        "population": lambda: inner_max_solve_population(g, mu, cov, anchors, **controls),
+        "envelope": lambda: envelope_generator_grad(g, MixtureMoments(mu, cov), anchors,
+                                                    **controls),
+        "stationarity": lambda: stationarity_grad_norm(g, xs, anchors, **controls),
+        "c_transform_batch": lambda: c_transform_batch(critic, xs, **controls),
+        "c_transform": lambda: c_transform(critic, xs[0], **controls),
+    }
+    return calls[solver]()
+
+
+_SOLVERS = ("tied latent", "tied quadrature", "general shared_cov", "population", "envelope",
+            "stationarity", "c_transform_batch", "c_transform")
+_TOL_NAME = {"envelope": "tol_inner", "stationarity": "tol_inner"}
+_BAD_CONTROLS = ([(s, _TOL_NAME.get(s, "tol"), bad) for s in _SOLVERS
+                  for bad in (-1.0, 0.0, float("nan"))]
+                 + [(s, "max_iters", bad) for s in _SOLVERS
+                    if s not in ("stationarity", "c_transform") for bad in (0, 2.0, True)])
+
+
+@pytest.mark.parametrize("solver, control, bad", _BAD_CONTROLS)
+def test_bad_solver_control_is_invalid_input(solver, control, bad):
+    _solve(solver)  # the instance itself is fine
+    with pytest.raises(InvalidInput):
+        _solve(solver, **{control: bad})
+
+
+@pytest.mark.parametrize("solver", ["tied latent", "tied quadrature", "general shared_cov",
+                                    "c_transform_batch"])
+def test_solver_cap_warning_names_the_iteration_cap(solver):
+    with pytest.warns(RuntimeWarning, match="iteration cap"):
+        _solve(solver, tol=1e-12, max_iters=1)

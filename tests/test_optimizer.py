@@ -275,18 +275,14 @@ def _replay(xs, cfg, anchors):
                 dd, anchors, xb, gx, cfg.mode == SHARED_COV)
             quad = symmetrize(dd.quad + cfg.lr_disc * quad_grad)
             if dd.tied:
-                mq, ml, _ = rnd.disc_grads(dd.quad, dd.logits[[0, 2]], dd.consts)
+                mq, ml, _ = rnd.disc_grads(dd.quad, dd.free_rows, dd.consts)
                 worst = max(worst, _rel(mq, quad_grad), _rel(ml, logit_grads))
-                dd = DiscriminatorParams.tied_symmetric(
-                    quad, dd.logits[0] + cfg.lr_disc * logit_grads[0],
-                    dd.logits[2] + cfg.lr_disc * logit_grads[1])
-            else:
-                consts = dd.consts if const_grads is None else dd.consts + cfg.lr_disc * const_grads
-                dd = DiscriminatorParams(quad=quad, logits=dd.logits + cfg.lr_disc * logit_grads,
-                                         consts=consts)
+            consts = dd.consts if const_grads is None else dd.consts + cfg.lr_disc * const_grads
+            dd = DiscriminatorParams.from_free(quad, dd.free_rows + cfg.lr_disc * logit_grads,
+                                               consts, dd.tied)
         value, gp = minimax_value_and_grads(g, dd, anchors, xb, z, labels)
         if dd.tied:
-            rows = dd.logits[[0, 2]]
+            rows = dd.free_rows
             cov_grad, means_grad = rnd.gen_grads(dd.quad, rows, dd.consts)
             worst = max(worst, _rel(cov_grad, gp.gen_cov_factor),
                         _rel(means_grad, gp.gen_means),

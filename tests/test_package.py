@@ -30,3 +30,16 @@ def test_gatgmm_imports_resolve(name):
         module = importlib.import_module(node.module)
         missing = [a.name for a in node.names if not hasattr(module, a.name)]
         assert not missing, f"{name}: {node.module} has no {missing}"
+
+
+MODULES = sorted("gatgmm" if p.stem == "__init__" else f"gatgmm.{p.stem}"
+                 for p in (ROOT / "src" / "gatgmm").glob("*.py"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    """Every name a module lists in ``__all__`` exists, so that
+    ``from <module> import *`` works."""
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ lists {missing}"
