@@ -34,17 +34,13 @@ _TRAIN_DEFAULTS = {
 _TRAIN_DEFAULTS["file"] = _TRAIN_DEFAULTS["rotated"]  # a data file trains as the rotated task
 
 
-class ConfigError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 
 
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+        raise InvalidInput(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
 
 
@@ -54,17 +50,17 @@ def _load_config(path: str | None) -> dict:
     try:
         return _object(json.loads(Path(path).read_text()), f"config {path}")
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise InvalidInput(f"cannot read config {path}: {exc}") from exc
 
 
 def _check_fields(cfg: dict) -> dict:
     """Type-check the top-level run fields a config may set."""
     for key in ("dataset", "method", "out", "anchor_policy"):
         if key in cfg and not isinstance(cfg[key], str):
-            raise ConfigError(f"{key} must be a string, got {cfg[key]!r}")
+            raise InvalidInput(f"{key} must be a string, got {cfg[key]!r}")
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+        raise InvalidInput(f"seed must be an integer, got {seed!r}")
     return cfg
 
 
@@ -101,7 +97,7 @@ def _merged_config(args) -> dict:
 def _resolve_dataset(cfg: dict) -> datagen.Dataset:
     selector = cfg.get("dataset")
     if not selector:
-        raise ConfigError("no dataset specified (--dataset or config)")
+        raise InvalidInput("no dataset specified (--dataset or config)")
     if selector.startswith("file:"):
         return datagen.load_csv(selector[len("file:"):])
     params = _object(cfg.get("dataset_params", {}), "dataset_params")
@@ -126,8 +122,8 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
             return datagen.make_k_mixture(d=d, k=k, means=np.asarray(means),
                                           cov=cov, n=int(params.get("n", 640)), seed=seed)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad dataset_params: {exc}") from exc
-    raise ConfigError(f"unknown dataset selector {selector!r}")
+        raise InvalidInput(f"bad dataset_params: {exc}") from exc
+    raise InvalidInput(f"unknown dataset selector {selector!r}")
 
 
 def _dataset_kind(cfg: dict) -> str:
@@ -143,12 +139,12 @@ def _make_anchors(cfg: dict, ds: datagen.Dataset,
         try:
             vec = np.asarray(cfg["anchor_vector"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"fixed-vector anchors need a numeric anchor_vector: {exc}") from exc
+            raise InvalidInput(f"fixed-vector anchors need a numeric anchor_vector: {exc}") from exc
         return objective.Anchors.symmetric(vec, lam)
     if policy == "top-k-eigs" or k > 2:
         half = (k + 1) // 2
         if half > ds.d:
-            raise ConfigError(f"k={k} anchors need {half} eigenvectors; the data has d={ds.d}")
+            raise InvalidInput(f"k={k} anchors need {half} eigenvectors; the data has d={ds.d}")
         second = symmetrize(ds.samples.T @ ds.samples / ds.n)
         vecs = sym_eigen(second).vectors
         rows = []
@@ -221,20 +217,15 @@ def _scatter_outputs(outdir: Path, ds: datagen.Dataset, model_samples: np.ndarra
 
 def _metrics_record(ds: datagen.Dataset, fit: em.GmmParams,
                     nll_xs: np.ndarray) -> metrics.MetricsRecord:
-    """gmm_objective against a two-component truth, the matched k-component
-    score against any other truth with the fit's k, else nan."""
-    fitted_mu, fitted_cov = fit.means[0], fit.covs[0]
+    """The fit's score against the dataset's truth (``metrics.fit_score``), its
+    NLL, and condition 1 along the principal direction for a two-component
+    truth, else for the fit's first component."""
     direction = metrics.principal_direction(ds.samples)
     truth = ds.meta.truth if ds.meta is not None else None
-    if truth is not None and truth.k == 2:
-        gobj = metrics.gmm_objective(truth, fitted_mu, fitted_cov)
-        holds, margin = metrics.condition1_check(truth.means[0], truth.covs[0], direction)
-    else:
-        gobj = float("nan")
-        if truth is not None and truth.k == fit.k:
-            gobj = metrics.gmm_objective_matched(truth, fit)
-        holds, margin = metrics.condition1_check(fitted_mu, fitted_cov, direction)
-    return metrics.MetricsRecord(gmm_objective=gobj, nll=-em.gmm_loglik(fit, nll_xs),
+    law = truth if truth is not None and truth.k == 2 else fit
+    holds, margin = metrics.condition1_check(law.means[0], law.covs[0], direction)
+    return metrics.MetricsRecord(gmm_objective=metrics.fit_score(truth, fit),
+                                 nll=-em.gmm_loglik(fit, nll_xs),
                                  condition1_holds=bool(holds),
                                  condition1_margin=float(margin))
 
@@ -245,7 +236,7 @@ def _nll_samples(cfg: dict, ds: datagen.Dataset) -> np.ndarray:
     if not cfg.get("holdout"):
         return ds.samples
     if ds.meta is None:
-        raise ConfigError("--holdout needs a dataset with a recorded recipe")
+        raise InvalidInput("--holdout needs a dataset with a recorded recipe")
     return datagen.redraw(ds.meta, ds.meta.seed + 104729).samples
 
 
@@ -277,7 +268,7 @@ def _run_experiment(cfg: dict) -> dict:
     try:
         tcfg = optimizer.TrainConfig(**train_fields)
     except TypeError as exc:  # a field name TrainConfig does not have
-        raise ConfigError(f"bad train config: {exc}") from exc
+        raise InvalidInput(f"bad train config: {exc}") from exc
     truth = ds.meta.truth if ds.meta is not None else None
     nll_xs = _nll_samples(cfg, ds)
 
@@ -303,7 +294,7 @@ def _run_experiment(cfg: dict) -> dict:
         return {"method": "em", "metrics": rec, "out": str(outdir)}
 
     if method != "gatgmm":
-        raise ConfigError(f"unknown method {method!r}")
+        raise InvalidInput(f"unknown method {method!r}")
 
     anchors = _make_anchors(cfg, ds, tcfg)
     report = optimizer.train_gda(ds, tcfg, anchors, truth=truth)
@@ -338,8 +329,8 @@ def _cmd_eval(args) -> int:
         obj = json.loads(Path(args.params).read_text())
         fit = em.GmmParams.from_json(obj) if "weights" in obj \
             else em.GmmParams.from_generator(model.params_from_json(obj)[0])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot read params {args.params}: {exc}") from exc
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"cannot read params {args.params}: {exc}") from exc
     rec = _metrics_record(ds, fit, _nll_samples(cfg, ds))
     print(json.dumps(rec.to_json(), sort_keys=True, indent=1))
     if cfg.get("out"):
@@ -371,7 +362,7 @@ def _cmd_check_condition1(args) -> int:
     cfg = _merged_config(args)
     ds = _resolve_dataset(cfg)
     if ds.meta is None or ds.meta.truth is None:
-        raise ConfigError("check-condition1 needs a dataset with a stored truth")
+        raise InvalidInput("check-condition1 needs a dataset with a stored truth")
     truth = ds.meta.truth
     direction = metrics.principal_direction(ds.samples)
     holds, margin = metrics.condition1_check(truth.means[0], truth.covs[0], direction)
@@ -516,14 +507,14 @@ def _cmd_sweep(args) -> int:
     try:
         configs = json.loads(Path(args.configs).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read sweep configs: {exc}") from exc
+        raise InvalidInput(f"cannot read sweep configs: {exc}") from exc
     if not isinstance(configs, list):
-        raise ConfigError("sweep config file must hold a JSON list of run configs")
+        raise InvalidInput("sweep config file must hold a JSON list of run configs")
     configs = [_check_fields(_object(cfg, "sweep run config")) for cfg in configs]
     try:
         workers = int(os.environ.get("GATGMM_THREADS", "1") or "1")
     except ValueError as exc:
-        raise ConfigError(f"GATGMM_THREADS must be an integer: {exc}") from exc
+        raise InvalidInput(f"GATGMM_THREADS must be an integer: {exc}") from exc
     # the pool forks all its workers at the first submit: never more than there are runs
     workers = min(workers, len(configs))
     if workers <= 1:
@@ -581,7 +572,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (ConfigError, ParseError, InvalidInput, FileNotFoundError) as exc:
+    except (ParseError, InvalidInput) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GatgmmError as exc:

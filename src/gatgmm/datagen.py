@@ -17,7 +17,7 @@ import numpy as np
 
 from .em import GmmParams
 from .errors import InvalidInput, ParseError
-from .gausscore import SeededRng, random_orthogonal, sqrtm_psd, symmetrize
+from .gausscore import SeededRng, as_points, random_orthogonal, sqrtm_psd, symmetrize
 from .model import SHARED_COV, SYMMETRIC2, GeneratorParams, draw_latents, gen_apply
 
 __all__ = [
@@ -66,10 +66,7 @@ class Dataset:
     meta: DatasetMeta | None = None
 
     def __post_init__(self):
-        xs = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
-        if not np.all(np.isfinite(xs)):
-            raise InvalidInput("dataset samples must be finite")
-        object.__setattr__(self, "samples", xs)
+        object.__setattr__(self, "samples", as_points(self.samples, what="dataset samples"))
 
     @property
     def n(self) -> int:
@@ -198,6 +195,6 @@ def load_csv(path) -> Dataset:
     if mpath.exists():
         try:
             meta = DatasetMeta.from_json(json.loads(mpath.read_text()))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad metadata {mpath}: {exc}") from exc
     return Dataset(samples=np.array(rows, dtype=np.float64), meta=meta)

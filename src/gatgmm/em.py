@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InvalidInput, SingularCovariance
-from .gausscore import SeededRng, symmetrize
+from .gausscore import SeededRng, as_gaussian, as_points, symmetrize
 from .model import SYMMETRIC2
 
 __all__ = ["GmmParams", "em_fit", "gmm_loglik"]
@@ -66,8 +66,7 @@ class GmmParams:
 
     @staticmethod
     def symmetric2(mu: np.ndarray, cov: np.ndarray) -> "GmmParams":
-        mu = np.asarray(mu, dtype=np.float64).ravel()
-        cov = symmetrize(cov)
+        mu, cov = as_gaussian(mu, cov)
         return GmmParams(weights=np.array([0.5, 0.5]), means=np.stack([mu, -mu]),
                          covs=np.stack([cov, cov]), shared_cov=True)
 
@@ -95,14 +94,6 @@ class GmmParams:
                          means=np.array(obj["means"], dtype=np.float64),
                          covs=np.array(obj["covs"], dtype=np.float64),
                          shared_cov=bool(obj.get("shared_cov", False)))
-
-
-def _samples(data) -> np.ndarray:
-    xs = np.asarray(getattr(data, "samples", data), dtype=np.float64)
-    xs = np.atleast_2d(xs)
-    if not np.all(np.isfinite(xs)):
-        raise InvalidInput("data must be finite")
-    return xs
 
 
 def _component_log_dens(xs: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -133,7 +124,7 @@ def _lse_rows(a: np.ndarray) -> np.ndarray:
 
 def gmm_loglik(p: GmmParams, data) -> float:
     """Mean log density (1/n) sum_i log p(x_i); NLL is the negation."""
-    xs = _samples(data)
+    xs = as_points(data, p.d, "data")
     return float(np.mean(_lse_rows(_log_joint(p, xs))))
 
 
@@ -168,7 +159,7 @@ def em_fit(
     log-likelihood of the returned parameters.  Empty components (posterior
     mass below 1e-12) are reseeded from a random data point, not an error.
     """
-    xs = _samples(data)
+    xs = as_points(data, what="data")
     n, d = xs.shape
     if n < k:
         raise InvalidInput(f"need at least k={k} samples, got {n}")

@@ -6,6 +6,9 @@ counter-based Philox bit generator so that a (seed, stream) pair yields a
 bit-identical sample sequence across runs and platforms.  Callers never
 share one SeededRng between independent purposes; they split child streams
 instead (data stream, latent stream, init stream, ...).
+
+:func:`as_points` is the one check of a sample-batch argument (a Dataset, a
+matrix or one point) and :func:`as_gaussian` of a (mean, covariance) pair.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from .errors import InvalidInput, NotPsd
 
 __all__ = [
     "SeededRng",
+    "as_points",
+    "as_gaussian",
     "EigenDecomp",
     "symmetrize",
     "check_symmetric",
@@ -51,6 +56,33 @@ class SeededRng:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SeededRng(seed={self.seed}, stream={self.stream})"
+
+
+def as_points(xs, d: int | None = None, what: str = "samples") -> np.ndarray:
+    """A Dataset (its ``samples``), an (n, d) matrix or one point as a finite
+    float64 (n, d) array with n, d >= 1, of width ``d`` when given; anything
+    else raises InvalidInput.  A float64 array comes back without a copy."""
+    try:
+        xs = np.asarray(getattr(xs, "samples", xs), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{what} must be numeric: {exc}") from exc
+    xs = xs[None, :] if xs.ndim == 1 else xs
+    if xs.ndim != 2 or 0 in xs.shape or d not in (None, xs.shape[1]) \
+            or not np.isfinite(xs).all():
+        raise InvalidInput(f"{what} must be one point or a nonempty (n, {d or 'd'}) matrix "
+                           f"of finite numbers, got shape {xs.shape}")
+    return xs
+
+
+def as_gaussian(mu, cov, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, cov) as a flat float64 mean and a symmetrized covariance of one
+    dimension, ``d`` when given; other shapes raise InvalidInput."""
+    mu, cov = np.asarray(mu, dtype=np.float64).ravel(), np.asarray(cov, dtype=np.float64)
+    d = mu.size if d is None else d
+    if mu.size != d or cov.shape != (d, d):
+        raise InvalidInput(f"need a mean of length {d} and a {d} x {d} covariance, got shapes "
+                           f"{mu.shape} and {cov.shape}")
+    return mu, symmetrize(cov)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Evaluation metrics: Gaussian transport distance, its sign-minimized
-mixture form, its matched k-component form, the orthant-split sample
+mixture form, its matched k-component form, the rule that picks between them
+to score a fit against a truth (:func:`fit_score`), the orthant-split sample
 estimate, NLL, and the separability margin used to place anchors.
 
 The Gaussian distance here is the full squared 2-Wasserstein value
@@ -20,13 +21,14 @@ from scipy.optimize import linear_sum_assignment
 
 from .em import GmmParams
 from .errors import InsufficientSamples, InvalidInput
-from .gausscore import sqrtm_psd, sym_eigen, symmetrize
+from .gausscore import as_gaussian, as_points, sqrtm_psd, sym_eigen, symmetrize
 
 __all__ = [
     "MetricsRecord",
     "bures_w2",
     "gmm_objective",
     "gmm_objective_matched",
+    "fit_score",
     "gmm_objective_orthant",
     "condition1_check",
     "principal_direction",
@@ -57,9 +59,9 @@ def _trace_term(cov1: np.ndarray, cov2: np.ndarray) -> float:
 
 def bures_w2(mu1, cov1, mu2, cov2) -> float:
     """Squared 2-Wasserstein distance between two Gaussians."""
-    mu1 = np.asarray(mu1, dtype=np.float64).ravel()
-    mu2 = np.asarray(mu2, dtype=np.float64).ravel()
-    val = _trace_term(symmetrize(cov1), symmetrize(cov2)) + float(np.sum((mu1 - mu2) ** 2))
+    mu1, cov1 = as_gaussian(mu1, cov1)
+    mu2, cov2 = as_gaussian(mu2, cov2, mu1.size)
+    val = _trace_term(cov1, cov2) + float(np.sum((mu1 - mu2) ** 2))
     if -1e-8 < val < 0.0:
         return 0.0
     return val
@@ -83,8 +85,8 @@ def gmm_objective(truth: GmmParams, fitted_mu, fitted_cov) -> float:
     """Sign-minimized Gaussian transport distance of a fitted component pair
     against a symmetric two-component truth."""
     mu, cov = _symmetric2_parts(truth)
-    fitted_mu = np.asarray(fitted_mu, dtype=np.float64).ravel()
-    val = _trace_term(cov, symmetrize(fitted_cov)) + _sign_min_mean_term(mu, fitted_mu)
+    fitted_mu, fitted_cov = as_gaussian(fitted_mu, fitted_cov, truth.d)
+    val = _trace_term(cov, fitted_cov) + _sign_min_mean_term(mu, fitted_mu)
     if -1e-8 < val < 0.0:
         return 0.0
     return val
@@ -102,18 +104,28 @@ def gmm_objective_matched(truth: GmmParams, fit: GmmParams) -> float:
     return float(cost[rows, cols].mean())
 
 
+def fit_score(truth: GmmParams | None, fit: GmmParams) -> float:
+    """A fit's score: ``gmm_objective`` against a two-component truth,
+    ``gmm_objective_matched`` against one with the fit's k, else nan."""
+    if truth is not None and truth.k == 2:
+        return gmm_objective(truth, fit.means[0], fit.covs[0])
+    if truth is not None and truth.k == fit.k:
+        return gmm_objective_matched(truth, fit)
+    return float("nan")
+
+
 def gmm_objective_orthant(truth: GmmParams, samples: np.ndarray,
                           split_dir: np.ndarray) -> float:
     """Sample estimate: split by the sign of the projection onto split_dir,
     fit a Gaussian per half (biased MLE), and average the two sign-minimized
     distances against the truth component."""
     mu, cov = _symmetric2_parts(truth)
-    xs = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    d = truth.d
+    xs = as_points(samples, d)
     split_dir = np.asarray(split_dir, dtype=np.float64).ravel()
-    if np.linalg.norm(split_dir) == 0:
-        raise InvalidInput("split direction must be nonzero")
+    if split_dir.shape != (d,) or np.linalg.norm(split_dir) == 0:
+        raise InvalidInput(f"split direction must be a nonzero vector of length {d}")
     proj = xs @ split_dir
-    d = xs.shape[1]
     total = 0.0
     for half in (xs[proj >= 0], xs[proj < 0]):
         if half.shape[0] < d + 1:
@@ -128,11 +140,11 @@ def gmm_objective_orthant(truth: GmmParams, samples: np.ndarray,
 
 def condition1_check(mu, cov, direction) -> tuple[bool, float]:
     """Separability margin |mu . d| - 2 d' cov d - sqrt(d' cov d) along d."""
+    mu, cov = as_gaussian(mu, cov)
     direction = np.asarray(direction, dtype=np.float64).ravel()
-    if np.linalg.norm(direction) == 0:
-        raise InvalidInput("direction must be nonzero")
-    mu = np.asarray(mu, dtype=np.float64).ravel()
-    var = float(direction @ symmetrize(cov) @ direction)
+    if direction.shape != mu.shape or np.linalg.norm(direction) == 0:
+        raise InvalidInput(f"direction must be a nonzero vector of length {mu.size}")
+    var = float(direction @ cov @ direction)
     margin = abs(float(mu @ direction)) - 2.0 * var - np.sqrt(max(var, 0.0))
     return margin >= 0.0, float(margin)
 
@@ -140,7 +152,7 @@ def condition1_check(mu, cov, direction) -> tuple[bool, float]:
 def principal_direction(samples: np.ndarray) -> np.ndarray:
     """Unit top eigenvector of the empirical second moment; sign fixed so the
     first coordinate with magnitude above 1e-12 is positive."""
-    xs = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    xs = as_points(samples)
     second = symmetrize(xs.T @ xs / xs.shape[0])
     vec = sym_eigen(second).vectors[:, 0]
     vec = vec / np.linalg.norm(vec)

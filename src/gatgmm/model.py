@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput
-from .gausscore import SeededRng, symmetrize
+from .gausscore import SeededRng, as_points, symmetrize
 
 __all__ = [
     "SYMMETRIC2",
@@ -69,21 +69,17 @@ class GeneratorParams:
     means: np.ndarray       # (1, d) in symmetric2; (k, d) in shared_cov
 
     def __post_init__(self):
-        object.__setattr__(self, "cov_factor", np.asarray(self.cov_factor, dtype=np.float64))
-        object.__setattr__(self, "means", np.atleast_2d(np.asarray(self.means, dtype=np.float64)))
+        object.__setattr__(self, "means", as_points(self.means, what="generator means"))
+        d = self.means.shape[1]
+        object.__setattr__(self, "cov_factor", as_points(self.cov_factor, d, "cov_factor"))
         if self.mode not in (SYMMETRIC2, SHARED_COV):
             raise InvalidInput(f"unknown generator mode {self.mode!r}")
-        d = self.cov_factor.shape[0]
-        if self.cov_factor.shape != (d, d):
-            raise InvalidInput("cov_factor must be square")
-        if self.means.shape[1] != d:
-            raise InvalidInput("means dimension does not match cov_factor")
+        if self.cov_factor.shape[0] != d:
+            raise InvalidInput(f"cov_factor must be {d} x {d}, the width of the means")
         if self.mode == SYMMETRIC2 and self.means.shape[0] != 1:
             raise InvalidInput("symmetric2 mode takes exactly one mean row")
         if self.mode == SHARED_COV and self.means.shape[0] < 2:
             raise InvalidInput("shared_cov mode needs k >= 2 mean rows")
-        if not (np.all(np.isfinite(self.cov_factor)) and np.all(np.isfinite(self.means))):
-            raise InvalidInput("generator parameters must be finite")
 
     @property
     def d(self) -> int:
@@ -104,14 +100,15 @@ class DiscriminatorParams:
     tied: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "quad", np.asarray(self.quad, dtype=np.float64))
-        object.__setattr__(self, "logits", np.atleast_2d(np.asarray(self.logits, dtype=np.float64)))
-        object.__setattr__(self, "consts", np.asarray(self.consts, dtype=np.float64).ravel())
-        rows = self.logits.shape[0]
+        object.__setattr__(self, "logits", as_points(self.logits, what="logit rows"))
+        rows, d = self.logits.shape
+        object.__setattr__(self, "quad", as_points(self.quad, d, "quad"))
+        # the 2k constants are read as one point
+        object.__setattr__(self, "consts", as_points(self.consts, rows, "consts")[0])
+        if self.quad.shape[0] != d:
+            raise InvalidInput(f"quad must be {d} x {d}, the width of the logit rows")
         if rows % 2 != 0 or rows < 4:
             raise InvalidInput("logits must have 2k rows with k >= 2")
-        if self.consts.shape[0] != rows:
-            raise InvalidInput("consts length must match logit row count")
         if not np.array_equal(self.quad, self.quad.T):
             raise InvalidInput("quad must be exactly symmetric")
         if self.tied:
@@ -147,14 +144,13 @@ class DiscriminatorParams:
         """The discriminator whose ``free_rows`` are ``rows``; when tied, the
         stored rows are (b1, -b1, b3, -b3)."""
         if tied:
-            b1, b3 = np.asarray(rows, dtype=np.float64)
-            rows = np.stack([b1, -b1, b3, -b3])
+            rows = [sign * np.asarray(b, dtype=np.float64) for b in rows for sign in (1.0, -1.0)]
         return DiscriminatorParams(quad=quad, logits=rows, consts=consts, tied=tied)
 
     @staticmethod
     def tied_symmetric(quad: np.ndarray, b1: np.ndarray, b3: np.ndarray) -> "DiscriminatorParams":
         """Build a tied symmetric-mode discriminator from its free rows."""
-        return DiscriminatorParams.from_free(quad, np.stack([b1, b3]), np.zeros(4), tied=True)
+        return DiscriminatorParams.from_free(quad, (b1, b3), np.zeros(4), tied=True)
 
 
 @dataclass
@@ -256,15 +252,13 @@ def group_log_ratio(rows: np.ndarray, consts: np.ndarray,
 
 
 def disc_value_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if not np.all(np.isfinite(xs)):
-        raise InvalidInput("discriminator input must be finite")
+    xs = as_points(xs, dd.d, "discriminator input")
     quad_term = 0.5 * np.sum((xs @ dd.quad) * xs, axis=1)
     return quad_term + group_log_ratio(dd.logits, dd.consts, xs)[0]
 
 
 def disc_value(dd: DiscriminatorParams, x: np.ndarray) -> float:
-    return float(disc_value_batch(dd, np.asarray(x, dtype=np.float64)[None, :])[0])
+    return float(disc_value_batch(dd, [x])[0])
 
 
 def disc_grad_x_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
@@ -276,7 +270,7 @@ def disc_grad_x_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
 
 
 def disc_grad_x(dd: DiscriminatorParams, x: np.ndarray) -> np.ndarray:
-    return disc_grad_x_batch(dd, np.asarray(x, dtype=np.float64)[None, :])[0]
+    return disc_grad_x_batch(dd, as_points([x], dd.d, "point"))[0]
 
 
 def disc_smoothness_bound(dd: DiscriminatorParams) -> float:

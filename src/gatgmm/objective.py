@@ -53,7 +53,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import InvalidInput, NotCConcave, NotStronglyConcave
-from .gausscore import symmetrize
+from .gausscore import as_gaussian, as_points, symmetrize
 from .model import (
     SHARED_COV,
     SYMMETRIC2,
@@ -163,12 +163,11 @@ class Anchors:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "d_vecs", np.atleast_2d(np.asarray(self.d_vecs, dtype=np.float64)))
-        object.__setattr__(self, "e_consts", np.asarray(self.e_consts, dtype=np.float64).ravel())
+        object.__setattr__(self, "d_vecs", as_points(self.d_vecs, what="anchor vectors"))
+        # one constant per anchor vector, read as one point
+        object.__setattr__(self, "e_consts", as_points(self.e_consts, self.k, "e_consts")[0])
         if not self.lam > 0:
             raise InvalidInput("anchor weight lam must be > 0")
-        if self.e_consts.shape[0] != self.d_vecs.shape[0]:
-            raise InvalidInput("e_consts length must match d_vecs rows")
 
     @property
     def k(self) -> int:
@@ -229,10 +228,7 @@ class SampleMoments:
     """Empirical expectations over a fixed sample batch."""
 
     def __init__(self, xs: np.ndarray):
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        if not np.all(np.isfinite(xs)):
-            raise InvalidInput("samples must be finite")
-        self.xs = xs
+        self.xs = xs = as_points(xs)
         self.n = xs.shape[0]
         self.second = symmetrize(xs.T @ xs / self.n)
         self.mean_sq = float(np.trace(self.second))
@@ -249,11 +245,7 @@ class MixtureMoments:
     (1/2) N(mu, cov) + (1/2) N(-mu, cov), via 1-D quadrature."""
 
     def __init__(self, mu: np.ndarray, cov: np.ndarray, order: int = 64):
-        self.mu = np.asarray(mu, dtype=np.float64).ravel()
-        cov = np.asarray(cov, dtype=np.float64)
-        if cov.shape != (self.mu.size, self.mu.size):
-            raise InvalidInput(f"mixture mean of length {self.mu.size}, cov of shape {cov.shape}")
-        self.cov = symmetrize(cov)
+        self.mu, self.cov = as_gaussian(mu, cov)
         self.order = order
         self.second = symmetrize(self.cov + np.outer(self.mu, self.mu))
         self.mean_sq = float(np.trace(self.second))
@@ -449,9 +441,9 @@ def minimax_value_and_grads(
     dG/dC; in the symmetric mode both are scaled by the label sign, and the
     C block contracts the outer product of grad_x D(G(z)) with z.
     """
-    xs = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
+    xs = as_points(x_batch, g.d, "x batch")
     z, labels = check_latents(g, z_batch, labels)
-    if xs.shape[1] != g.d or dd.d != g.d or anchors.d != g.d:
+    if dd.d != g.d or anchors.d != g.d:
         raise InvalidInput("dimension mismatch between batches and parameters")
     gx = gen_apply(g, z, labels)  # the anchor count is checked with the penalty
     value, quad_grad, logit_grads, const_grads = disc_block_value_and_grads(
@@ -623,17 +615,10 @@ def envelope_generator_grad(
 # c-transform and its regularized upper bound
 
 
-def _critic_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if xs.shape[1:] != (dd.d,) or not np.all(np.isfinite(xs)):
-        raise InvalidInput(f"need a finite (n, {dd.d}) batch, got shape {xs.shape}")
-    return xs
-
-
 def c_transform_batch(dd: DiscriminatorParams, xs: np.ndarray,
                       tol: float = 1e-8, max_iters: int = 10000) -> np.ndarray:
     """max_u D(x + u) - ||u||^2 / 2 per row, by fixed-step ascent from u = 0."""
-    xs = _critic_batch(dd, xs)
+    xs = as_points(xs, dd.d, "critic input")
     eta = disc_smoothness_bound(dd)
     if eta >= 1.0:
         raise NotCConcave(f"curvature bound {eta:.6g} >= 1")
@@ -643,7 +628,7 @@ def c_transform_batch(dd: DiscriminatorParams, xs: np.ndarray,
 
 
 def c_transform(dd: DiscriminatorParams, x: np.ndarray, tol: float = 1e-8) -> float:
-    return float(c_transform_batch(dd, np.asarray(x, dtype=np.float64)[None, :], tol)[0])
+    return float(c_transform_batch(dd, [x], tol)[0])
 
 
 def c_transform_upper_bound(dd: DiscriminatorParams, anchors: Anchors,
@@ -656,7 +641,7 @@ def c_transform_upper_bound(dd: DiscriminatorParams, anchors: Anchors,
         raise InvalidInput("eta must be < 1")
     if disc_smoothness_bound(dd) > eta + 1e-12:
         raise InvalidInput("discriminator curvature bound exceeds eta")
-    xs = _critic_batch(dd, x_batch)
+    xs = as_points(x_batch, dd.d, "critic input")
     mean_d = float(np.mean(disc_value_batch(dd, xs)))
     mean_sq = float(np.mean(np.sum(xs ** 2, axis=1)))
     k = dd.k

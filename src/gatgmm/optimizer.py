@@ -32,8 +32,8 @@ import numpy as np
 
 from .em import GmmParams
 from .errors import Diverged, InfeasibleRegime, InvalidInput, NotStronglyConcave
-from .gausscore import SeededRng, symmetrize
-from .metrics import gmm_objective
+from .gausscore import SeededRng, as_points, symmetrize
+from .metrics import fit_score
 from .model import (
     SHARED_COV,
     SYMMETRIC2,
@@ -178,7 +178,7 @@ class EvalRecord:
     iteration: int
     objective: float
     grad_norm: float
-    gmm_objective: float  # nan when no truth supplied
+    gmm_objective: float  # metrics.fit_score against the truth; nan without one
     seconds: float
 
     def to_json(self) -> dict:
@@ -232,7 +232,7 @@ def stationarity_grad_norm(g: GeneratorParams, target, anchors: Anchors,
             raise InvalidInput("population stationarity needs a symmetric 2-component truth")
         xm = MixtureMoments(target.means[0], target.covs[0], gh_order)
     else:
-        xm = SampleMoments(getattr(target, "samples", target))
+        xm = SampleMoments(target)
     grad_mu, grad_cov = envelope_generator_grad(g, xm, anchors, tol_inner, gh_order)
     return float(np.sqrt(np.sum(grad_mu ** 2) + np.sum(grad_cov ** 2)))
 
@@ -244,11 +244,9 @@ def _eval_record(it, value, g, anchors, xs, cfg, truth, t0):
             envelope = stationarity_grad_norm(g, xs, anchors, tol_inner=1e-6)
         except NotStronglyConcave:
             pass
-    obj_vs_truth = float("nan")
-    if truth is not None and cfg.mode == SYMMETRIC2:
-        obj_vs_truth = gmm_objective(truth, g.means[0], g.cov_factor @ g.cov_factor.T)
     return EvalRecord(iteration=it, objective=value, grad_norm=envelope,
-                      gmm_objective=obj_vs_truth, seconds=time.perf_counter() - t0)
+                      gmm_objective=fit_score(truth, GmmParams.from_generator(g)),
+                      seconds=time.perf_counter() - t0)
 
 
 class _BlockRound:
@@ -285,11 +283,7 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     and on anchors that do not fit it, and Diverged with the iteration index
     on a non-finite gradient or step.
     """
-    xs = np.atleast_2d(np.asarray(getattr(data, "samples", data), dtype=np.float64))
-    if xs.shape[0] < 1:
-        raise InvalidInput("training data is empty")
-    if not np.all(np.isfinite(xs)):
-        raise InvalidInput("training data must be finite")
+    xs = as_points(data, what="training data")
     n, d = xs.shape
 
     root = SeededRng(cfg.seed)
@@ -335,12 +329,13 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
 
         for _ in range(cfg.disc_steps_per_gen_step):
             quad_grad, row_grads, const_grads = rnd.disc_grads(quad, rows, consts)
-            if not np.isfinite(np.sum(quad_grad) + np.sum(row_grads)):
-                raise Diverged(it)
             quad = symmetrize(quad + cfg.lr_disc * quad_grad)
             rows = rows + cfg.lr_disc * row_grads
             if const_grads is not None:
                 consts = consts + cfg.lr_disc * const_grads
+            # a non-finite gradient, or a step that overflows
+            if not np.isfinite(np.sum(quad) + np.sum(rows) + np.sum(consts)):
+                raise Diverged(it)
         cov_grad, means_grad = rnd.gen_grads(quad, rows, consts)
         cov = cov - cfg.lr_gen * cov_grad
         means = means - cfg.lr_gen * means_grad

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -22,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .em import GmmParams, _log_joint, _lse_rows
 from .errors import InvalidInput, TooLarge
-from .gausscore import SeededRng, inv_sqrtm_psd, sqrtm_psd
+from .gausscore import SeededRng, as_points, inv_sqrtm_psd, sqrtm_psd
 
 __all__ = [
     "TransportPair",
@@ -78,13 +79,12 @@ class TransportPair:
 
 def posterior_batch(p: GmmParams, xs: np.ndarray) -> np.ndarray:
     """Bayes posterior over component labels, one row per sample."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    lj = _log_joint(p, xs)
+    lj = _log_joint(p, as_points(xs, p.d))
     return np.exp(lj - _lse_rows(lj)[:, None])
 
 
 def posterior(p: GmmParams, x: np.ndarray) -> np.ndarray:
-    return posterior_batch(p, np.asarray(x, dtype=np.float64)[None, :])[0]
+    return posterior_batch(p, [x])[0]
 
 
 def psi_randomized(tp: TransportPair, x: np.ndarray, y: int) -> np.ndarray:
@@ -97,7 +97,7 @@ def psi_randomized(tp: TransportPair, x: np.ndarray, y: int) -> np.ndarray:
 
 
 def psi_map_batch(tp: TransportPair, xs: np.ndarray) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    xs = as_points(xs, tp.source.d)
     post = posterior_batch(tp.source, xs)
     out = np.zeros_like(xs)
     for i in range(tp.k):
@@ -108,7 +108,7 @@ def psi_map_batch(tp: TransportPair, xs: np.ndarray) -> np.ndarray:
 
 def psi_map(tp: TransportPair, x: np.ndarray) -> np.ndarray:
     """Posterior-weighted conditional expectation of the randomized map."""
-    return psi_map_batch(tp, np.asarray(x, dtype=np.float64)[None, :])[0]
+    return psi_map_batch(tp, [x])[0]
 
 
 def sample_mixture(p: GmmParams, n: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
@@ -125,8 +125,8 @@ def sample_mixture(p: GmmParams, n: int, rng: SeededRng) -> tuple[np.ndarray, np
 
 def bayes_error(p: GmmParams, n_mc: int, rng: SeededRng) -> float:
     """Monte Carlo misclassification rate of the posterior argmax classifier."""
-    if n_mc < 1:
-        raise InvalidInput("n_mc must be >= 1")
+    if isinstance(n_mc, bool) or not (isinstance(n_mc, Integral) and n_mc >= 1):
+        raise InvalidInput(f"n_mc must be an integer >= 1, got {n_mc!r}")
     xs, labels = sample_mixture(p, n_mc, rng)
     predicted = np.argmax(posterior_batch(p, xs), axis=1)
     return float(np.mean(predicted != labels))
@@ -155,18 +155,17 @@ def duality_gap_bound_terms(tp: TransportPair, pe: float, ex_norm2: float,
 def w2_1d_exact(a, b) -> float:
     """Exact half-squared-quadratic OT between equal-size 1-D samples
     (sorted matching): (1/n) sum ||a_(i) - b_(i)||^2 / 2."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size != b.size or a.size < 1:
-        raise InvalidInput("inputs must be equal-length and nonempty")
+    # a 1-D sample of n values is read as one point of width n
+    a, b = as_points(a, what="sample a").ravel(), as_points(b, what="sample b").ravel()
+    if a.size != b.size:
+        raise InvalidInput(f"samples must have equal length, got {a.size} and {b.size}")
     return float(np.mean(0.5 * (np.sort(a) - np.sort(b)) ** 2))
 
 
 def w2_assignment_exact(a: np.ndarray, b: np.ndarray) -> float:
     """Exact OT between small equal-size empirical measures via optimal
     assignment; refuses n > 64."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    a, b = as_points(a, what="cloud a"), as_points(b, what="cloud b")
     if a.shape != b.shape:
         raise InvalidInput("point clouds must have identical shapes")
     n = a.shape[0]

@@ -159,12 +159,18 @@ def test_bad_train_config_is_config_error(tmp_path, extra):
      ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
     ({"s.json": '[{"dataset": "isotropic", "method": "em", "out": 5}]'},
      ["sweep", "--configs", "@s.json"], {}),
+    ({"p/": ""}, ["eval", "--dataset", "isotropic", "--params", "@p"], {}),
+    ({"d.csv": "x0,x1\n1,2\n3,4\n", "d.meta.json/": ""},
+     ["train", "--dataset", "file:@d.csv", "--method", "em", "--out", "@run"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
-        "seed-bool", "sweep-out-not-string"])
+        "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, text in files.items():  # a name ending in "/" is a directory
+        if name.endswith("/"):
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_text(text)
     for key, val in env.items():
         monkeypatch.setenv(key, val)
     assert run([a.replace("@", f"{tmp_path}/") for a in argv]) == 2

@@ -382,3 +382,17 @@ def test_runaway_steps_raise_diverged(lr, mode):
     anchors = Anchors.symmetric(np.array([1.0, 0.0, 0.0]), lam=0.5)
     with pytest.raises(Diverged):
         train_gda(xs, cfg, anchors)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["symmetric2", "shared_cov"])
+def test_overflowing_discriminator_step_raises_diverged(mode):
+    # only the discriminator step overflows, and the generator step that
+    # follows reads the overflowed discriminator
+    rng = np.random.default_rng(10)
+    xs = rng.standard_normal((32, 3)) + np.array([2.0, 0.0, 0.0])
+    xs[::2] *= -1.0
+    cfg = TrainConfig(max_iters=50, eval_every=1, lr_gen=1e-3, lr_disc=1e308, lam=0.5,
+                      sigma_init=0.1, mode=mode, tied=mode == "symmetric2")
+    with pytest.raises(Diverged):
+        train_gda(xs, cfg, Anchors.symmetric(np.array([1.0, 0.0, 0.0]), lam=0.5))
