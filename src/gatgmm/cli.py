@@ -1,7 +1,8 @@
 """Experiment harness: dataset generation, training, evaluation, comparison,
 separability checks, and a verification battery, all seeded and scriptable.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (a bad input, or an output that
+cannot be written), 3 numerical failure.
 ``sweep`` runs a list of configs in parallel worker processes, capped by the
 GATGMM_THREADS environment variable and by the number of configs.
 """
@@ -572,7 +573,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (ParseError, InvalidInput) as exc:
+    # every file read maps its OSError to ParseError or InvalidInput, so an
+    # OSError here failed to create or write an output (say --out names a file)
+    except (ParseError, InvalidInput, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GatgmmError as exc:

@@ -39,20 +39,24 @@ class GmmParams:
     shared_cov: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).ravel()
-        mu = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        cv = np.asarray(self.covs, dtype=np.float64)
+        mu = as_points(self.means, what="mixture means")
+        k, d = mu.shape
+        w = as_points(self.weights, what="mixture weights").ravel()
+        try:
+            cv = np.asarray(self.covs, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"mixture covariances must be numeric: {exc}") from exc
         if cv.ndim == 2:
             cv = cv[None, :, :]
-        if cv.shape[0] == 1 and mu.shape[0] > 1:
-            cv = np.repeat(cv, mu.shape[0], axis=0)
-        cv = 0.5 * (cv + np.transpose(cv, (0, 2, 1)))
+        if w.shape[0] != k or cv.ndim != 3 or len(cv) not in (1, k):
+            raise InvalidInput("inconsistent mixture parameter shapes")
+        # one covariance shared by all components or one each; every (mean,
+        # covariance) pair is checked to be finite and d x d, and symmetrized
+        cv = np.stack([as_gaussian(m, c, d)[1]
+                       for m, c in zip(mu, np.broadcast_to(cv, (k,) + cv.shape[1:]))])
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covs", cv)
-        k, d = mu.shape
-        if w.shape[0] != k or cv.shape != (k, d, d):
-            raise InvalidInput("inconsistent mixture parameter shapes")
         if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
             raise InvalidInput("weights must be a probability vector (sum 1 within 1e-12)")
 

@@ -75,13 +75,19 @@ def as_points(xs, d: int | None = None, what: str = "samples") -> np.ndarray:
 
 
 def as_gaussian(mu, cov, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, cov) as a flat float64 mean and a symmetrized covariance of one
-    dimension, ``d`` when given; other shapes raise InvalidInput."""
-    mu, cov = np.asarray(mu, dtype=np.float64).ravel(), np.asarray(cov, dtype=np.float64)
+    """(mu, cov) as a flat finite float64 mean and a symmetrized finite
+    covariance of one dimension, ``d`` when given; anything else raises
+    InvalidInput."""
+    try:
+        mu, cov = np.asarray(mu, dtype=np.float64).ravel(), np.asarray(cov, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"mean and covariance must be numeric: {exc}") from exc
     d = mu.size if d is None else d
     if mu.size != d or cov.shape != (d, d):
         raise InvalidInput(f"need a mean of length {d} and a {d} x {d} covariance, got shapes "
                            f"{mu.shape} and {cov.shape}")
+    if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
+        raise InvalidInput("mean and covariance must be finite")
     return mu, symmetrize(cov)
 
 

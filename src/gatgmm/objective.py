@@ -32,9 +32,22 @@ F's quadratic block (1/2) x^T A x - (lam/2) ||A||^2 peaks at
 Solvers
 -------
 The tied logit block, the general logit block and the per-point c-transform
-share ``_ascend``: fixed-step ascent that rejects a tol <= 0 or a max_iters
-that is not an integer >= 1, stops once every independent problem's gradient
-norm is <= tol, and warns when it reaches max_iters.
+share ``_ascend``: ascent with a fixed step, a scalar or a d x d matrix, that
+rejects a tol <= 0 or a max_iters that is not an integer >= 1, stops once
+every independent problem's gradient norm is <= tol, returns the number of
+steps it took, and warns when it reaches max_iters.  Two of the steps make
+one ascent step an exact contraction:
+
+* c-transform.  With D(v) = v^T A v / 2 + LR(v) and the step (I - A)^{-1},
+  a step is the fixed-point map v <- (I - A)^{-1} (x + grad LR(v)), which
+  contracts at rate 2 max_i ||b_i||^2 / (1 - lambda_max(A)) < 1 exactly when
+  the curvature bound eta < 1.
+* tied logit block.  With the step 1/(2 lam), a step is the map
+  b <- d +- grad delta(b) / (2 lam), which contracts at rate
+  (E||X||^2 + E||G||^2) / (2 lam) < 1/2 whenever the margin check passes.
+
+The general logit block keeps the step 1/(lam + E||X||^2 + E||G||^2 (+ 2)):
+its trained constants add curvature the margin check does not bound.
 
 Population (evaluation-mode) expectations use Gauss-Hermite quadrature on
 one-dimensional projections: for a symmetric two-component law every
@@ -442,7 +455,7 @@ def minimax_value_and_grads(
     C block contracts the outer product of grad_x D(G(z)) with z.
     """
     xs = as_points(x_batch, g.d, "x batch")
-    z, labels = check_latents(g, z_batch, labels)
+    z, labels = check_latents(g, as_points(z_batch, g.d, "latents"), labels)
     if dd.d != g.d or anchors.d != g.d:
         raise InvalidInput("dimension mismatch between batches and parameters")
     gx = gen_apply(g, z, labels)  # the anchor count is checked with the penalty
@@ -471,33 +484,38 @@ def _check_margin(lam: float, x_mean_sq: float, g_mean_sq: float) -> None:
         raise NotStronglyConcave(margin)
 
 
-def _ascend(grad, x: np.ndarray, step: float, tol: float, max_iters: int,
-            what: str) -> np.ndarray:
-    """Fixed-step ascent x <- x + step grad(x) over independent problems, one
-    per slice along the first axis of x, until every slice's gradient norm is
-    <= tol; warns when max_iters steps do not get there."""
+def _ascend(grad, x: np.ndarray, step, tol: float, max_iters: int,
+            what: str) -> tuple[np.ndarray, int]:
+    """Fixed-step ascent over independent problems, one per slice along the
+    first axis of x, until every slice's gradient norm is <= tol: each slice
+    moves by step * grad for a scalar step, or by S grad for a d x d step
+    matrix S.  Returns x and the number of steps taken; warns when max_iters
+    steps do not get there."""
     if not (isinstance(tol, Real) and tol > 0):
         raise InvalidInput(f"tol must be > 0, got {tol!r}")
     if isinstance(max_iters, bool) or not (isinstance(max_iters, Integral) and max_iters >= 1):
         raise InvalidInput(f"max_iters must be an integer >= 1, got {max_iters!r}")
-    for _ in range(max_iters):
+    matrix = np.ndim(step) == 2
+    for it in range(max_iters):
         g = grad(x)
-        if np.max(np.linalg.norm(g.reshape(len(g), -1), axis=1)) <= tol:
-            return x
-        x = x + step * g
-    warnings.warn(f"{what} hit the iteration cap", RuntimeWarning)
-    return x
+        norm = np.max(np.linalg.norm(g.reshape(len(g), -1), axis=1))
+        if norm <= tol:
+            return x, it
+        x = x + (g @ step.T if matrix else step * g)
+    warnings.warn(f"{what} hit the iteration cap of {max_iters} steps (last max gradient "
+                  f"norm {norm:.3g})", RuntimeWarning)
+    return x, max_iters
 
 
 def _inner_max_tied(game: TiedGame, tol: float, max_iters: int):
     """Tied inner maximum: ascend the rows (b1, b3), two decoupled strongly
-    concave problems."""
+    concave problems, with the step 1/(2 lam) that makes a step the
+    contraction b <- d +- grad delta(b) / (2 lam)."""
     xm, gm, lam = game.xm, game.gm, game.anchors.lam
     _check_margin(lam, xm.mean_sq, gm.mean_sq)
-    step = 1.0 / (2.0 * lam + xm.mean_sq + gm.mean_sq)
-    rows = _ascend(lambda r: game.disc_grads(0.0, r)[1],
-                   np.repeat(game.anchors.d_vecs[:1], 2, axis=0), step, tol, max_iters,
-                   "tied inner maximization")
+    rows, _ = _ascend(lambda r: game.disc_grads(0.0, r)[1],
+                      np.repeat(game.anchors.d_vecs[:1], 2, axis=0), 1.0 / (2.0 * lam), tol,
+                      max_iters, "tied inner maximization")
     return _solution(xm.second, gm.second, game.anchors, game.value(0.0, rows),
                      rows, np.zeros(4), tied=True)
 
@@ -522,8 +540,8 @@ def _inner_max_general(xm: SampleMoments, gm: SampleMoments, anchors: Anchors,
         return np.concatenate([grad_rows.ravel(),
                                np.zeros_like(se) if grad_c is None else grad_c])[None]
 
-    x = _ascend(grad, np.concatenate([sv.ravel(), se])[None], step, tol, max_iters,
-                "general inner maximization")
+    x, _ = _ascend(grad, np.concatenate([sv.ravel(), se])[None], step, tol, max_iters,
+                   "general inner maximization")
     rows, consts = x[0, :split].reshape(sv.shape), x[0, split:]
     val = block(x)[0] - 0.5 * lam * (float(np.sum((rows - sv) ** 2))
                                      + float(np.sum((consts - se) ** 2)))
@@ -561,12 +579,13 @@ def inner_max_solve(
     returned is l1 + l2, not F at the maximizer (see ``ObjectiveValue``).
     """
     xm = SampleMoments(x_batch)
+    if z_eval is not None:
+        z_eval, labels = check_latents(g, as_points(z_eval, g.d, "latents"), labels)
     if g.mode == SYMMETRIC2 and tied:
         if z_eval is None:
             gm = GeneratorMoments(g, gh_order)
         else:
-            z, labels = check_latents(g, z_eval, labels)
-            gm = LatentMoments(g.cov_factor, g.means[0], z, labels)
+            gm = LatentMoments(g.cov_factor, g.means[0], z_eval, labels)
         return _inner_max_tied(TiedGame(anchors, xm, gm), tol, max_iters)
     if z_eval is None:
         raise InvalidInput("untied/general inner solve requires a latent batch")
@@ -617,13 +636,22 @@ def envelope_generator_grad(
 
 def c_transform_batch(dd: DiscriminatorParams, xs: np.ndarray,
                       tol: float = 1e-8, max_iters: int = 10000) -> np.ndarray:
-    """max_u D(x + u) - ||u||^2 / 2 per row, by fixed-step ascent from u = 0."""
+    """max_u D(x + u) - ||u||^2 / 2 per row, by preconditioned ascent from u = 0.
+
+    With D(v) = v^T A v / 2 + LR(v) and v = x + u, the step (I - A)^{-1}
+    makes one ascent step the fixed-point map v <- (I - A)^{-1} (x + grad LR(v)).
+    grad LR is 2 max_i ||b_i||^2-Lipschitz, so the map contracts at rate
+    2 max_i ||b_i||^2 / (1 - lambda_max(A)), below 1 exactly when the
+    curvature bound eta = ``disc_smoothness_bound`` is; eta >= 1 raises
+    NotCConcave.  It stops once every row's gradient norm is <= tol.
+    """
     xs = as_points(xs, dd.d, "critic input")
     eta = disc_smoothness_bound(dd)
     if eta >= 1.0:
         raise NotCConcave(f"curvature bound {eta:.6g} >= 1")
-    u = _ascend(lambda u: disc_grad_x_batch(dd, xs + u) - u, np.zeros_like(xs),
-                0.5 * (1.0 - eta), tol, max_iters, "c-transform ascent")
+    step = np.linalg.inv(np.eye(dd.d) - dd.quad)
+    u, _ = _ascend(lambda u: disc_grad_x_batch(dd, xs + u) - u, np.zeros_like(xs), step, tol,
+                   max_iters, "c-transform")
     return disc_value_batch(dd, xs + u) - 0.5 * np.sum(u ** 2, axis=1)
 
 

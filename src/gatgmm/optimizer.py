@@ -238,6 +238,10 @@ def stationarity_grad_norm(g: GeneratorParams, target, anchors: Anchors,
 
 
 def _eval_record(it, value, g, anchors, xs, cfg, truth, t0):
+    try:
+        fit = GmmParams.from_generator(g)
+    except InvalidInput as exc:  # a finite C whose C C^T overflows
+        raise Diverged(it) from exc
     envelope = float("nan")
     if cfg.mode == SYMMETRIC2 and cfg.tied:
         try:
@@ -245,8 +249,7 @@ def _eval_record(it, value, g, anchors, xs, cfg, truth, t0):
         except NotStronglyConcave:
             pass
     return EvalRecord(iteration=it, objective=value, grad_norm=envelope,
-                      gmm_objective=fit_score(truth, GmmParams.from_generator(g)),
-                      seconds=time.perf_counter() - t0)
+                      gmm_objective=fit_score(truth, fit), seconds=time.perf_counter() - t0)
 
 
 class _BlockRound:
@@ -281,7 +284,7 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
 
     Raises InvalidInput before the first round on empty or non-finite data
     and on anchors that do not fit it, and Diverged with the iteration index
-    on a non-finite gradient or step.
+    on a non-finite gradient or step, or at an eval point where C C^T overflows.
     """
     xs = as_points(data, what="training data")
     n, d = xs.shape

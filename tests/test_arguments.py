@@ -34,6 +34,7 @@ from gatgmm.objective import (
     c_transform,
     c_transform_batch,
     c_transform_upper_bound,
+    inner_max_solve,
     minimax_value_and_grads,
 )
 from gatgmm.optimizer import TrainConfig, stationarity_grad_norm, train_gda
@@ -58,6 +59,7 @@ CRITIC = DiscriminatorParams(quad=0.1 * np.eye(D), consts=np.zeros(4),
 ANCHORS = Anchors.symmetric(np.array([1.0, 0.0]), lam=50.0)
 Z = np.random.default_rng(0).standard_normal((6, D))
 LABELS = np.array([1, -1, 1, -1, 1, -1])
+NAN_Z = np.where(np.eye(6, D, dtype=bool), np.nan, Z)
 
 # every public entry that takes a sample batch or one point, with it as the argument
 ENTRIES = {
@@ -133,6 +135,15 @@ CASES = {
     "bayes_error n_mc": lambda: bayes_error(TRUTH, 10.5, SeededRng(0)),
     "disc_value scalar": lambda: disc_value(CRITIC, 0.5),
     "posterior scalar": lambda: posterior(TRUTH, 0.5),
+    "GmmParams nan weight": lambda: GmmParams([np.nan, 0.5], np.eye(D), np.eye(D)),
+    "GmmParams nan mean": lambda: GmmParams([0.5, 0.5], [[np.nan, 0.0], [0.0, 1.0]], np.eye(D)),
+    "GmmParams string covariance": lambda: GmmParams([0.5, 0.5], np.eye(D), "abc"),
+    "GmmParams inf covariance": lambda: GmmParams([0.5, 0.5], np.eye(D),
+                                                  [np.eye(D), [[np.inf, 0.0], [0.0, 1.0]]]),
+    "minimax_value_and_grads nan latents": lambda: minimax_value_and_grads(
+        GEN, CRITIC, ANCHORS, np.ones((5, D)), NAN_Z, LABELS),
+    "inner_max_solve nan latents": lambda: inner_max_solve(GEN, np.ones((5, D)), ANCHORS,
+                                                           z_eval=NAN_Z, labels=LABELS),
 }
 
 

@@ -141,6 +141,10 @@ def test_bad_train_config_is_config_error(tmp_path, extra):
     assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
 
 
+# a config file for a small d = 2 isotropic dataset
+_D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'}
+
+
 # "@" stands for the test's tmp_path; each case writes its files, then runs argv
 @pytest.mark.parametrize("files, argv, env", [
     ({"c.json": "[1, 2]"}, ["train", "--config", "@c.json", "--out", "@run"], {}),
@@ -162,9 +166,20 @@ def test_bad_train_config_is_config_error(tmp_path, extra):
     ({"p/": ""}, ["eval", "--dataset", "isotropic", "--params", "@p"], {}),
     ({"d.csv": "x0,x1\n1,2\n3,4\n", "d.meta.json/": ""},
      ["train", "--dataset", "file:@d.csv", "--method", "em", "--out", "@run"], {}),
+    (_D2 | {"p.json": '{"weights": [0.5, 0.5], "means": [[NaN, 0], [0, 1]], '
+                      '"covs": [[1, 0], [0, 1]]}'},
+     ["eval", "--config", "@c.json", "--params", "@p.json"], {}),
+    (_D2 | {"p.json": '{"weights": [NaN, 0.5], "means": [[1, 0], [-1, 0]], '
+                      '"covs": [[1, 0], [0, 1]]}'},
+     ["eval", "--config", "@c.json", "--params", "@p.json"], {}),
+    (_D2 | {"taken": "a file"}, ["train", "--config", "@c.json", "--method", "em",
+                                 "--out", "@taken"], {}),
+    (_D2 | {"taken": "a file"}, ["gen-data", "--config", "@c.json", "--out", "@taken"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
-        "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory"])
+        "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory",
+        "params-nan-mean", "params-nan-weight", "train-out-is-a-file",
+        "gen-data-out-is-a-file"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():  # a name ending in "/" is a directory
         if name.endswith("/"):

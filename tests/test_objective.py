@@ -5,12 +5,14 @@ from scipy.special import logsumexp, softmax
 
 from gatgmm.errors import InvalidInput, NotCConcave, NotStronglyConcave
 from gatgmm.gausscore import SeededRng, symmetrize
+from gatgmm import objective
 from gatgmm.model import (
     SHARED_COV,
     SYMMETRIC2,
     DiscriminatorParams,
     GeneratorParams,
     disc_grad_x_batch,
+    disc_smoothness_bound,
     disc_value_batch,
     disc_vec,
     disc_with_vec,
@@ -682,6 +684,109 @@ def test_ct_bound_validates_eta():
         c_transform_upper_bound(dd, anchors, np.zeros((5, d)), eta=1.0)
 
 
+# --- contraction solvers against the fixed-step reference ---------------------------
+
+
+def reference_ascent(grad, x, step, tol, max_iters):
+    """Plain fixed-step ascent x <- x + step grad(x), the solvers' old loop."""
+    for _ in range(max_iters):
+        g = grad(x)
+        if np.max(np.linalg.norm(g, axis=1)) <= tol:
+            return x
+        x = x + step * g
+    raise AssertionError(f"reference ascent did not reach tol {tol} in {max_iters} steps")
+
+
+def reference_c_transform(dd, xs, tol):
+    """c-transform by ascent with the step (1 - eta) / 2."""
+    step = 0.5 * (1.0 - disc_smoothness_bound(dd))
+    u = reference_ascent(lambda u: disc_grad_x_batch(dd, xs + u) - u, np.zeros_like(xs), step,
+                         tol, 400000)  # near eta = 1 it takes thousands of steps
+    return disc_value_batch(dd, xs + u) - 0.5 * np.sum(u ** 2, axis=1)
+
+
+def reference_tied_l2(game, tol):
+    """Tied logit-block maximum by ascent with the step 1 / (2 lam + E||X||^2 + E||G||^2)."""
+    step = 1.0 / (2.0 * game.anchors.lam + game.xm.mean_sq + game.gm.mean_sq)
+    rows = reference_ascent(lambda r: game.disc_grads(0.0, r)[1],
+                            np.repeat(game.anchors.d_vecs[:1], 2, axis=0), step, tol, 100000)
+    return game.value(0.0, rows)
+
+
+def critic_with(rng, d, eta, top):
+    """A critic with lambda_max(A) = top and curvature bound eta = top + 2 max ||b_i||^2."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    spec = top - rng.uniform(0.0, 1.0, d)
+    spec[0] = top
+    b = rng.standard_normal((4, d))
+    b *= np.sqrt((eta - top) / (2.0 * np.max(np.sum(b ** 2, axis=1))))
+    return DiscriminatorParams(quad=symmetrize((q * spec) @ q.T), logits=b, consts=np.zeros(4))
+
+
+def count_ascent_steps(monkeypatch):
+    """Record the steps each ``_ascend`` call takes."""
+    steps, ascend = [], objective._ascend
+
+    def spy(*args, **kwargs):
+        x, taken = ascend(*args, **kwargs)
+        steps.append(taken)
+        return x, taken
+
+    monkeypatch.setattr(objective, "_ascend", spy)
+    return steps
+
+
+@pytest.mark.parametrize("eta, top", [(0.1, 0.05), (0.1, -0.3), (0.4, 0.25), (0.5, -1.0),
+                                      (0.9, 0.6), (0.9, -0.2), (0.95, 0.9), (0.95, 0.5),
+                                      (0.95, -2.0)])
+@pytest.mark.parametrize("d", [1, 3])
+def test_c_transform_matches_fixed_step_reference(eta, top, d):
+    rng = np.random.default_rng([31, d, int(100 * eta), int(100 * top) + 300])
+    dd = critic_with(rng, d, eta, top)
+    assert disc_smoothness_bound(dd) == pytest.approx(eta, abs=1e-12)
+    xs = 2.0 * rng.standard_normal((16, d))
+    new = c_transform_batch(dd, xs, tol=1e-10)
+    assert np.max(np.abs(new - reference_c_transform(dd, xs, 1e-10))) <= 1e-12
+
+
+@pytest.mark.parametrize("excess", [1e-9, 1e-4, 0.1])
+@pytest.mark.parametrize("side", ["population", "latent"])
+def test_tied_inner_max_matches_fixed_step_reference(side, excess):
+    # lam barely above E||X||^2 + E||G||^2: the margin lam - M is close to 0
+    rng = np.random.default_rng(32)
+    d = 3
+    g = sym2(0.4 * np.eye(d) + 0.1 * rng.standard_normal((d, d)), rng.uniform(0.5, 1.0, d))
+    d_vec = rng.standard_normal(d)
+    if side == "population":
+        mu_x, cov_x = rng.uniform(0.8, 1.2, d), 0.2 * np.eye(d)
+        xm, gm = MixtureMoments(mu_x, cov_x), GeneratorMoments(g)
+        anchors = Anchors.symmetric(d_vec, lam=(xm.mean_sq + gm.mean_sq) * (1.0 + excess))
+        _, val = inner_max_solve_population(g, mu_x, cov_x, anchors, tol=1e-10)
+    else:
+        xs = rng.standard_normal((40, d)) + 1.5
+        z, labels = rng.standard_normal((30, d)), rng.integers(0, 2, 30) * 2 - 1
+        xm, gm = SampleMoments(xs), LatentMoments(g.cov_factor, g.means[0], z, labels)
+        anchors = Anchors.symmetric(d_vec, lam=(xm.mean_sq + gm.mean_sq) * (1.0 + excess))
+        _, val = inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tol=1e-10)
+    assert abs(val.l2 - reference_tied_l2(TiedGame(anchors, xm, gm), 1e-10)) <= 1e-12
+
+
+def test_c_transform_takes_few_steps(monkeypatch):
+    steps = count_ascent_steps(monkeypatch)
+    # a critic as the benchmark builds it: d = 20, eta about 0.4, 640 standard normal points
+    rng = np.random.default_rng(33)
+    d = 20
+    quad = symmetrize(rng.standard_normal((d, d)))
+    quad *= 0.25 / np.max(np.abs(np.linalg.eigvalsh(quad)))
+    rows = rng.standard_normal((4, d))
+    rows *= np.sqrt(0.15 / (2.0 * np.max(np.sum(rows ** 2, axis=1))))
+    c_transform_batch(DiscriminatorParams(quad=quad, logits=rows, consts=np.zeros(4)),
+                      rng.standard_normal((640, d)))
+    # d = 2 at eta = 0.9, where the fixed step (1 - eta) / 2 took about a thousand steps
+    c_transform_batch(critic_with(rng, 2, 0.9, 0.6), 3.0 * rng.standard_normal((200, 2)))
+    assert len(steps) == 2 and max(steps) <= 15, steps
+
+
 # --- solver controls and cap warnings ---------------------------------------------
 
 
@@ -734,5 +839,6 @@ def test_bad_solver_control_is_invalid_input(solver, control, bad):
 @pytest.mark.parametrize("solver", ["tied latent", "tied quadrature", "general shared_cov",
                                     "c_transform_batch"])
 def test_solver_cap_warning_names_the_iteration_cap(solver):
-    with pytest.warns(RuntimeWarning, match="iteration cap"):
+    with pytest.warns(RuntimeWarning, match=r"inner maximization|c-transform") as caught:
         _solve(solver, tol=1e-12, max_iters=1)
+    assert "hit the iteration cap of 1 steps (last max gradient norm" in str(caught[0].message)
