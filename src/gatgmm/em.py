@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InvalidInput, SingularCovariance
-from .gausscore import SeededRng, as_gaussian, as_points, symmetrize
+from .gausscore import SeededRng, as_gaussian, as_points, lse_softmax, symmetrize
 from .model import SYMMETRIC2
 
 __all__ = ["GmmParams", "em_fit", "gmm_loglik"]
@@ -113,23 +113,17 @@ def _component_log_dens(xs: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.n
 
 
 def _log_joint(p: GmmParams, xs: np.ndarray) -> np.ndarray:
-    cols = []
+    """Slot-major (k, n) log joint densities log w_i + log N(x; mu_i, Sigma_i)."""
     with np.errstate(divide="ignore"):
         logw = np.log(p.weights)
-    for i in range(p.k):
-        cols.append(logw[i] + _component_log_dens(xs, p.means[i], p.covs[i]))
-    return np.stack(cols, axis=1)
-
-
-def _lse_rows(a: np.ndarray) -> np.ndarray:
-    m = np.max(a, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True)))[:, 0]
+    return np.stack([logw[i] + _component_log_dens(xs, p.means[i], p.covs[i])
+                     for i in range(p.k)])
 
 
 def gmm_loglik(p: GmmParams, data) -> float:
     """Mean log density (1/n) sum_i log p(x_i); NLL is the negation."""
     xs = as_points(data, p.d, "data")
-    return float(np.mean(_lse_rows(_log_joint(p, xs))))
+    return float(np.mean(lse_softmax(_log_joint(p, xs))[0]))
 
 
 def _kmeanspp_means(xs: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
@@ -190,12 +184,13 @@ def em_fit(
     trace: list[float] = []
     for _ in range(max_iters):
         lj = _log_joint(params, xs)
-        row_lse = _lse_rows(lj)
+        row_lse = lse_softmax(lj)[0]
         trace.append(float(np.mean(row_lse)))
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
             return params, trace
 
-        resp = np.exp(lj - row_lse[:, None])
+        # sample-major, so each component's mass sums in sample order
+        resp = np.ascontiguousarray(np.exp(lj - row_lse).T)
         mass = resp.sum(axis=0)
 
         if symmetric2:

@@ -33,11 +33,19 @@ class InfeasibleRegime(GatgmmError):
 
 
 class Diverged(GatgmmError):
-    """Training produced a non-finite gradient; ``iteration`` records where."""
+    """Training left the finite numbers at ``iteration``; ``cause`` names the
+    check that fired, one of the keys of ``CAUSES``."""
 
-    def __init__(self, iteration: int):
+    CAUSES = {
+        "disc_step": "non-finite discriminator gradient or step",
+        "gen_step": "non-finite generator gradient or step",
+        "eval_cov": "C C^T of a finite C overflows at the eval point",
+    }
+
+    def __init__(self, iteration: int, cause: str):
         self.iteration = int(iteration)
-        super().__init__(f"non-finite gradient at iteration {self.iteration}")
+        self.cause = cause
+        super().__init__(f"{self.CAUSES[cause]} in iteration {self.iteration}")
 
 
 class SingularCovariance(GatgmmError):

@@ -7,6 +7,9 @@ bit-identical sample sequence across runs and platforms.  Callers never
 share one SeededRng between independent purposes; they split child streams
 instead (data stream, latent stream, init stream, ...).
 
+:func:`lse_softmax` is the one row log-sum-exp and softmax: of the
+discriminator's two logit groups and of EM's log joint densities.
+
 :func:`as_points` is the one check of a sample-batch argument (a Dataset, a
 matrix or one point) and :func:`as_gaussian` of a (mean, covariance) pair.
 """
@@ -23,6 +26,7 @@ __all__ = [
     "SeededRng",
     "as_points",
     "as_gaussian",
+    "lse_softmax",
     "EigenDecomp",
     "symmetrize",
     "check_symmetric",
@@ -89,6 +93,22 @@ def as_gaussian(mu, cov, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
         raise InvalidInput("mean and covariance must be finite")
     return mu, symmetrize(cov)
+
+
+def lse_softmax(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-sum-exp (..., n) and softmax weights (..., k, n) over the slot
+    axis of a slot-major (..., k, n) block: n samples with k logits each.
+
+    Each sample is max-subtracted, so logits near +-800 do not overflow; a
+    -inf logit gets weight 0 and a NaN makes its sample NaN.  The reductions
+    run across the k slots as vectorized passes over the n samples, adding
+    slot after slot: for k <= 7 that is the order of numpy's row sum of the
+    sample-major (n, k) block, which turns pairwise from 8 terms on.
+    """
+    m = s.max(axis=-2, keepdims=True)
+    e = np.exp(s - m)
+    tot = e.sum(axis=-2, keepdims=True)
+    return (m + np.log(tot))[..., 0, :], e / tot
 
 
 @dataclass(frozen=True)

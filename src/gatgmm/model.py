@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput
-from .gausscore import SeededRng, as_points, symmetrize
+from .gausscore import SeededRng, as_points, lse_softmax, symmetrize
 
 __all__ = [
     "SYMMETRIC2",
@@ -233,22 +233,18 @@ def gen_second_moment(g: GeneratorParams) -> np.ndarray:
 
 
 def group_log_ratio(rows: np.ndarray, consts: np.ndarray,
-                    xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log ratio lse(num) - lse(den) of the 2k logits b_i^T x + c_i
-    and the softmax weights (n x k) of the numerator and denominator groups.
+    and the softmax weights (2, n, k) of the numerator and denominator
+    groups, from one ``lse_softmax`` over the slot-major logits of both.
 
-    Both groups are max-subtracted, and the log-sum-exps and the weights
-    share the same exponentials."""
+    The logits are one product per group and the weights come back
+    sample-major, because BLAS rounds a product by its shape and operand
+    layout: for k <= 7 every bit then matches the per-group formulas with
+    each reduction along a sample-major (n, k) block."""
     k = rows.shape[0] // 2
-    num = xs @ rows[:k].T + consts[:k]
-    den = xs @ rows[k:].T + consts[k:]
-    mn = np.max(num, axis=1, keepdims=True)
-    md = np.max(den, axis=1, keepdims=True)
-    en = np.exp(num - mn)
-    ed = np.exp(den - md)
-    sn = np.sum(en, axis=1, keepdims=True)
-    sd = np.sum(ed, axis=1, keepdims=True)
-    return (mn + np.log(sn))[:, 0] - (md + np.log(sd))[:, 0], en / sn, ed / sd
+    lse, w = lse_softmax(rows.reshape(2, k, -1) @ xs.T + consts.reshape(2, k, 1))
+    return lse[0] - lse[1], np.ascontiguousarray(w.transpose(0, 2, 1))
 
 
 def disc_value_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
@@ -265,7 +261,7 @@ def disc_grad_x_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
     """Row-wise gradient A x + sum_num q_i b_i - sum_den q_i b_i."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     k = dd.k
-    _, qn, qd = group_log_ratio(dd.logits, dd.consts, xs)
+    qn, qd = group_log_ratio(dd.logits, dd.consts, xs)[1]
     return xs @ dd.quad + qn @ dd.logits[:k] - qd @ dd.logits[k:]
 
 

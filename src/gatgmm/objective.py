@@ -91,6 +91,7 @@ __all__ = [
     "GeneratorMoments",
     "LatentMoments",
     "TiedGame",
+    "BatchGame",
     "minimax_value_and_grads",
     "disc_block_value_and_grads",
     "gen_block_grads",
@@ -335,29 +336,28 @@ class LatentMoments:
 # empirical minimax value and gradients (the GDA workhorse)
 
 
+# D has + lse(numerator) - lse(denominator); tied, + logcosh(b1'x) - logcosh(b3'x)
+_GROUP_SIGNS = np.array([[1.0], [-1.0]])
+
+
 def _logit_block(rows: np.ndarray, consts: np.ndarray, anchors: Anchors, xs: np.ndarray,
                  gx: np.ndarray, train_consts: bool):
     """Logit block of F: the mean log-ratio gap E_X - E_G, and its ascent
     gradients in the 2k rows and (when trained, else None) the constants,
     with their anchor penalties."""
-    lam, k = anchors.lam, rows.shape[0] // 2
-    n, m = xs.shape[0], gx.shape[0]
-    lr_x, qn_x, qd_x = group_log_ratio(rows, consts, xs)
-    lr_g, qn_g, qd_g = group_log_ratio(rows, consts, gx)
-    sv = anchors.slot_vectors()
-    row_grads = np.empty_like(rows)
-    row_grads[:k] = qn_x.T @ xs / n - qn_g.T @ gx / m - lam * (rows[:k] - sv[:k])
-    row_grads[k:] = -(qd_x.T @ xs / n) + qd_g.T @ gx / m - lam * (rows[k:] - sv[k:])
+    lam = anchors.lam
+    lr_x, q_x = group_log_ratio(rows, consts, xs)
+    lr_g, q_g = group_log_ratio(rows, consts, gx)
+    # per group E_X[q x] - E_G[q g], each group signed as it enters D
+    moments = (q_x.transpose(0, 2, 1) @ xs / xs.shape[0]
+               - q_g.transpose(0, 2, 1) @ gx / gx.shape[0])
+    row_grads = (_GROUP_SIGNS[:, :, None] * moments).reshape(rows.shape) \
+        - lam * (rows - anchors.slot_vectors())
     const_grads = None
     if train_consts:
-        const_grads = np.concatenate([
-            np.mean(qn_x, axis=0) - np.mean(qn_g, axis=0),
-            -np.mean(qd_x, axis=0) + np.mean(qd_g, axis=0),
-        ]) - lam * (consts - anchors.slot_consts())
+        const_grads = (_GROUP_SIGNS * (np.mean(q_x, axis=1) - np.mean(q_g, axis=1))).ravel() \
+            - lam * (consts - anchors.slot_consts())
     return float(np.mean(lr_x)) - float(np.mean(lr_g)), row_grads, const_grads
-
-
-_TIED_SIGNS = np.array([[1.0], [-1.0]])  # D has +logcosh(b1'x) - logcosh(b3'x)
 
 
 class TiedGame:
@@ -384,13 +384,13 @@ class TiedGame:
         """Ascent gradients (quad_grad, row_grads, None) of F."""
         lam = self.anchors.lam
         mom = self.xm.logcosh_grad(rows.T) - self.gm.logcosh_grad(rows.T)
-        row_grads = _TIED_SIGNS * mom.T - 2.0 * lam * (rows - self.anchors.d_vecs[0])
+        row_grads = _GROUP_SIGNS * mom.T - 2.0 * lam * (rows - self.anchors.d_vecs[0])
         return self.half_gap - lam * quad, row_grads, None
 
     def gen_grads(self, quad, rows, consts=None):
         """Descent gradients (cov_grad, means_grad) of F in the generator."""
         zt, yt_mean = self.gm.tanh_moments(rows.T)
-        signed = (_TIED_SIGNS * rows).T  # columns (b1, -b3)
+        signed = (_GROUP_SIGNS * rows).T  # columns (b1, -b3)
         cov_step = quad @ self.gm.cross + signed @ zt.T
         mean_step = quad @ self.gm.gbar + signed @ yt_mean
         return -cov_step, -mean_step[None, :]
@@ -400,6 +400,11 @@ class TiedGame:
         lc = self.xm.logcosh_expect(rows.T) - self.gm.logcosh_expect(rows.T)
         pen = float(np.sum(quad ** 2)) + 2.0 * float(np.sum((rows - self.anchors.d_vecs[0]) ** 2))
         return float(np.sum(quad * self.half_gap) + lc[0] - lc[1]) - 0.5 * self.anchors.lam * pen
+
+
+def _half_gap(sx: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """(Sx - Sg) / 2 with Sg the second moment of the generated batch gx."""
+    return symmetrize(0.5 * (sx - symmetrize(gx.T @ gx / gx.shape[0])))
 
 
 def disc_block_value_and_grads(dd: DiscriminatorParams, anchors: Anchors,
@@ -413,7 +418,7 @@ def disc_block_value_and_grads(dd: DiscriminatorParams, anchors: Anchors,
     (the batch is often fixed across iterations)."""
     if sx is None:
         sx = symmetrize(xs.T @ xs / xs.shape[0])
-    half_gap = symmetrize(0.5 * (sx - symmetrize(gx.T @ gx / gx.shape[0])))
+    half_gap = _half_gap(sx, gx)
     reg = 0.5 * anchors.lam * penalty_value(dd, anchors)  # also checks the anchor count
     gap, row_grads, const_grads = _logit_block(dd.logits, dd.consts, anchors, xs, gx,
                                                train_consts)
@@ -434,8 +439,8 @@ def gen_block_grads(g: GeneratorParams, dd: DiscriminatorParams, gx: np.ndarray,
         cov_grad = -signed.T @ z / m
     else:
         cov_grad = -s.T @ z / m
-        means_grad = np.zeros_like(g.means)
-        np.add.at(means_grad, labels, s)
+        # one masked row sum per label; each adds its rows in batch order
+        means_grad = np.stack([s[labels == i].sum(axis=0) for i in range(g.k)])
         means_grad *= -1.0 / m
     return cov_grad, means_grad
 
@@ -464,6 +469,39 @@ def minimax_value_and_grads(
     cov_grad, means_grad = gen_block_grads(g, dd, gx, z, labels)
     return value, GradPack(gen_cov_factor=cov_grad, gen_means=means_grad,
                            quad=quad_grad, logits=logit_grads, consts=const_grads)
+
+
+class BatchGame:
+    """F in every mode but tied symmetric, over the data batch of xm and the
+    batch the generator g makes from the latents (z, labels), at a
+    discriminator (quad, rows, consts) with all 2k logit rows: TiedGame's
+    methods on the generic blocks."""
+
+    def __init__(self, anchors: Anchors, g: GeneratorParams, xm: SampleMoments,
+                 z: np.ndarray, labels: np.ndarray):
+        self.anchors, self.g, self.xm = anchors, g, xm
+        self.z, self.labels = z, labels
+        self.gx = gen_apply(g, z, labels)
+        self.half_gap = _half_gap(xm.second, self.gx)
+        self.train_consts = g.mode == SHARED_COV
+
+    def disc_grads(self, quad, rows, consts):
+        """Ascent gradients (quad_grad, row_grads, const_grads) of F: those of
+        ``disc_block_value_and_grads``, without its value."""
+        _, row_grads, const_grads = _logit_block(rows, consts, self.anchors, self.xm.xs,
+                                                 self.gx, self.train_consts)
+        return self.half_gap - self.anchors.lam * quad, row_grads, const_grads
+
+    def gen_grads(self, quad, rows, consts):
+        """Descent gradients (cov_grad, means_grad) of F in the generator."""
+        dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
+        return gen_block_grads(self.g, dd, self.gx, self.z, self.labels)
+
+    def value(self, quad, rows, consts) -> float:
+        """F at the discriminator (quad, rows, consts)."""
+        dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
+        return disc_block_value_and_grads(dd, self.anchors, self.xm.xs, self.gx,
+                                          self.train_consts, sx=self.xm.second)[0]
 
 
 # ---------------------------------------------------------------------------

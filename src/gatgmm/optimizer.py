@@ -7,10 +7,10 @@ current minibatch with a fresh latent batch per round.  One loop in
 in the tied symmetric mode ``objective.TiedGame`` over the minibatch's
 ``SampleMoments`` and the latent batch's ``LatentMoments``, which never forms
 the generated batch and agrees to rounding with the generic block (the tied
-``disc_block_value_and_grads`` + ``gen_block_grads``), and the generic block
-itself otherwise.  Every mode's eval records report F at the round's
-generator and its discriminator after the round's last ascent step.  All
-randomness flows through split streams of a single Philox seed, so a
+``disc_block_value_and_grads`` + ``gen_block_grads``), and the generic block,
+``objective.BatchGame``, otherwise.  Every mode's eval records report F at the
+round's generator and its discriminator after the round's last ascent step.
+All randomness flows through split streams of a single Philox seed, so a
 (config, seed) pair replays bit-identically.
 
 The stationarity measure is the Danskin envelope gradient: solve the inner
@@ -35,23 +35,20 @@ from .errors import Diverged, InfeasibleRegime, InvalidInput, NotStronglyConcave
 from .gausscore import SeededRng, as_points, symmetrize
 from .metrics import fit_score
 from .model import (
-    SHARED_COV,
     SYMMETRIC2,
     DiscriminatorParams,
     GeneratorParams,
     draw_latents,
-    gen_apply,
     params_to_json,
 )
 from .objective import (
     Anchors,
+    BatchGame,
     LatentMoments,
     MixtureMoments,
     SampleMoments,
     TiedGame,
-    disc_block_value_and_grads,
     envelope_generator_grad,
-    gen_block_grads,
 )
 
 __all__ = [
@@ -241,7 +238,7 @@ def _eval_record(it, value, g, anchors, xs, cfg, truth, t0):
     try:
         fit = GmmParams.from_generator(g)
     except InvalidInput as exc:  # a finite C whose C C^T overflows
-        raise Diverged(it) from exc
+        raise Diverged(it, "eval_cov") from exc
     envelope = float("nan")
     if cfg.mode == SYMMETRIC2 and cfg.tied:
         try:
@@ -252,39 +249,14 @@ def _eval_record(it, value, g, anchors, xs, cfg, truth, t0):
                       gmm_objective=fit_score(truth, fit), seconds=time.perf_counter() - t0)
 
 
-class _BlockRound:
-    """Round of every mode but tied symmetric: the generated batch and the
-    generic block gradients."""
-
-    def __init__(self, anchors: Anchors, g: GeneratorParams, xm: SampleMoments, z, labels):
-        self.anchors, self.g, self.xm = anchors, g, xm
-        self.z, self.labels = z, labels
-        self.gx = gen_apply(g, z, labels)
-
-    def _disc_block(self, quad, rows, consts):
-        dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
-        return disc_block_value_and_grads(dd, self.anchors, self.xm.xs, self.gx,
-                                          self.g.mode == SHARED_COV, sx=self.xm.second)
-
-    def disc_grads(self, quad, rows, consts):
-        return self._disc_block(quad, rows, consts)[1:]
-
-    def gen_grads(self, quad, rows, consts):
-        dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
-        return gen_block_grads(self.g, dd, self.gx, self.z, self.labels)
-
-    def value(self, quad, rows, consts) -> float:
-        """Objective value at the discriminator (quad, rows, consts)."""
-        return self._disc_block(quad, rows, consts)[0]
-
-
 def train_gda(data, cfg: TrainConfig, anchors: Anchors,
               truth: GmmParams | None = None) -> TrainReport:
     """Alternating GDA on the minimax objective for max_iters rounds.
 
     Raises InvalidInput before the first round on empty or non-finite data
     and on anchors that do not fit it, and Diverged with the iteration index
-    on a non-finite gradient or step, or at an eval point where C C^T overflows.
+    and its cause: a non-finite discriminator or generator gradient or step,
+    or an eval point where C C^T overflows.
     """
     xs = as_points(data, what="training data")
     n, d = xs.shape
@@ -327,8 +299,8 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
         if tied:
             rnd = TiedGame(anchors, xm, LatentMoments(cov, means[0], z, labels))
         else:
-            rnd = _BlockRound(anchors, GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means),
-                              xm, z, labels)
+            rnd = BatchGame(anchors, GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means),
+                            xm, z, labels)
 
         for _ in range(cfg.disc_steps_per_gen_step):
             quad_grad, row_grads, const_grads = rnd.disc_grads(quad, rows, consts)
@@ -338,12 +310,12 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
                 consts = consts + cfg.lr_disc * const_grads
             # a non-finite gradient, or a step that overflows
             if not np.isfinite(np.sum(quad) + np.sum(rows) + np.sum(consts)):
-                raise Diverged(it)
+                raise Diverged(it, "disc_step")
         cov_grad, means_grad = rnd.gen_grads(quad, rows, consts)
         cov = cov - cfg.lr_gen * cov_grad
         means = means - cfg.lr_gen * means_grad
         if not np.isfinite(np.sum(cov) + np.sum(means)):  # also catches an overflowing step
-            raise Diverged(it)
+            raise Diverged(it, "gen_step")
         if cfg.project_feasible:
             t = _feasible_scale(cov, means, cfg.eta)
             if t < 1.0:

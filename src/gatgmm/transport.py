@@ -21,9 +21,9 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import linear_sum_assignment
 
-from .em import GmmParams, _log_joint, _lse_rows
+from .em import GmmParams, _log_joint
 from .errors import InvalidInput, TooLarge
-from .gausscore import SeededRng, as_points, inv_sqrtm_psd, sqrtm_psd
+from .gausscore import SeededRng, as_points, inv_sqrtm_psd, lse_softmax, sqrtm_psd
 
 __all__ = [
     "TransportPair",
@@ -80,7 +80,7 @@ class TransportPair:
 def posterior_batch(p: GmmParams, xs: np.ndarray) -> np.ndarray:
     """Bayes posterior over component labels, one row per sample."""
     lj = _log_joint(p, as_points(xs, p.d))
-    return np.exp(lj - _lse_rows(lj)[:, None])
+    return np.exp(lj - lse_softmax(lj)[0]).T
 
 
 def posterior(p: GmmParams, x: np.ndarray) -> np.ndarray:

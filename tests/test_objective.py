@@ -16,10 +16,12 @@ from gatgmm.model import (
     disc_value_batch,
     disc_vec,
     disc_with_vec,
+    draw_latents,
     gen_apply,
     gen_second_moment,
     gen_vec,
     gen_with_vec,
+    group_log_ratio,
 )
 from gatgmm.objective import (
     Anchors,
@@ -32,6 +34,7 @@ from gatgmm.objective import (
     c_transform_batch,
     disc_block_value_and_grads,
     envelope_generator_grad,
+    gen_block_grads,
     gh_expect,
     inner_max_solve,
     inner_max_solve_population,
@@ -39,7 +42,7 @@ from gatgmm.objective import (
     minimax_value_and_grads,
     c_transform_upper_bound,
 )
-from gatgmm.optimizer import stationarity_grad_norm
+from gatgmm.optimizer import TrainConfig, init_params, stationarity_grad_norm, train_gda
 
 FD_H = 1e-5
 FD_REL = 1e-6
@@ -404,6 +407,118 @@ def test_inner_max_tied_equals_untied_on_symmetric_data():
     _, untied_val = inner_max_solve(g, xs, anchors, z_eval=z_eval, labels=labels,
                                     tol=1e-11, tied=False)
     assert tied_val.total == pytest.approx(untied_val.total, abs=1e-7)
+
+
+# --- generic round against the reference formulas ----------------------------
+
+
+def _group_softmax_ref(rows, consts, xs):
+    """Reference group log ratio and softmax weights: each group's logits
+    sample-major, every reduction along axis 1."""
+    k = rows.shape[0] // 2
+    num = xs @ rows[:k].T + consts[:k]
+    den = xs @ rows[k:].T + consts[k:]
+    mn = np.max(num, axis=1, keepdims=True)
+    md = np.max(den, axis=1, keepdims=True)
+    en = np.exp(num - mn)
+    ed = np.exp(den - md)
+    sn = np.sum(en, axis=1, keepdims=True)
+    sd = np.sum(ed, axis=1, keepdims=True)
+    return (mn + np.log(sn))[:, 0] - (md + np.log(sd))[:, 0], en / sn, ed / sd
+
+
+@pytest.mark.parametrize("n", [1, 5, 640])
+@pytest.mark.parametrize("d", [1, 20, 100])
+@pytest.mark.parametrize("k", [2, 4, 7, 8])
+def test_group_log_ratio_matches_reference(k, d, n):
+    rng = np.random.default_rng(100 * k + d + n)
+    rows, consts = rng.standard_normal((2 * k, d)), rng.standard_normal(2 * k)
+    xs = rng.standard_normal((n, d))
+    lr, (qn, qd) = group_log_ratio(rows, consts, xs)
+    ref = _group_softmax_ref(rows, consts, xs)
+    assert lr.shape == (n,) and qn.shape == qd.shape == (n, k)
+    for got, want in zip((lr, qn, qd), ref):
+        if k <= 7:  # the slot sums add in the same order
+            assert np.array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def _means_grad_ref(s, labels, k):
+    """Reference means gradient: a scatter-add of the input gradients."""
+    out = np.zeros((k, s.shape[1]))
+    np.add.at(out, labels, s)
+    out *= -1.0 / s.shape[0]
+    return out
+
+
+def test_means_grad_matches_scatter_add_bitwise():
+    rng = np.random.default_rng(31)
+    d, k, m = 4, 3, 200
+    g = GeneratorParams(mode=SHARED_COV, cov_factor=0.5 * np.eye(d),
+                        means=rng.standard_normal((k, d)))
+    dd = DiscriminatorParams(quad=symmetrize(0.1 * rng.standard_normal((d, d))),
+                             logits=0.3 * rng.standard_normal((2 * k, d)),
+                             consts=0.2 * rng.standard_normal(2 * k))
+    z = rng.standard_normal((m, d))
+    for labels in (rng.integers(0, k, size=m), 2 * rng.integers(0, 2, size=m)):
+        gx = gen_apply(g, z, labels)
+        cov_grad, means_grad = gen_block_grads(g, dd, gx, z, labels)
+        s = disc_grad_x_batch(dd, gx)
+        assert np.array_equal(means_grad, _means_grad_ref(s, labels, k))
+        assert np.array_equal(cov_grad, -s.T @ z / m)
+    assert not np.any(means_grad[1])  # label 1 is absent from the second batch
+
+
+def _train_shared_cov_ref(xs, cfg, anchors):
+    """train_gda's full-batch shared-covariance loop (one discriminator step
+    per round) written with the reference group softmax and scatter-add; the
+    final (cov_factor, means, quad, logits, consts)."""
+    n, d = xs.shape
+    k, lam = cfg.k, anchors.lam
+    root = SeededRng(cfg.seed)
+    g, dd = init_params(d, SHARED_COV, cfg.sigma_init, root.split(1), k=k, tied=False)
+    z_rng = root.split(2)
+    sv, se = anchors.slot_vectors(), anchors.slot_consts()
+    sx = symmetrize(xs.T @ xs / n)
+    cov, means, quad, rows, consts = g.cov_factor, g.means, dd.quad, dd.logits, dd.consts
+    for _ in range(cfg.max_iters):
+        z, labels = draw_latents(g, n, z_rng)
+        gx = z @ cov.T + means[labels]
+        half_gap = symmetrize(0.5 * (sx - symmetrize(gx.T @ gx / n)))
+        _, qn_x, qd_x = _group_softmax_ref(rows, consts, xs)
+        _, qn_g, qd_g = _group_softmax_ref(rows, consts, gx)
+        row_grads = np.empty_like(rows)
+        row_grads[:k] = qn_x.T @ xs / n - qn_g.T @ gx / n - lam * (rows[:k] - sv[:k])
+        row_grads[k:] = -(qd_x.T @ xs / n) + qd_g.T @ gx / n - lam * (rows[k:] - sv[k:])
+        const_grads = np.concatenate([
+            np.mean(qn_x, axis=0) - np.mean(qn_g, axis=0),
+            -np.mean(qd_x, axis=0) + np.mean(qd_g, axis=0),
+        ]) - lam * (consts - se)
+        quad = symmetrize(quad + cfg.lr_disc * (half_gap - lam * quad))
+        rows = rows + cfg.lr_disc * row_grads
+        consts = consts + cfg.lr_disc * const_grads
+        _, qn, qd = _group_softmax_ref(rows, consts, gx)
+        s = gx @ quad + qn @ rows[:k] - qd @ rows[k:]
+        cov = cov - cfg.lr_gen * (-s.T @ z / n)
+        means = means - cfg.lr_gen * _means_grad_ref(s, labels, k)
+    return cov, means, quad, rows, consts
+
+
+def test_shared_cov_training_matches_reference_loop():
+    rng = np.random.default_rng(32)
+    d, k = 5, 3
+    centers = 2.0 * rng.standard_normal((k, d))
+    xs = centers[rng.integers(0, k, size=90)] + 0.3 * rng.standard_normal((90, d))
+    anchors = Anchors(d_vecs=0.3 * rng.standard_normal((k, d)),
+                      e_consts=0.1 * rng.standard_normal(k), lam=0.5)
+    cfg = TrainConfig(max_iters=50, lr_gen=2e-2, lr_disc=1e-1, lam=0.5, sigma_init=0.1,
+                      mode=SHARED_COV, k=k, tied=False, seed=5, eval_every=50)
+    rep = train_gda(xs, cfg, anchors)
+    got = (rep.final_gen.cov_factor, rep.final_gen.means, rep.final_disc.quad,
+           rep.final_disc.logits, rep.final_disc.consts)
+    for a, b in zip(got, _train_shared_cov_ref(xs, cfg, anchors)):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def _log_ratio_ref(rows, consts, xs):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -373,15 +375,19 @@ def test_train_rejects_nonfinite_data():
 @pytest.mark.parametrize("lr", [1e7, 1e300])
 @pytest.mark.parametrize("mode", ["symmetric2", "shared_cov"])
 def test_runaway_steps_raise_diverged(lr, mode):
-    # at lr = 1e300 a finite gradient step overflows the parameters themselves
+    # at lr = 1e7 every gradient and step stays finite until C C^T overflows
+    # at an eval point; at lr = 1e300 the first generator step overflows the
+    # parameters themselves
+    cause = {1e7: "eval_cov", 1e300: "gen_step"}[lr]
     rng = np.random.default_rng(10)
     xs = rng.standard_normal((32, 3)) + np.array([2.0, 0.0, 0.0])
     xs[::2] *= -1.0
     cfg = TrainConfig(max_iters=50, eval_every=1, lr_gen=lr, lr_disc=lr, lam=0.5,
                       sigma_init=0.1, mode=mode, tied=mode == "symmetric2")
     anchors = Anchors.symmetric(np.array([1.0, 0.0, 0.0]), lam=0.5)
-    with pytest.raises(Diverged):
+    with pytest.raises(Diverged, match=re.escape(Diverged.CAUSES[cause])) as info:
         train_gda(xs, cfg, anchors)
+    assert info.value.cause == cause
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -394,5 +400,6 @@ def test_overflowing_discriminator_step_raises_diverged(mode):
     xs[::2] *= -1.0
     cfg = TrainConfig(max_iters=50, eval_every=1, lr_gen=1e-3, lr_disc=1e308, lam=0.5,
                       sigma_init=0.1, mode=mode, tied=mode == "symmetric2")
-    with pytest.raises(Diverged):
+    with pytest.raises(Diverged, match=re.escape(Diverged.CAUSES["disc_step"])) as info:
         train_gda(xs, cfg, Anchors.symmetric(np.array([1.0, 0.0, 0.0]), lam=0.5))
+    assert (info.value.cause, info.value.iteration) == ("disc_step", 1)
