@@ -1,6 +1,9 @@
 """Experiment harness: dataset generation, training, evaluation, comparison,
 separability checks, and a verification battery, all seeded and scriptable.
 
+Each flag's argparse dest is the config key it overrides.  A run of either
+method makes its fit, and one writer puts its report.json, params.json,
+metrics.csv, timing.json and scatter SVGs in the output directory.
 Exit codes: 0 success, 2 configuration error (a bad input, or an output that
 cannot be written), 3 numerical failure.
 ``sweep`` runs a list of configs in parallel worker processes, capped by the
@@ -13,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -65,33 +69,19 @@ def _check_fields(cfg: dict) -> dict:
     return cfg
 
 
+# the config keys the flags set: each flag's dest is its key, and an unset flag is None
+_RUN_KEYS = ("dataset", "method", "seed", "out", "holdout")
+_TRAIN_KEYS = ("lam", "lr_gen", "lr_disc", "disc_steps_per_gen_step", "max_iters", "batch_size")
+
+
 def _merged_config(args) -> dict:
     """Config file first, command-line flags override."""
-    cfg = _load_config(getattr(args, "config", None))
-    overrides = {
-        "dataset": getattr(args, "dataset", None),
-        "method": getattr(args, "method", None),
-        "seed": getattr(args, "seed", None),
-        "out": getattr(args, "out", None),
-        "holdout": getattr(args, "holdout", None) or None,
-    }
-    train_overrides = {
-        "lam": getattr(args, "lam", None),
-        "lr_gen": getattr(args, "lr_gen", None),
-        "lr_disc": getattr(args, "lr_disc", None),
-        "disc_steps_per_gen_step": getattr(args, "disc_steps", None),
-        "max_iters": getattr(args, "iters", None),
-        "batch_size": getattr(args, "batch", None),
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
+    flags = {key: val for key, val in vars(args).items() if val is not None}
+    cfg = _load_config(args.config)
+    cfg.update((key, flags[key]) for key in _RUN_KEYS if key in flags)
     _check_fields(cfg)
-    train = dict(_object(cfg.get("train", {}), "train"))
-    for key, val in train_overrides.items():
-        if val is not None:
-            train[key] = val
-    cfg["train"] = train
+    cfg["train"] = dict(_object(cfg.get("train", {}), "train"))
+    cfg["train"].update((key, flags[key]) for key in _TRAIN_KEYS if key in flags)
     return cfg
 
 
@@ -166,14 +156,6 @@ def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def _write_metrics_csv(path: Path, records) -> None:
-    with open(path, "w") as fh:
-        fh.write("iter,objective,grad_norm,gmm_objective,seconds\n")
-        for r in records:
-            fh.write("%d,%.17g,%.17g,%.17g,%.6f\n"
-                     % (r.iteration, r.objective, r.grad_norm, r.gmm_objective, r.seconds))
 
 
 def _scatter_svg(path: Path, groups, title: str) -> None:
@@ -270,48 +252,42 @@ def _run_experiment(cfg: dict) -> dict:
         tcfg = optimizer.TrainConfig(**train_fields)
     except TypeError as exc:  # a field name TrainConfig does not have
         raise InvalidInput(f"bad train config: {exc}") from exc
-    truth = ds.meta.truth if ds.meta is not None else None
     nll_xs = _nll_samples(cfg, ds)
+    n_shown, shown_rng = min(500, ds.n), SeededRng(seed, 7)
 
+    # each method makes its fit, report body, params, metrics.csv text,
+    # wall-clock seconds and model samples; one tail scores and writes them
     if method == "em":
+        t0 = time.perf_counter()
         fit, trace = em.em_fit(ds.samples, k=max(tcfg.k, 2),
                                symmetric2=(tcfg.mode == model.SYMMETRIC2),
                                shared_cov=True, seed=seed)
-        rec = _metrics_record(ds, fit, nll_xs)
-        report = {
-            "method": "em",
-            "loglik_trace": trace,
-            "final_params": fit.to_json(),
-            "metrics": rec.to_json(),
-        }
-        _write_json(outdir / "report.json", report)
-        _write_json(outdir / "params.json", fit.to_json())
-        with open(outdir / "metrics.csv", "w") as fh:
-            fh.write("iter,loglik\n")
-            for i, v in enumerate(trace):
-                fh.write("%d,%.17g\n" % (i, v))
-        model_samples = transport.sample_mixture(fit, min(500, ds.n), SeededRng(seed, 7))[0]
-        _scatter_outputs(outdir, ds, model_samples)
-        return {"method": "em", "metrics": rec, "out": str(outdir)}
-
-    if method != "gatgmm":
+        seconds = time.perf_counter() - t0
+        params = fit.to_json()
+        report = {"loglik_trace": trace, "final_params": params}
+        rows = ["iter,loglik"] + ["%d,%.17g" % (i, v) for i, v in enumerate(trace)]
+        model_samples = transport.sample_mixture(fit, n_shown, shown_rng)[0]
+    elif method == "gatgmm":
+        run = optimizer.train_gda(ds, tcfg, _make_anchors(cfg, ds, tcfg),
+                                  truth=ds.meta.truth if ds.meta is not None else None)
+        g, seconds = run.final_gen, run.wall_clock_seconds
+        fit = em.GmmParams.from_generator(g)
+        report = run.to_json()
+        params = model.params_to_json(g, run.final_disc)
+        rows = ["iter,objective,grad_norm,gmm_objective,seconds"] + [
+            "%d,%.17g,%.17g,%.17g,%.6f" % (r.iteration, r.objective, r.grad_norm,
+                                           r.gmm_objective, r.seconds) for r in run.iterates]
+        model_samples = model.gen_sample_batch(g, n_shown, shown_rng)
+    else:
         raise InvalidInput(f"unknown method {method!r}")
 
-    anchors = _make_anchors(cfg, ds, tcfg)
-    report = optimizer.train_gda(ds, tcfg, anchors, truth=truth)
-    g = report.final_gen
-    rec = _metrics_record(ds, em.GmmParams.from_generator(g), nll_xs)
-
-    out = report.to_json()
-    out["method"] = "gatgmm"
-    out["metrics"] = rec.to_json()
-    _write_json(outdir / "report.json", out)
-    _write_json(outdir / "params.json", model.params_to_json(g, report.final_disc))
-    _write_json(outdir / "timing.json", {"wall_clock_seconds": report.wall_clock_seconds})
-    _write_metrics_csv(outdir / "metrics.csv", report.iterates)
-    model_samples = model.gen_sample_batch(g, min(500, ds.n), SeededRng(seed, 7))
+    rec = _metrics_record(ds, fit, nll_xs)
+    _write_json(outdir / "report.json", report | {"method": method, "metrics": rec.to_json()})
+    _write_json(outdir / "params.json", params)
+    _write_json(outdir / "timing.json", {"wall_clock_seconds": seconds})
+    (outdir / "metrics.csv").write_text("".join(row + "\n" for row in rows))
     _scatter_outputs(outdir, ds, model_samples)
-    return {"method": "gatgmm", "metrics": rec, "out": str(outdir)}
+    return {"method": method, "metrics": rec, "out": str(outdir)}
 
 
 def _cmd_train(args) -> int:
@@ -343,18 +319,12 @@ def _cmd_compare(args) -> int:
     cfg = _merged_config(args)
     outdir = Path(cfg.get("out", "runs/compare"))
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows = ["method,gmm_objective,nll"]
     for method in ("gatgmm", "em"):
-        sub = dict(cfg)
-        sub["method"] = method
-        sub["out"] = str(outdir / method)
-        res = _run_experiment(sub)
-        rows.append((method, res["metrics"]))
+        rec = _run_experiment(cfg | {"method": method, "out": str(outdir / method)})["metrics"]
+        rows.append("%s,%.17g,%.17g" % (method, rec.gmm_objective, rec.nll))
     table = outdir / "compare.csv"
-    with open(table, "w") as fh:
-        fh.write("method,gmm_objective,nll\n")
-        for name, rec in rows:
-            fh.write("%s,%.17g,%.17g\n" % (name, rec.gmm_objective, rec.nll))
+    table.write_text("".join(row + "\n" for row in rows))
     print(table.read_text().strip())
     return 0
 
@@ -541,10 +511,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, help="regularization weight")
     p.add_argument("--lr-gen", type=float)
     p.add_argument("--lr-disc", type=float)
-    p.add_argument("--disc-steps", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--holdout", action="store_true",
+    p.add_argument("--disc-steps", dest="disc_steps_per_gen_step", type=int)
+    p.add_argument("--iters", dest="max_iters", type=int)
+    p.add_argument("--batch", dest="batch_size", type=int)
+    p.add_argument("--holdout", action="store_true", default=None,
                    help="evaluate NLL on a fresh sample instead of the training set")
 
 

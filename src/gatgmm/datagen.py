@@ -17,7 +17,7 @@ import numpy as np
 
 from .em import GmmParams
 from .errors import InvalidInput, ParseError
-from .gausscore import SeededRng, as_points, random_orthogonal, sqrtm_psd, symmetrize
+from .gausscore import SeededRng, as_count, as_points, random_orthogonal, sqrtm_psd, symmetrize
 from .model import SHARED_COV, SYMMETRIC2, GeneratorParams, draw_latents, gen_apply
 
 __all__ = [
@@ -87,8 +87,7 @@ def _symmetric_draw(truth: GmmParams, factor: np.ndarray, n: int,
 def make_isotropic(d: int = 20, n: int = 640, scale: float = 0.03,
                    seed: int = 0) -> Dataset:
     """Symmetric two-component mixture with all-ones mean and scale * I covariance."""
-    if d < 1 or n < 1:
-        raise InvalidInput("d and n must be >= 1")
+    d, n = as_count(d, "d"), as_count(n, "n")
     mu = np.ones(d)
     cov = scale * np.eye(d)
     truth = GmmParams.symmetric2(mu, cov)
@@ -102,8 +101,7 @@ def make_isotropic(d: int = 20, n: int = 640, scale: float = 0.03,
 def make_rotated(d: int = 100, n: int = 640, seed: int = 0) -> Dataset:
     """Symmetric two-component mixture with a randomly rotated covariance:
     eigenvalues uniform on (1/(2d), 1/2) in a Haar-random eigenbasis."""
-    if d < 1 or n < 1:
-        raise InvalidInput("d and n must be >= 1")
+    d, n = as_count(d, "d"), as_count(n, "n")
     rng = SeededRng(seed)
     eigs = rng.split(1).gen.uniform(1.0 / (2 * d), 0.5, size=d)
     q = random_orthogonal(d, rng.split(2))
@@ -118,8 +116,7 @@ def make_rotated(d: int = 100, n: int = 640, seed: int = 0) -> Dataset:
 def make_k_mixture(d: int, k: int, means: np.ndarray, cov: np.ndarray,
                    n: int, seed: int = 0) -> Dataset:
     """Uniform-weight shared-covariance k-component mixture."""
-    if k < 2:
-        raise InvalidInput("k must be >= 2")
+    d, n, k = as_count(d, "d"), as_count(n, "n"), as_count(k, "k", 2)
     means = np.atleast_2d(np.asarray(means, dtype=np.float64))
     if means.shape != (k, d):
         raise InvalidInput(f"means must be ({k}, {d})")

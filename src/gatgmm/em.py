@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InvalidInput, SingularCovariance
-from .gausscore import SeededRng, as_gaussian, as_points, lse_softmax, symmetrize
+from .gausscore import SeededRng, as_count, as_gaussian, as_points, lse_softmax, symmetrize
 from .model import SYMMETRIC2
 
 __all__ = ["GmmParams", "em_fit", "gmm_loglik"]
@@ -159,6 +159,7 @@ def em_fit(
     """
     xs = as_points(data, what="data")
     n, d = xs.shape
+    k, max_iters = as_count(k, "k"), as_count(max_iters, "max_iters", 0)
     if n < k:
         raise InvalidInput(f"need at least k={k} samples, got {n}")
     if symmetric2 and k != 2:

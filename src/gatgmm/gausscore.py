@@ -11,12 +11,14 @@ instead (data stream, latent stream, init stream, ...).
 discriminator's two logit groups and of EM's log joint densities.
 
 :func:`as_points` is the one check of a sample-batch argument (a Dataset, a
-matrix or one point) and :func:`as_gaussian` of a (mean, covariance) pair.
+matrix or one point), :func:`as_gaussian` of a (mean, covariance) pair and
+:func:`as_count` of a count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -26,6 +28,7 @@ __all__ = [
     "SeededRng",
     "as_points",
     "as_gaussian",
+    "as_count",
     "lse_softmax",
     "EigenDecomp",
     "symmetrize",
@@ -93,6 +96,14 @@ def as_gaussian(mu, cov, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
         raise InvalidInput("mean and covariance must be finite")
     return mu, symmetrize(cov)
+
+
+def as_count(n, what: str, least: int = 1) -> int:
+    """An integer n >= least as an int (a bool is not a count); anything else
+    raises InvalidInput."""
+    if isinstance(n, bool) or not (isinstance(n, Integral) and n >= least):
+        raise InvalidInput(f"{what} must be an integer >= {least}, got {n!r}")
+    return int(n)
 
 
 def lse_softmax(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

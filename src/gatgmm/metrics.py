@@ -122,7 +122,7 @@ def gmm_objective_orthant(truth: GmmParams, samples: np.ndarray,
     mu, cov = _symmetric2_parts(truth)
     d = truth.d
     xs = as_points(samples, d)
-    split_dir = np.asarray(split_dir, dtype=np.float64).ravel()
+    split_dir = as_points(split_dir, d, "split direction").ravel()
     if split_dir.shape != (d,) or np.linalg.norm(split_dir) == 0:
         raise InvalidInput(f"split direction must be a nonzero vector of length {d}")
     proj = xs @ split_dir
@@ -141,7 +141,7 @@ def gmm_objective_orthant(truth: GmmParams, samples: np.ndarray,
 def condition1_check(mu, cov, direction) -> tuple[bool, float]:
     """Separability margin |mu . d| - 2 d' cov d - sqrt(d' cov d) along d."""
     mu, cov = as_gaussian(mu, cov)
-    direction = np.asarray(direction, dtype=np.float64).ravel()
+    direction = as_points(direction, mu.size, "direction").ravel()
     if direction.shape != mu.shape or np.linalg.norm(direction) == 0:
         raise InvalidInput(f"direction must be a nonzero vector of length {mu.size}")
     var = float(direction @ cov @ direction)

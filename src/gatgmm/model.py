@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput
-from .gausscore import SeededRng, as_points, lse_softmax, symmetrize
+from .gausscore import SeededRng, as_count, as_points, lse_softmax, symmetrize
 
 __all__ = [
     "SYMMETRIC2",
@@ -213,9 +213,7 @@ def gen_forward(g: GeneratorParams, z: np.ndarray, y) -> np.ndarray:
 
 
 def gen_sample_batch(g: GeneratorParams, n: int, rng: SeededRng) -> np.ndarray:
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
-    z, labels = draw_latents(g, n, rng)
+    z, labels = draw_latents(g, as_count(n, "n"), rng)
     return gen_apply(g, z, labels)
 
 

@@ -61,12 +61,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .errors import InvalidInput, NotCConcave, NotStronglyConcave
-from .gausscore import as_gaussian, as_points, symmetrize
+from .gausscore import as_count, as_gaussian, as_points, symmetrize
 from .model import (
     SHARED_COV,
     SYMMETRIC2,
@@ -531,8 +531,7 @@ def _ascend(grad, x: np.ndarray, step, tol: float, max_iters: int,
     steps do not get there."""
     if not (isinstance(tol, Real) and tol > 0):
         raise InvalidInput(f"tol must be > 0, got {tol!r}")
-    if isinstance(max_iters, bool) or not (isinstance(max_iters, Integral) and max_iters >= 1):
-        raise InvalidInput(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    as_count(max_iters, "max_iters")
     matrix = np.ndim(step) == 2
     for it in range(max_iters):
         g = grad(x)

@@ -154,10 +154,12 @@ class TrainConfig:
             is_bool = isinstance(val, _FIELD_KINDS["bool"])
             if is_bool != (kind == "bool") or not isinstance(val, _FIELD_KINDS[kind]):
                 raise InvalidInput(f"{f.name} must be {f.type}, got {val!r}")
+            if kind == "float" and not -np.inf < val < np.inf:  # nan fails every comparison
+                raise InvalidInput(f"{f.name} must be finite, got {val!r}")
         if self.lr_gen < 0 or self.lr_disc < 0:
             raise InvalidInput("learning rates must be >= 0")
-        if self.batch_size < 0 or self.max_iters < 0:
-            raise InvalidInput("sizes must be nonnegative")
+        if min(self.batch_size, self.latent_batch, self.max_iters, self.antithetic_from or 0) < 0:
+            raise InvalidInput("sizes and antithetic_from must be nonnegative")
         if self.disc_steps_per_gen_step < 1:
             raise InvalidInput("disc_steps_per_gen_step must be >= 1")
         if self.k < 2:
@@ -254,7 +256,7 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     """Alternating GDA on the minimax objective for max_iters rounds.
 
     Raises InvalidInput before the first round on empty or non-finite data
-    and on anchors that do not fit it, and Diverged with the iteration index
+    and on anchors that do not fit it or whose lam is not cfg.lam, and Diverged with the iteration index
     and its cause: a non-finite discriminator or generator gradient or step,
     or an eval point where C C^T overflows.
     """
@@ -271,6 +273,8 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     if anchors.d != d or anchors.k != g.k:
         raise InvalidInput(f"anchors hold {anchors.k} vectors of dimension {anchors.d}; "
                            f"training needs {g.k} of dimension {d}")
+    if anchors.lam != cfg.lam:  # the games read the anchors' lam
+        raise InvalidInput(f"anchors have lam={anchors.lam}, the config lam={cfg.lam}")
 
     if cfg.max_iters == 0:
         return TrainReport(

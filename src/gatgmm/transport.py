@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -23,7 +22,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .em import GmmParams, _log_joint
 from .errors import InvalidInput, TooLarge
-from .gausscore import SeededRng, as_points, inv_sqrtm_psd, lse_softmax, sqrtm_psd
+from .gausscore import (SeededRng, as_count, as_points, inv_sqrtm_psd, lse_softmax,
+                        sqrtm_psd)
 
 __all__ = [
     "TransportPair",
@@ -113,8 +113,9 @@ def psi_map(tp: TransportPair, x: np.ndarray) -> np.ndarray:
 
 def sample_mixture(p: GmmParams, n: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
     """Draw n labeled samples from the mixture; returns (points, labels)."""
-    labels = rng.gen.choice(p.k, size=int(n), p=p.weights)
-    z = rng.gen.standard_normal((int(n), p.d))
+    n = as_count(n, "n")
+    labels = rng.gen.choice(p.k, size=n, p=p.weights)
+    z = rng.gen.standard_normal((n, p.d))
     # one n x d product per component, kept on that component's rows; a
     # gather of per-draw factors would build an n x d x d array
     shift = z @ sqrtm_psd(p.covs[0]).T
@@ -125,9 +126,7 @@ def sample_mixture(p: GmmParams, n: int, rng: SeededRng) -> tuple[np.ndarray, np
 
 def bayes_error(p: GmmParams, n_mc: int, rng: SeededRng) -> float:
     """Monte Carlo misclassification rate of the posterior argmax classifier."""
-    if isinstance(n_mc, bool) or not (isinstance(n_mc, Integral) and n_mc >= 1):
-        raise InvalidInput(f"n_mc must be an integer >= 1, got {n_mc!r}")
-    xs, labels = sample_mixture(p, n_mc, rng)
+    xs, labels = sample_mixture(p, as_count(n_mc, "n_mc"), rng)
     predicted = np.argmax(posterior_batch(p, xs), axis=1)
     return float(np.mean(predicted != labels))
 
@@ -248,15 +247,16 @@ def duality_gap_1d(
     maximum (:func:`_grid_c_transform`), and both sides of the weak-duality
     inequality are then estimated on n_pairs fresh samples per measure; the
     Bayes error and the bound's moments use n_mc draws of the source.
-    Non-finite or nonpositive scales, pad <= 0, n_pairs < 1, n_mc < 1 and
-    grid_points < 2 raise InvalidInput.
+    Non-finite or nonpositive scales, pad <= 0, an n_pairs or n_mc that is
+    not an integer >= 1 and a grid_points that is not one >= 2 raise
+    InvalidInput.
     """
     if not all(np.isfinite(v) for v in (mu_src, sigma_src, mu_tgt, sigma_tgt, pad)):
         raise InvalidInput("means, scales and pad must be finite")
     if min(sigma_src, sigma_tgt) <= 0.0 or pad <= 0.0:
         raise InvalidInput("scales and pad must be positive")
-    if n_pairs < 1 or n_mc < 1 or grid_points < 2:
-        raise InvalidInput("n_pairs and n_mc must be >= 1 and grid_points >= 2")
+    n_pairs, n_mc = as_count(n_pairs, "n_pairs"), as_count(n_mc, "n_mc")
+    grid_points = as_count(grid_points, "grid_points", 2)
     source = GmmParams.symmetric2(np.array([mu_src]), np.array([[sigma_src ** 2]]))
     target = GmmParams.symmetric2(np.array([mu_tgt]), np.array([[sigma_tgt ** 2]]))
     tp = TransportPair.build(source, target)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gatgmm.datagen import Dataset
+from gatgmm.datagen import Dataset, make_isotropic
 from gatgmm.em import GmmParams, em_fit, gmm_loglik
 from gatgmm.errors import GatgmmError, InvalidInput
 from gatgmm.gausscore import SeededRng
@@ -27,6 +27,7 @@ from gatgmm.model import (
     disc_grad_x,
     disc_value,
     disc_value_batch,
+    gen_sample_batch,
 )
 from gatgmm.objective import (
     Anchors,
@@ -41,10 +42,12 @@ from gatgmm.optimizer import TrainConfig, stationarity_grad_norm, train_gda
 from gatgmm.transport import (
     TransportPair,
     bayes_error,
+    duality_gap_1d,
     posterior,
     posterior_batch,
     psi_map,
     psi_map_batch,
+    sample_mixture,
     w2_1d_exact,
     w2_assignment_exact,
 )
@@ -60,6 +63,7 @@ ANCHORS = Anchors.symmetric(np.array([1.0, 0.0]), lam=50.0)
 Z = np.random.default_rng(0).standard_normal((6, D))
 LABELS = np.array([1, -1, 1, -1, 1, -1])
 NAN_Z = np.where(np.eye(6, D, dtype=bool), np.nan, Z)
+XS = np.random.default_rng(1).standard_normal((40, D)) + 1.0
 
 # every public entry that takes a sample batch or one point, with it as the argument
 ENTRIES = {
@@ -72,7 +76,7 @@ ENTRIES = {
     "c_transform_upper_bound": lambda xs: c_transform_upper_bound(CRITIC, ANCHORS, xs, 0.9),
     "minimax_value_and_grads": lambda xs: minimax_value_and_grads(GEN, CRITIC, ANCHORS, xs, Z,
                                                                   LABELS),
-    "train_gda": lambda xs: train_gda(xs, TrainConfig(max_iters=1), ANCHORS),
+    "train_gda": lambda xs: train_gda(xs, TrainConfig(max_iters=1, lam=50.0), ANCHORS),
     "stationarity_grad_norm": lambda xs: stationarity_grad_norm(GEN, xs, ANCHORS),
     "gmm_objective_orthant": lambda xs: gmm_objective_orthant(TRUTH, xs, np.array([1.0, 0.0])),
     "principal_direction": principal_direction,
@@ -144,6 +148,21 @@ CASES = {
         GEN, CRITIC, ANCHORS, np.ones((5, D)), NAN_Z, LABELS),
     "inner_max_solve nan latents": lambda: inner_max_solve(GEN, np.ones((5, D)), ANCHORS,
                                                            z_eval=NAN_Z, labels=LABELS),
+    "em_fit k 0": lambda: em_fit(XS, 0),
+    "em_fit k -1": lambda: em_fit(XS, -1),
+    "em_fit k 2.5": lambda: em_fit(XS, 2.5),
+    "em_fit max_iters 2.5": lambda: em_fit(XS, 2, max_iters=2.5),
+    "sample_mixture n -1": lambda: sample_mixture(TRUTH, -1, SeededRng(0)),
+    "duality_gap_1d n_pairs 2.5": lambda: duality_gap_1d(2.0, 1.0, 2.3, 0.8, n_pairs=2.5),
+    "duality_gap_1d grid_points 2.5": lambda: duality_gap_1d(2.0, 1.0, 2.3, 0.8,
+                                                             grid_points=2.5),
+    "make_isotropic d 2.5": lambda: make_isotropic(d=2.5),
+    "make_isotropic n 2.5": lambda: make_isotropic(n=2.5),
+    "gen_sample_batch n 2.5": lambda: gen_sample_batch(GEN, 2.5, SeededRng(0)),
+    "condition1 nan direction": lambda: condition1_check(np.ones(2), np.eye(2), [np.nan, 1.0]),
+    "gmm_objective_orthant inf direction": lambda: gmm_objective_orthant(TRUTH, XS,
+                                                                         [np.inf, 0.0]),
+    "train_gda lam mismatch": lambda: train_gda(XS, TrainConfig(max_iters=1), ANCHORS),
 }
 
 

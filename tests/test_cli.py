@@ -73,6 +73,7 @@ def test_train_em_outputs(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["method"] == "em"
+    assert json.loads((out / "timing.json").read_text())["wall_clock_seconds"] > 0.0
     trace = report["loglik_trace"]
     assert all(b - a >= -1e-9 for a, b in zip(trace, trace[1:]))
 
@@ -175,11 +176,12 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
     (_D2 | {"taken": "a file"}, ["train", "--config", "@c.json", "--method", "em",
                                  "--out", "@taken"], {}),
     (_D2 | {"taken": "a file"}, ["gen-data", "--config", "@c.json", "--out", "@taken"], {}),
+    (_D2, ["train", "--config", "@c.json", "--lr-gen", "nan", "--out", "@run"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
         "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory",
         "params-nan-mean", "params-nan-weight", "train-out-is-a-file",
-        "gen-data-out-is-a-file"])
+        "gen-data-out-is-a-file", "lr-gen-nan"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():  # a name ending in "/" is a directory
         if name.endswith("/"):
@@ -243,6 +245,61 @@ def test_holdout_redraws_the_file_dataset_recipe(tmp_path):
     holdout = make_isotropic(d=3, n=40, scale=0.5, seed=3 + 104729)
     nll = json.loads((out / "report.json").read_text())["metrics"]["nll"]
     assert nll == -gmm_loglik(fit, holdout.samples)
+
+
+@pytest.mark.parametrize("dataset, params", [
+    ("rotated", {"d": 3, "n": 40}),
+    ("kmix", {"d": 4, "n": 40}),
+])
+def test_holdout_redraws_rotated_and_kmix(tmp_path, dataset, params):
+    cfg = {"dataset": dataset, "dataset_params": params}
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(_cfg(tmp_path, cfg)), "--method", "em", "--seed", "3",
+                "--holdout", "--out", str(out)]) == 0
+    fit = GmmParams.from_json(json.loads((out / "params.json").read_text()))
+    holdout = cli._resolve_dataset(cfg | {"seed": 3 + 104729})
+    nll = json.loads((out / "report.json").read_text())["metrics"]["nll"]
+    assert nll == -gmm_loglik(fit, holdout.samples)
+
+
+# a config that sets every key a flag can set; no flag given leaves it as it is
+_FLAG_CONFIG = {"dataset": "isotropic", "method": "gatgmm", "seed": 5, "out": "a",
+                "holdout": False,
+                "train": {"lam": 1.0, "lr_gen": 0.1, "lr_disc": 0.2,
+                          "disc_steps_per_gen_step": 2, "max_iters": 7, "batch_size": 8}}
+
+
+def _merged(tmp_path, flags, config=_FLAG_CONFIG):
+    argv = ["train", "--config", str(_cfg(tmp_path, config)), *flags]
+    return cli._merged_config(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("config", [_FLAG_CONFIG, _FLAG_CONFIG | {"holdout": True}])
+def test_unset_flags_keep_the_config(tmp_path, config):
+    assert _merged(tmp_path, [], config) == config
+
+
+_OVERRIDES = [  # flags, whether the key is a train key, the key, its new value
+    (["--dataset", "kmix"], False, "dataset", "kmix"),
+    (["--method", "em"], False, "method", "em"),
+    (["--seed", "0"], False, "seed", 0),
+    (["--out", "b"], False, "out", "b"),
+    (["--holdout"], False, "holdout", True),
+    (["--lambda", "3.5"], True, "lam", 3.5),
+    (["--lr-gen", "0.5"], True, "lr_gen", 0.5),
+    (["--lr-disc", "0.25"], True, "lr_disc", 0.25),
+    (["--disc-steps", "4"], True, "disc_steps_per_gen_step", 4),
+    (["--iters", "9"], True, "max_iters", 9),
+    (["--batch", "16"], True, "batch_size", 16),
+]
+
+
+@pytest.mark.parametrize("flags, train, key, value", _OVERRIDES,
+                         ids=[flags[0] for flags, *_ in _OVERRIDES])
+def test_flag_overrides_its_config_key(tmp_path, flags, train, key, value):
+    want = json.loads(json.dumps(_FLAG_CONFIG))
+    (want["train"] if train else want)[key] = value
+    assert _merged(tmp_path, flags) == want
 
 
 _RIGHT = {

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gatgmm import em
 from gatgmm.em import GmmParams, em_fit, gmm_loglik
 from gatgmm.errors import InvalidInput
 from gatgmm.gausscore import SeededRng
@@ -120,3 +121,39 @@ def test_em_deterministic():
     p2, t2 = em_fit(xs, k=2, seed=9)
     assert np.array_equal(p1.means, p2.means)
     assert t1 == t2
+
+
+def _two_blobs(n=60, seed=3):
+    rng = np.random.default_rng(seed)
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return signs[:, None] * np.array([2.0, 0.0]) + rng.standard_normal((n, 2))
+
+
+def test_em_stops_at_max_iters_with_the_fit_loglik_last():
+    xs = _two_blobs()
+    p, trace = em_fit(xs, k=2, max_iters=3, tol=0.0, seed=0)
+    assert len(trace) == 3 + 1
+    assert trace[-1] == gmm_loglik(p, xs)
+
+
+@pytest.mark.parametrize("shared_cov", [False, True])
+def test_em_reseeds_a_collapsed_component(monkeypatch, caplog, shared_cov):
+    init = em._kmeanspp_means
+
+    def one_far_center(xs, k, rng):  # the last center is far from every point
+        return np.concatenate([init(xs, k - 1, rng), np.full((1, xs.shape[1]), 1e3)])
+
+    monkeypatch.setattr(em, "_kmeanspp_means", one_far_center)
+    xs = _two_blobs()
+    p, trace = em_fit(xs, k=3, shared_cov=shared_cov, max_iters=50, seed=0)
+    assert "component 2 collapsed" in caplog.text
+    assert np.all(np.abs(p.means) < 10.0) and np.all(p.weights > 0)
+    assert np.all(np.diff(trace) >= -1e-9)
+    assert trace[-1] == pytest.approx(gmm_loglik(p, xs), abs=1e-12)
+
+
+def test_kmeanspp_with_fewer_distinct_points_than_k():
+    pts = np.repeat(np.array([[0.0, 1.0], [2.0, 0.0]]), 5, axis=0)
+    centers = em._kmeanspp_means(pts, 4, SeededRng(0, 17))
+    assert centers.shape == (4, 2)
+    assert {tuple(c) for c in centers} == {(0.0, 1.0), (2.0, 0.0)}

@@ -352,6 +352,10 @@ def test_moment_round_matches_block_gradients(d, n, overrides):
     dict(tied="yes"),
     dict(sigma_init=[0.1]),
     dict(antithetic_from=1.0),
+    dict(lr_gen=float("nan")),
+    dict(lam=float("inf")),
+    dict(latent_batch=-3),
+    dict(antithetic_from=-5),
 ])
 def test_train_config_rejects_bad_fields(fields):
     with pytest.raises(InvalidInput):
