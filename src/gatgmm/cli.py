@@ -24,7 +24,7 @@ import numpy as np
 
 from . import datagen, em, metrics, model, objective, optimizer, transport
 from .errors import GatgmmError, InvalidInput, ParseError
-from .gausscore import SeededRng, sym_eigen, symmetrize
+from .gausscore import SeededRng, as_count, sym_eigen, symmetrize
 
 # per-dataset trained defaults (validated to reproduce the reference scores)
 _TRAIN_DEFAULTS = {
@@ -94,24 +94,24 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
     params = _object(cfg.get("dataset_params", {}), "dataset_params")
     try:
         seed = cfg.get("seed", 0)
+        # counts reach the makers unconverted, so their as_count rejects 2.7
         if selector == "isotropic":
-            return datagen.make_isotropic(d=int(params.get("d", 20)),
-                                          n=int(params.get("n", 640)),
+            return datagen.make_isotropic(d=params.get("d", 20), n=params.get("n", 640),
                                           scale=float(params.get("scale", 0.03)),
                                           seed=seed)
         if selector == "rotated":
-            return datagen.make_rotated(d=int(params.get("d", 100)),
-                                        n=int(params.get("n", 640)), seed=seed)
+            return datagen.make_rotated(d=params.get("d", 100), n=params.get("n", 640),
+                                        seed=seed)
         if selector == "kmix":
-            d = int(params.get("d", 20))
-            k = int(params.get("k", 4))
+            d = as_count(params.get("d", 20), "d")  # sizes the default means
+            k = as_count(params.get("k", 4), "k", 2)
             means = params.get("means")
             if means is None:
                 base = np.eye(d)[:k] * float(params.get("spread", 4.0))
                 means = np.concatenate([base[: (k + 1) // 2], -base[: k // 2]])
             cov = np.array(params.get("cov", (0.05 * np.eye(d)).tolist()))
             return datagen.make_k_mixture(d=d, k=k, means=np.asarray(means),
-                                          cov=cov, n=int(params.get("n", 640)), seed=seed)
+                                          cov=cov, n=params.get("n", 640), seed=seed)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"bad dataset_params: {exc}") from exc
     raise InvalidInput(f"unknown dataset selector {selector!r}")

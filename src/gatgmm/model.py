@@ -173,12 +173,13 @@ class GradPack:
 
 
 def draw_latents(g: GeneratorParams, n: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (z, labels): standard-normal latents and uniform component labels."""
-    z = rng.gen.standard_normal((int(n), g.d))
+    """Draw (z, labels): n standard-normal latents and uniform component labels."""
+    n = as_count(n, "n")
+    z = rng.gen.standard_normal((n, g.d))
     if g.mode == SYMMETRIC2:
-        labels = rng.gen.integers(0, 2, size=int(n)) * 2 - 1
+        labels = rng.gen.integers(0, 2, size=n) * 2 - 1
     else:
-        labels = rng.gen.integers(0, g.k, size=int(n))
+        labels = rng.gen.integers(0, g.k, size=n)
     return z, labels
 
 
@@ -213,7 +214,7 @@ def gen_forward(g: GeneratorParams, z: np.ndarray, y) -> np.ndarray:
 
 
 def gen_sample_batch(g: GeneratorParams, n: int, rng: SeededRng) -> np.ndarray:
-    z, labels = draw_latents(g, as_count(n, "n"), rng)
+    z, labels = draw_latents(g, n, rng)
     return gen_apply(g, z, labels)
 
 

@@ -148,11 +148,17 @@ def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x * np.sqrt(2.0), w / np.sqrt(np.pi)
 
 
+def _gh_points(mean, std, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes mean + std*x on a trailing axis, per entry of mean and std, and
+    the weights: E[f(mean + std*Z)] ~= f(nodes) @ weights."""
+    x, w = _gh_nodes(order)
+    return np.asarray(mean)[..., None] + np.asarray(std)[..., None] * x, w
+
+
 def _gh(mean, std, kind: str, order: int):
     """E[f(mean + std*Z)] for each entry of the arrays (or scalars) mean, std."""
-    x, w = _gh_nodes(order)
-    mean, std = np.asarray(mean)[..., None], np.asarray(std)[..., None]
-    return _KINDS[kind](mean + std * x) @ w
+    t, w = _gh_points(mean, std, order)
+    return _KINDS[kind](t) @ w
 
 
 def gh_expect(mean: float, std: float, kind: str, order: int = 64) -> float:
@@ -272,11 +278,17 @@ class MixtureMoments:
     def logcosh_expect(self, b: np.ndarray) -> np.ndarray:
         return _gh(*self._proj(b), "logcosh", self.order)
 
+    def _tanh_pair(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(E[tanh(b^T W)], E[tanh'(b^T W)]) per column of b, from one tanh
+        pass at the quadrature nodes (tanh' = 1 - tanh^2, as ``_tanh_prime``)."""
+        t, w = _gh_points(*self._proj(b), self.order)
+        th = np.tanh(t)
+        return th @ w, (1.0 - th ** 2) @ w
+
     def logcosh_grad(self, b: np.ndarray) -> np.ndarray:
         # Stein: E[X tanh(b'X)] = mu E[tanh] + cov b E[tanh'] on one component
-        m, s = self._proj(b)
-        return (np.multiply.outer(self.mu, _gh(m, s, "tanh", self.order))
-                + self.cov @ b * _gh(m, s, "tanh_prime", self.order))
+        e_tanh, e_prime = self._tanh_pair(b)
+        return np.multiply.outer(self.mu, e_tanh) + self.cov @ b * e_prime
 
 
 class GeneratorMoments(MixtureMoments):
@@ -290,9 +302,8 @@ class GeneratorMoments(MixtureMoments):
         self.cross, self.gbar = g.cov_factor, self.mu
 
     def tanh_moments(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m, s = self._proj(b)
-        return (self.cross.T @ b * _gh(m, s, "tanh_prime", self.order),
-                _gh(m, s, "tanh", self.order))
+        e_tanh, e_prime = self._tanh_pair(b)
+        return self.cross.T @ b * e_prime, e_tanh
 
 
 class LatentMoments:

@@ -11,7 +11,11 @@ the generated batch and agrees to rounding with the generic block (the tied
 ``objective.BatchGame``, otherwise.  Every mode's eval records report F at the
 round's generator and its discriminator after the round's last ascent step.
 All randomness flows through split streams of a single Philox seed, so a
-(config, seed) pair replays bit-identically.
+(config, seed) pair replays bit-identically.  The latent draws never depend on
+a round's results, so one worker thread draws round t+1's batch while round t
+computes; it is the latent stream's only user and draws in order, so the
+results are those of a serial run, and ``train_gda`` joins it before
+returning or raising.
 
 The stationarity measure is the Danskin envelope gradient: solve the inner
 maximization to tolerance, then take the generator gradient of the
@@ -24,6 +28,7 @@ points when the envelope is unavailable.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from typing import NamedTuple
@@ -291,47 +296,61 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     cov, means, quad, consts = g.cov_factor, g.means, dd.quad, dd.consts
     rows = dd.free_rows
     records: list[EvalRecord] = []
-    t0 = time.perf_counter()
-    for it in range(1, cfg.max_iters + 1):
-        xm = full_xm or SampleMoments(xs[batch_rng.gen.integers(0, n, size=batch)])
+    law = g  # draw reads mode, d and k off the initial generator, not the g the loop rebinds
+
+    def draw(it):
+        """Round it's latents: i.i.d., then antithetic pairs (z, -z) after pair_from."""
         if pair_from is not None and it > pair_from:
             half = z_rng.gen.standard_normal(((m + 1) // 2, d))
-            z = np.concatenate([half, -half])[:m]
-            labels = z_rng.gen.integers(0, 2, size=m) * 2 - 1
-        else:
-            z, labels = draw_latents(g, m, z_rng)
-        if tied:
-            rnd = TiedGame(anchors, xm, LatentMoments(cov, means[0], z, labels))
-        else:
-            rnd = BatchGame(anchors, GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means),
-                            xm, z, labels)
+            return np.concatenate([half, -half])[:m], z_rng.gen.integers(0, 2, size=m) * 2 - 1
+        return draw_latents(law, m, z_rng)
 
-        for _ in range(cfg.disc_steps_per_gen_step):
-            quad_grad, row_grads, const_grads = rnd.disc_grads(quad, rows, consts)
-            quad = symmetrize(quad + cfg.lr_disc * quad_grad)
-            rows = rows + cfg.lr_disc * row_grads
-            if const_grads is not None:
-                consts = consts + cfg.lr_disc * const_grads
-            # a non-finite gradient, or a step that overflows
-            if not np.isfinite(np.sum(quad) + np.sum(rows) + np.sum(consts)):
-                raise Diverged(it, "disc_step")
-        cov_grad, means_grad = rnd.gen_grads(quad, rows, consts)
-        cov = cov - cfg.lr_gen * cov_grad
-        means = means - cfg.lr_gen * means_grad
-        if not np.isfinite(np.sum(cov) + np.sum(means)):  # also catches an overflowing step
-            raise Diverged(it, "gen_step")
-        if cfg.project_feasible:
-            t = _feasible_scale(cov, means, cfg.eta)
-            if t < 1.0:
-                cov, means = t * cov, t * means
+    t0 = time.perf_counter()
+    # One worker thread draws round it + 1's latents while round it computes.
+    # It runs its tasks in order and is z_rng's only user, so the draws are
+    # the serial sequence; numpy fills the normals with the GIL released.  The
+    # with block joins the worker on every exit, with at most one draw pending.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        nxt = pool.submit(draw, 1)
+        for it in range(1, cfg.max_iters + 1):
+            xm = full_xm or SampleMoments(xs[batch_rng.gen.integers(0, n, size=batch)])
+            z, labels = nxt.result()
+            if it < cfg.max_iters:
+                nxt = pool.submit(draw, it + 1)
+            if tied:
+                rnd = TiedGame(anchors, xm, LatentMoments(cov, means[0], z, labels))
+            else:
+                rnd = BatchGame(anchors,
+                                GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means),
+                                xm, z, labels)
 
-        if it % cfg.eval_every == 0 or it == cfg.max_iters:
-            g = GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means)
-            rec = _eval_record(it, rnd.value(quad, rows, consts), g, anchors, xs, cfg, truth, t0)
-            if not np.isfinite(rec.grad_norm):
-                batch_norm = float(np.sqrt(np.sum(cov_grad ** 2) + np.sum(means_grad ** 2)))
-                rec = replace(rec, grad_norm=batch_norm)
-            records.append(rec)
+            for _ in range(cfg.disc_steps_per_gen_step):
+                quad_grad, row_grads, const_grads = rnd.disc_grads(quad, rows, consts)
+                quad = symmetrize(quad + cfg.lr_disc * quad_grad)
+                rows = rows + cfg.lr_disc * row_grads
+                if const_grads is not None:
+                    consts = consts + cfg.lr_disc * const_grads
+                # a non-finite gradient, or a step that overflows
+                if not np.isfinite(np.sum(quad) + np.sum(rows) + np.sum(consts)):
+                    raise Diverged(it, "disc_step")
+            cov_grad, means_grad = rnd.gen_grads(quad, rows, consts)
+            cov = cov - cfg.lr_gen * cov_grad
+            means = means - cfg.lr_gen * means_grad
+            if not np.isfinite(np.sum(cov) + np.sum(means)):  # also catches an overflowing step
+                raise Diverged(it, "gen_step")
+            if cfg.project_feasible:
+                t = _feasible_scale(cov, means, cfg.eta)
+                if t < 1.0:
+                    cov, means = t * cov, t * means
+
+            if it % cfg.eval_every == 0 or it == cfg.max_iters:
+                g = GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means)
+                rec = _eval_record(it, rnd.value(quad, rows, consts), g, anchors, xs, cfg,
+                                   truth, t0)
+                if not np.isfinite(rec.grad_norm):
+                    batch_norm = float(np.sqrt(np.sum(cov_grad ** 2) + np.sum(means_grad ** 2)))
+                    rec = replace(rec, grad_norm=batch_norm)
+                records.append(rec)
 
     return TrainReport(iterates=records,
                        final_gen=GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means),

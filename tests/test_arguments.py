@@ -27,6 +27,7 @@ from gatgmm.model import (
     disc_grad_x,
     disc_value,
     disc_value_batch,
+    draw_latents,
     gen_sample_batch,
 )
 from gatgmm.objective import (
@@ -159,6 +160,7 @@ CASES = {
     "make_isotropic d 2.5": lambda: make_isotropic(d=2.5),
     "make_isotropic n 2.5": lambda: make_isotropic(n=2.5),
     "gen_sample_batch n 2.5": lambda: gen_sample_batch(GEN, 2.5, SeededRng(0)),
+    "draw_latents n 2.5": lambda: draw_latents(GEN, 2.5, SeededRng(0)),
     "condition1 nan direction": lambda: condition1_check(np.ones(2), np.eye(2), [np.nan, 1.0]),
     "gmm_objective_orthant inf direction": lambda: gmm_objective_orthant(TRUTH, XS,
                                                                          [np.inf, 0.0]),

@@ -177,11 +177,16 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
                                  "--out", "@taken"], {}),
     (_D2 | {"taken": "a file"}, ["gen-data", "--config", "@c.json", "--out", "@taken"], {}),
     (_D2, ["train", "--config", "@c.json", "--lr-gen", "nan", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2.7, "n": 16.9}}'},
+     ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "kmix", "dataset_params": {"d": 4, "k": 2.5, "n": 16}}'},
+     ["train", "--config", "@c.json", "--method", "em", "--out", "@run"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
         "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory",
         "params-nan-mean", "params-nan-weight", "train-out-is-a-file",
-        "gen-data-out-is-a-file", "lr-gen-nan"])
+        "gen-data-out-is-a-file", "lr-gen-nan", "dataset-count-not-integer",
+        "kmix-k-not-integer"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():  # a name ending in "/" is a directory
         if name.endswith("/"):

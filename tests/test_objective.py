@@ -91,6 +91,22 @@ def test_gh_validates():
         gh_expect(0.0, 1.0, "tanh", order=12.5)
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 2)])
+def test_one_tanh_pass_matches_two_quadratures(shape):
+    # the quadrature oracles read E tanh and E tanh' off one tanh pass; the
+    # reference is one _gh call per kind at the same nodes, bit for bit
+    rng = np.random.default_rng(4)
+    gm = GeneratorMoments(sym2(0.5 * rng.standard_normal((3, 3)), rng.standard_normal(3)))
+    b = rng.standard_normal(shape)
+    m, s = gm._proj(b)
+    e_tanh = objective._gh(m, s, "tanh", gm.order)
+    e_prime = objective._gh(m, s, "tanh_prime", gm.order)
+    zt, yt = gm.tanh_moments(b)
+    assert np.array_equal(zt, gm.cross.T @ b * e_prime) and np.array_equal(yt, e_tanh)
+    assert np.array_equal(gm.logcosh_grad(b),
+                          np.multiply.outer(gm.mu, e_tanh) + gm.cov @ b * e_prime)
+
+
 def test_tanh_moment_inequality_grid():
     # E[X] E[tanh X] - E[X]^2 E[tanh' X] >= 0, equality only at mu = 0
     for mu in np.arange(0.0, 3.01, 0.25):

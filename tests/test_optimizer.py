@@ -1,8 +1,12 @@
+import json
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from gatgmm import optimizer
 from gatgmm.em import GmmParams
 from gatgmm.errors import Diverged, InfeasibleRegime, InvalidInput
 from gatgmm.gausscore import SeededRng, random_orthogonal, symmetrize
@@ -407,3 +411,74 @@ def test_overflowing_discriminator_step_raises_diverged(mode):
     with pytest.raises(Diverged, match=re.escape(Diverged.CAUSES["disc_step"])) as info:
         train_gda(xs, cfg, Anchors.symmetric(np.array([1.0, 0.0, 0.0]), lam=0.5))
     assert (info.value.cause, info.value.iteration) == ("disc_step", 1)
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+def _two_sided(d=3, n=32):
+    rng = np.random.default_rng(10)
+    xs = rng.standard_normal((n, d)) + np.eye(d)[0] * 2.0
+    xs[::2] *= -1.0
+    return xs, Anchors.symmetric(np.eye(d)[0], lam=0.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("outcome", ["completes", "diverges", "draw_fails"])
+def test_train_joins_its_draw_thread(monkeypatch, outcome):
+    # the latents are drawn one round ahead on a worker thread: however the
+    # run ends, the worker is gone afterwards, and a failing draw raises in
+    # the caller without a further draw being started
+    xs, anchors = _two_sided()
+    lr = 1e300 if outcome == "diverges" else 1e-2
+    cfg = TrainConfig(max_iters=20, eval_every=5, lr_gen=lr, lr_disc=lr, lam=0.5,
+                      sigma_init=0.1)
+    calls = []
+
+    def draw(*args):
+        calls.append(args)
+        if outcome == "draw_fails" and len(calls) == 3:
+            raise _DrawFailed("third draw")
+        return draw_latents(*args)
+
+    monkeypatch.setattr(optimizer, "draw_latents", draw)
+    expected = {"completes": None, "diverges": Diverged, "draw_fails": _DrawFailed}[outcome]
+    before = threading.active_count()
+    if expected is None:
+        assert len(train_gda(xs, cfg, anchors).iterates) == 4
+    else:
+        with pytest.raises(expected):
+            train_gda(xs, cfg, anchors)
+    assert threading.active_count() == before
+    assert len(calls) == {"completes": 20, "diverges": 2, "draw_fails": 3}[outcome]
+
+
+def test_concurrent_trainings_match_a_single_run():
+    # three runs on two cores, switching threads often: each run's draw
+    # worker feeds only its own loop, so every run gives the serial bytes
+    xs, anchors = _two_sided(d=8, n=48)
+    cfg = TrainConfig(max_iters=60, eval_every=20, lr_gen=1e-2, lr_disc=1e-1, lam=0.5,
+                      sigma_init=0.1, seed=3, latent_batch=33, antithetic_from=30)
+
+    def result_bytes():
+        return json.dumps(train_gda(xs, cfg, anchors).to_json()).encode()
+
+    single = result_bytes()
+    outs = [None] * 3
+
+    def run(i):
+        outs[i] = result_bytes()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert outs == [single] * 3
