@@ -24,7 +24,7 @@ import numpy as np
 
 from . import datagen, em, metrics, model, objective, optimizer, transport
 from .errors import GatgmmError, InvalidInput, ParseError
-from .gausscore import SeededRng, as_count, sym_eigen, symmetrize
+from .gausscore import SeededRng, as_count, as_real, sym_eigen, symmetrize
 
 # per-dataset trained defaults (validated to reproduce the reference scores)
 _TRAIN_DEFAULTS = {
@@ -97,7 +97,7 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
         # counts reach the makers unconverted, so their as_count rejects 2.7
         if selector == "isotropic":
             return datagen.make_isotropic(d=params.get("d", 20), n=params.get("n", 640),
-                                          scale=float(params.get("scale", 0.03)),
+                                          scale=as_real(params.get("scale", 0.03), "scale"),
                                           seed=seed)
         if selector == "rotated":
             return datagen.make_rotated(d=params.get("d", 100), n=params.get("n", 640),
@@ -107,7 +107,7 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
             k = as_count(params.get("k", 4), "k", 2)
             means = params.get("means")
             if means is None:
-                base = np.eye(d)[:k] * float(params.get("spread", 4.0))
+                base = np.eye(d)[:k] * as_real(params.get("spread", 4.0), "spread")
                 means = np.concatenate([base[: (k + 1) // 2], -base[: k // 2]])
             cov = np.array(params.get("cov", (0.05 * np.eye(d)).tolist()))
             return datagen.make_k_mixture(d=d, k=k, means=np.asarray(means),

@@ -5,9 +5,8 @@ constrained symmetric two-component mode (means mirrored through the
 origin, equal weights, shared covariance), whose M-step pools the
 reflected sufficient statistics of the two components.
 
-A constant diagonal ridge (1e-8 * tr(total data covariance) / d by
-default) is added at every covariance update so the fit cannot collapse
-on near-atomic data.
+A constant diagonal ridge, 1e-8 * tr(total data covariance) / d, is added
+at every covariance update so the fit cannot collapse on near-atomic data.
 """
 
 from __future__ import annotations
@@ -148,7 +147,6 @@ def em_fit(
     symmetric2: bool = False,
     max_iters: int = 500,
     tol: float = 1e-8,
-    cov_floor: float | None = None,
     seed: int = 0,
 ) -> tuple[GmmParams, list[float]]:
     """Fit a k-component GMM; returns the parameters and the loglik trace.
@@ -166,8 +164,7 @@ def em_fit(
         raise InvalidInput("symmetric2 mode is a 2-component constraint")
 
     total_cov = symmetrize(np.cov(xs, rowvar=False, bias=True).reshape(d, d))
-    floor = cov_floor if cov_floor is not None else 1e-8 * float(np.trace(total_cov)) / d
-    ridge = floor * np.eye(d)
+    ridge = 1e-8 * float(np.trace(total_cov)) / d * np.eye(d)
     rng = SeededRng(seed, stream=17)
 
     # spherical covariance init: a full-covariance start makes the first

@@ -11,14 +11,14 @@ instead (data stream, latent stream, init stream, ...).
 discriminator's two logit groups and of EM's log joint densities.
 
 :func:`as_points` is the one check of a sample-batch argument (a Dataset, a
-matrix or one point), :func:`as_gaussian` of a (mean, covariance) pair and
-:func:`as_count` of a count.
+matrix or one point), :func:`as_gaussian` of a (mean, covariance) pair,
+:func:`as_count` of a count and :func:`as_real` of a real scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "as_points",
     "as_gaussian",
     "as_count",
+    "as_real",
     "lse_softmax",
     "EigenDecomp",
     "symmetrize",
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _MIX64 = 0x9E3779B97F4A7C15  # golden-ratio constant for stream derivation
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # a larger int has no float
 
 
 class SeededRng:
@@ -104,6 +106,14 @@ def as_count(n, what: str, least: int = 1) -> int:
     if isinstance(n, bool) or not (isinstance(n, Integral) and n >= least):
         raise InvalidInput(f"{what} must be an integer >= {least}, got {n!r}")
     return int(n)
+
+
+def as_real(x, what: str, positive: bool = False) -> float:
+    """A finite real (a bool is not one), > 0 when ``positive``, as a float."""
+    if isinstance(x, bool) or not (isinstance(x, Real) and abs(x) <= _FLOAT_MAX
+                                   and (x > 0 or not positive)):
+        raise InvalidInput(f"{what} must be a finite real{' > 0' if positive else ''}, got {x!r}")
+    return float(x)
 
 
 def lse_softmax(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

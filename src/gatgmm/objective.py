@@ -31,23 +31,25 @@ F's quadratic block (1/2) x^T A x - (lam/2) ||A||^2 peaks at
 
 Solvers
 -------
-The tied logit block, the general logit block and the per-point c-transform
-share ``_ascend``: ascent with a fixed step, a scalar or a d x d matrix, that
-rejects a tol <= 0 or a max_iters that is not an integer >= 1, stops once
-every independent problem's gradient norm is <= tol, returns the number of
-steps it took, and warns when it reaches max_iters.  Two of the steps make
-one ascent step an exact contraction:
+One solver, ``_inner_max``, runs every exact inner maximum on a game, a
+``TiedGame`` in the tied symmetric mode or a ``BatchGame`` in the others.  It
+checks the margin lam > E||X||^2 + E||G||^2, has the game ascend its logit
+block from the anchors, reads l2 as the game's F at quad = 0 and joins A*.
+The logit blocks and the per-point c-transform share ``_ascend``: ascent with
+a fixed step, a scalar or a d x d matrix, that rejects a tol that is not a
+finite real > 0 or a max_iters that is not an integer >= 1, stops once every
+independent problem's gradient norm is <= tol, returns the number of steps it
+took, and warns when it reaches max_iters.  The steps:
 
-* c-transform.  With D(v) = v^T A v / 2 + LR(v) and the step (I - A)^{-1},
-  a step is the fixed-point map v <- (I - A)^{-1} (x + grad LR(v)), which
-  contracts at rate 2 max_i ||b_i||^2 / (1 - lambda_max(A)) < 1 exactly when
-  the curvature bound eta < 1.
-* tied logit block.  With the step 1/(2 lam), a step is the map
+* c-transform, (I - A)^{-1}.  With D(v) = v^T A v / 2 + LR(v), a step is the
+  fixed-point map v <- (I - A)^{-1} (x + grad LR(v)), which contracts at
+  rate 2 max_i ||b_i||^2 / (1 - lambda_max(A)) < 1 exactly when the
+  curvature bound eta < 1.
+* tied logit block, 1/(2 lam).  A step is the map
   b <- d +- grad delta(b) / (2 lam), which contracts at rate
   (E||X||^2 + E||G||^2) / (2 lam) < 1/2 whenever the margin check passes.
-
-The general logit block keeps the step 1/(lam + E||X||^2 + E||G||^2 (+ 2)):
-its trained constants add curvature the margin check does not bound.
+* general logit block, 1/(lam + E||X||^2 + E||G||^2 (+ 2)): its trained
+  constants add curvature the margin check does not bound.
 
 Population (evaluation-mode) expectations use Gauss-Hermite quadrature on
 one-dimensional projections: for a symmetric two-component law every
@@ -60,13 +62,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Real
 
 import numpy as np
 
 from .errors import InvalidInput, NotCConcave, NotStronglyConcave
-from .gausscore import as_count, as_gaussian, as_points, symmetrize
+from .gausscore import as_count, as_gaussian, as_points, as_real, symmetrize
 from .model import (
     SHARED_COV,
     SYMMETRIC2,
@@ -186,8 +188,7 @@ class Anchors:
         object.__setattr__(self, "d_vecs", as_points(self.d_vecs, what="anchor vectors"))
         # one constant per anchor vector, read as one point
         object.__setattr__(self, "e_consts", as_points(self.e_consts, self.k, "e_consts")[0])
-        if not self.lam > 0:
-            raise InvalidInput("anchor weight lam must be > 0")
+        as_real(self.lam, "anchor weight lam", positive=True)
 
     @property
     def k(self) -> int:
@@ -381,6 +382,8 @@ class TiedGame:
 
     ``consts`` (trained only in the generic modes) is not read."""
 
+    tied = True  # the layout of ``rows``: DiscriminatorParams.free_rows
+
     def __init__(self, anchors: Anchors, xm, gm):
         d = anchors.d
         if anchors.k != 2:
@@ -411,6 +414,15 @@ class TiedGame:
         lc = self.xm.logcosh_expect(rows.T) - self.gm.logcosh_expect(rows.T)
         pen = float(np.sum(quad ** 2)) + 2.0 * float(np.sum((rows - self.anchors.d_vecs[0]) ** 2))
         return float(np.sum(quad * self.half_gap) + lc[0] - lc[1]) - 0.5 * self.anchors.lam * pen
+
+    def ascend(self, tol: float, max_iters: int):
+        """The logit block's maximizer (rows, 0): (b1, b3) as two decoupled
+        problems from (d, d) with the step 1/(2 lam), a contraction."""
+        rows, _ = _ascend(lambda r: self.disc_grads(0.0, r)[1],
+                          np.repeat(self.anchors.d_vecs[:1], 2, axis=0),
+                          1.0 / (2.0 * self.anchors.lam), tol, max_iters,
+                          "tied inner maximization")
+        return rows, np.zeros(4)
 
 
 def _half_gap(sx: np.ndarray, gx: np.ndarray) -> np.ndarray:
@@ -488,8 +500,13 @@ class BatchGame:
     discriminator (quad, rows, consts) with all 2k logit rows: TiedGame's
     methods on the generic blocks."""
 
+    tied = False
+
     def __init__(self, anchors: Anchors, g: GeneratorParams, xm: SampleMoments,
                  z: np.ndarray, labels: np.ndarray):
+        if len(xm.second) != anchors.d or g.d != anchors.d or g.k != anchors.k:
+            raise InvalidInput(f"data, generator and anchors have d {len(xm.second)}, {g.d}, "
+                               f"{anchors.d}; generator and anchors k {g.k}, {anchors.k}")
         self.anchors, self.g, self.xm = anchors, g, xm
         self.z, self.labels = z, labels
         self.gx = gen_apply(g, z, labels)
@@ -514,6 +531,28 @@ class BatchGame:
         return disc_block_value_and_grads(dd, self.anchors, self.xm.xs, self.gx,
                                           self.train_consts, sx=self.xm.second)[0]
 
+    @cached_property
+    def gm(self) -> SampleMoments:  # read on demand: GDA rounds never read it
+        return SampleMoments(self.gx)
+
+    def ascend(self, tol: float, max_iters: int):
+        """The logit block's maximizer (rows, consts): [rows | consts] as one
+        problem from the slot anchors with the step 1/(lam + E||X||^2 + E||G||^2 (+ 2))."""
+        sv, se = self.anchors.slot_vectors(), self.anchors.slot_consts()
+        split = sv.size
+        pad = 2.0 if self.train_consts else 0.0  # constant feature adds 1 per side
+        step = 1.0 / (self.anchors.lam + self.xm.mean_sq + self.gm.mean_sq + pad)
+
+        def grad(x):
+            _, row_grads, const_grads = self.disc_grads(0.0, x[0, :split].reshape(sv.shape),
+                                                        x[0, split:])
+            return np.concatenate([row_grads.ravel(), np.zeros_like(se)
+                                   if const_grads is None else const_grads])[None]
+
+        x, _ = _ascend(grad, np.concatenate([sv.ravel(), se])[None], step, tol, max_iters,
+                       "general inner maximization")
+        return x[0, :split].reshape(sv.shape), x[0, split:]
+
 
 # ---------------------------------------------------------------------------
 # exact inner maximization
@@ -521,16 +560,9 @@ class BatchGame:
 
 def l1_value(g: GeneratorParams, data_second_moment: np.ndarray, lam: float) -> float:
     """Second-moment mismatch (1/(2 lam)) ||Sx - E[G G^T]||_F^2."""
-    if not lam > 0:
-        raise InvalidInput("lam must be > 0")
+    as_real(lam, "lam", positive=True)
     diff = np.asarray(data_second_moment, dtype=np.float64) - gen_second_moment(g)
     return float(np.sum(diff ** 2)) / (2.0 * lam)
-
-
-def _check_margin(lam: float, x_mean_sq: float, g_mean_sq: float) -> None:
-    margin = lam - (x_mean_sq + g_mean_sq)
-    if margin <= 0:
-        raise NotStronglyConcave(margin)
 
 
 def _ascend(grad, x: np.ndarray, step, tol: float, max_iters: int,
@@ -540,8 +572,7 @@ def _ascend(grad, x: np.ndarray, step, tol: float, max_iters: int,
     moves by step * grad for a scalar step, or by S grad for a d x d step
     matrix S.  Returns x and the number of steps taken; warns when max_iters
     steps do not get there."""
-    if not (isinstance(tol, Real) and tol > 0):
-        raise InvalidInput(f"tol must be > 0, got {tol!r}")
+    as_real(tol, "tol", positive=True)
     as_count(max_iters, "max_iters")
     matrix = np.ndim(step) == 2
     for it in range(max_iters):
@@ -555,56 +586,20 @@ def _ascend(grad, x: np.ndarray, step, tol: float, max_iters: int,
     return x, max_iters
 
 
-def _inner_max_tied(game: TiedGame, tol: float, max_iters: int):
-    """Tied inner maximum: ascend the rows (b1, b3), two decoupled strongly
-    concave problems, with the step 1/(2 lam) that makes a step the
-    contraction b <- d +- grad delta(b) / (2 lam)."""
+def _inner_max(game, tol: float, max_iters: int):
+    """Exact inner maximum of a TiedGame or a BatchGame, the maximizer and its
+    decomposed value: check the margin lam > E||X||^2 + E||G||^2, have the
+    game ascend its logit block from the anchors, read l2 as the game's F at
+    quad = 0, and join the closed-form quadratic block A* = (Sx - Sg) / (2 lam)."""
     xm, gm, lam = game.xm, game.gm, game.anchors.lam
-    _check_margin(lam, xm.mean_sq, gm.mean_sq)
-    rows, _ = _ascend(lambda r: game.disc_grads(0.0, r)[1],
-                      np.repeat(game.anchors.d_vecs[:1], 2, axis=0), 1.0 / (2.0 * lam), tol,
-                      max_iters, "tied inner maximization")
-    return _solution(xm.second, gm.second, game.anchors, game.value(0.0, rows),
-                     rows, np.zeros(4), tied=True)
-
-
-def _inner_max_general(xm: SampleMoments, gm: SampleMoments, anchors: Anchors,
-                       train_consts: bool, tol: float, max_iters: int):
-    """Joint ascent over all 2k logit rows (and constants when trained) as one
-    problem, the vector [rows | consts]."""
-    lam, xs, gx = anchors.lam, xm.xs, gm.xs
-    _check_margin(lam, xm.mean_sq, gm.mean_sq)
-    pad = 2.0 if train_consts else 0.0  # constant feature adds 1 per side
-    step = 1.0 / (lam + xm.mean_sq + gm.mean_sq + pad)
-    sv, se = anchors.slot_vectors(), anchors.slot_consts()
-    split = sv.size
-
-    def block(x):
-        return _logit_block(x[0, :split].reshape(sv.shape), x[0, split:], anchors, xs, gx,
-                            train_consts)
-
-    def grad(x):
-        _, grad_rows, grad_c = block(x)
-        return np.concatenate([grad_rows.ravel(),
-                               np.zeros_like(se) if grad_c is None else grad_c])[None]
-
-    x, _ = _ascend(grad, np.concatenate([sv.ravel(), se])[None], step, tol, max_iters,
-                   "general inner maximization")
-    rows, consts = x[0, :split].reshape(sv.shape), x[0, split:]
-    val = block(x)[0] - 0.5 * lam * (float(np.sum((rows - sv) ** 2))
-                                     + float(np.sum((consts - se) ** 2)))
-    return _solution(xm.second, gm.second, anchors, val, rows, consts, tied=False)
-
-
-def _solution(sx: np.ndarray, sg: np.ndarray, anchors: Anchors, l2: float,
-              rows: np.ndarray, consts: np.ndarray, tied: bool):
-    """Join the closed-form quadratic block A* = (Sx - Sg) / (2 lam) to a
-    logit block of free rows ``rows`` solved to value l2: the maximizer and
-    its decomposed value."""
-    lam = anchors.lam
-    quad = symmetrize((sx - sg) / (2.0 * lam))
-    dd = DiscriminatorParams.from_free(quad, rows, consts, tied)
-    return dd, ObjectiveValue(l1=float(np.sum((sx - sg) ** 2)) / (2.0 * lam), l2=l2)
+    margin = lam - (xm.mean_sq + gm.mean_sq)
+    if margin <= 0:
+        raise NotStronglyConcave(margin)
+    rows, consts = game.ascend(tol, max_iters)
+    l2 = game.value(np.zeros_like(xm.second), rows, consts)
+    gap = xm.second - gm.second
+    dd = DiscriminatorParams.from_free(symmetrize(gap / (2.0 * lam)), rows, consts, game.tied)
+    return dd, ObjectiveValue(l1=float(np.sum(gap ** 2)) / (2.0 * lam), l2=l2)
 
 
 def inner_max_solve(
@@ -630,17 +625,14 @@ def inner_max_solve(
     if z_eval is not None:
         z_eval, labels = check_latents(g, as_points(z_eval, g.d, "latents"), labels)
     if g.mode == SYMMETRIC2 and tied:
-        if z_eval is None:
-            gm = GeneratorMoments(g, gh_order)
-        else:
-            gm = LatentMoments(g.cov_factor, g.means[0], z_eval, labels)
-        return _inner_max_tied(TiedGame(anchors, xm, gm), tol, max_iters)
-    if z_eval is None:
+        gm = (GeneratorMoments(g, gh_order) if z_eval is None
+              else LatentMoments(g.cov_factor, g.means[0], z_eval, labels))
+        game = TiedGame(anchors, xm, gm)
+    elif z_eval is None:
         raise InvalidInput("untied/general inner solve requires a latent batch")
-    if xm.xs.shape[1] != g.d or anchors.d != g.d:
-        raise InvalidInput("dimension mismatch between the x batch, anchors and generator")
-    return _inner_max_general(xm, SampleMoments(gen_apply(g, z_eval, labels)), anchors,
-                              g.mode == SHARED_COV, tol, max_iters)
+    else:
+        game = BatchGame(anchors, g, xm, z_eval, labels)
+    return _inner_max(game, tol, max_iters)
 
 
 def inner_max_solve_population(
@@ -655,7 +647,7 @@ def inner_max_solve_population(
     """Inner maximization against the population symmetric mixture
     (1/2) N(mu_x, cov_x) + (1/2) N(-mu_x, cov_x), fully quadrature-based."""
     game = TiedGame(anchors, MixtureMoments(mu_x, cov_x, gh_order), GeneratorMoments(g, gh_order))
-    return _inner_max_tied(game, tol, max_iters)
+    return _inner_max(game, tol, max_iters)
 
 
 def envelope_generator_grad(
@@ -673,7 +665,7 @@ def envelope_generator_grad(
     quad: l1 is four times F's quadratic-block maximum ||Sx - Sg||^2 / (8 lam).
     """
     game = TiedGame(anchors, x_moments, GeneratorMoments(g, gh_order))
-    dd, _ = _inner_max_tied(game, tol_inner, max_iters)
+    dd, _ = _inner_max(game, tol_inner, max_iters)
     cov_grad, means_grad = game.gen_grads(4.0 * dd.quad, dd.free_rows)
     return means_grad[0], cov_grad
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .em import GmmParams
 from .errors import Diverged, InfeasibleRegime, InvalidInput, NotStronglyConcave
-from .gausscore import SeededRng, as_points, symmetrize
+from .gausscore import SeededRng, as_points, as_real, symmetrize
 from .metrics import fit_score
 from .model import (
     SYMMETRIC2,
@@ -159,8 +159,8 @@ class TrainConfig:
             is_bool = isinstance(val, _FIELD_KINDS["bool"])
             if is_bool != (kind == "bool") or not isinstance(val, _FIELD_KINDS[kind]):
                 raise InvalidInput(f"{f.name} must be {f.type}, got {val!r}")
-            if kind == "float" and not -np.inf < val < np.inf:  # nan fails every comparison
-                raise InvalidInput(f"{f.name} must be finite, got {val!r}")
+            if kind == "float":
+                as_real(val, f.name)
         if self.lr_gen < 0 or self.lr_disc < 0:
             raise InvalidInput("learning rates must be >= 0")
         if min(self.batch_size, self.latent_batch, self.max_iters, self.antithetic_from or 0) < 0:

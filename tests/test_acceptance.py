@@ -151,8 +151,10 @@ def test_criterion_04_gradient_correctness():
     h = 1e-5
     worst = 0.0
     configs = 0
-    for mode, tied in ((SYMMETRIC2, True), (SYMMETRIC2, False), (SHARED_COV, False)):
-        rng = np.random.default_rng(hash((mode, tied)) % (2**32))
+    # each case is seeded by its index, so every run checks the same instances
+    for seed, (mode, tied) in enumerate(((SYMMETRIC2, True), (SYMMETRIC2, False),
+                                         (SHARED_COV, False))):
+        rng = np.random.default_rng(seed)
         per_d = (34, 33, 33)
         for d, reps in zip((1, 2, 5), per_d):
             for _ in range(reps):

@@ -165,6 +165,9 @@ CASES = {
     "gmm_objective_orthant inf direction": lambda: gmm_objective_orthant(TRUTH, XS,
                                                                          [np.inf, 0.0]),
     "train_gda lam mismatch": lambda: train_gda(XS, TrainConfig(max_iters=1), ANCHORS),
+    "Anchors lam string": lambda: Anchors.symmetric(np.ones(D), lam="2"),
+    "Anchors lam bool": lambda: Anchors.symmetric(np.ones(D), lam=True),
+    "Anchors lam inf": lambda: Anchors.symmetric(np.ones(D), lam=float("inf")),
 }
 
 

@@ -181,12 +181,19 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
      ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
     ({"c.json": '{"dataset": "kmix", "dataset_params": {"d": 4, "k": 2.5, "n": 16}}'},
      ["train", "--config", "@c.json", "--method", "em", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16, "scale": true}}'},
+     ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16, "scale": "0.5"}}'},
+     ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "kmix", "dataset_params": {"d": 4, "k": 2, "n": 16, '
+                '"spread": true}}'},
+     ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
         "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory",
         "params-nan-mean", "params-nan-weight", "train-out-is-a-file",
         "gen-data-out-is-a-file", "lr-gen-nan", "dataset-count-not-integer",
-        "kmix-k-not-integer"])
+        "kmix-k-not-integer", "scale-bool", "scale-string", "spread-bool"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():  # a name ending in "/" is a directory
         if name.endswith("/"):

@@ -605,7 +605,7 @@ def test_label_length_mismatch_is_invalid_input(mode, tied):
 
 _MISMATCHES = ["x batch", "x batch, latent side", "x batch, untied", "anchors", "z_eval",
                "population mu_x", "population law", "stationarity batch", "envelope mixture",
-               "anchor count"]
+               "anchor count", "anchor count, untied"]
 
 
 @pytest.mark.parametrize("case", _MISMATCHES)
@@ -632,12 +632,15 @@ def test_dimension_mismatch_is_invalid_input(case):
             g, MixtureMoments(np.ones(d + 1), cov2), anchors),
         "anchor count": lambda: inner_max_solve(
             g, xs, Anchors(d_vecs=np.ones((3, d)), e_consts=np.zeros(3), lam=10.0)),
+        "anchor count, untied": lambda: inner_max_solve(
+            g, xs, Anchors(d_vecs=np.ones((3, d)), e_consts=np.zeros(3), lam=10.0), z_eval=z,
+            labels=labels, tied=False),
     }
     with pytest.raises(InvalidInput):
         calls[case]()
 
 
-@pytest.mark.parametrize("side", ["tied latent", "tied quadrature", "untied"])
+@pytest.mark.parametrize("side", ["tied latent", "tied quadrature", "untied", "shared_cov"])
 def test_inner_max_solution_maximizes_F(side):
     # D* zeroes F's block gradients, and F(g, D*) = l2 + l1 / 4, not total
     rng = np.random.default_rng(24)
@@ -648,7 +651,20 @@ def test_inner_max_solution_maximizes_F(side):
     z, labels = rng.standard_normal((40, d)), rng.integers(0, 2, 40) * 2 - 1
     lam = float(np.mean(np.sum(xs ** 2, axis=1)) + np.trace(gen_second_moment(g))) + 1.0
     anchors = Anchors.symmetric(rng.standard_normal(d), lam=lam)
-    if side == "tied quadrature":
+    if side == "shared_cov":
+        # the general maximizer with trained constants: their gradient vanishes too
+        k = 3
+        g = GeneratorParams(mode=SHARED_COV, cov_factor=0.3 * rng.standard_normal((d, d)),
+                            means=0.6 * rng.standard_normal((k, d)))
+        labels = rng.integers(0, k, 40)
+        lam = float(np.mean(np.sum(xs ** 2, axis=1)) + np.trace(gen_second_moment(g))) + 1.0
+        anchors = Anchors(d_vecs=rng.standard_normal((k, d)),
+                          e_consts=0.5 * rng.standard_normal(k), lam=lam)
+        dd, val = inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tol=1e-12)
+        value, *grads = disc_block_value_and_grads(
+            dd, anchors, xs, gen_apply(g, z, labels), train_consts=True)
+        assert np.max(np.abs(dd.consts - anchors.slot_consts())) > 1e-3  # the constants moved
+    elif side == "tied quadrature":
         dd, val = inner_max_solve(g, xs, anchors, tol=1e-12)
         game = TiedGame(anchors, SampleMoments(xs), GeneratorMoments(g))
         rows = dd.free_rows
@@ -955,7 +971,7 @@ _SOLVERS = ("tied latent", "tied quadrature", "general shared_cov", "population"
             "stationarity", "c_transform_batch", "c_transform")
 _TOL_NAME = {"envelope": "tol_inner", "stationarity": "tol_inner"}
 _BAD_CONTROLS = ([(s, _TOL_NAME.get(s, "tol"), bad) for s in _SOLVERS
-                  for bad in (-1.0, 0.0, float("nan"))]
+                  for bad in (-1.0, 0.0, float("nan"), float("inf"))]
                  + [(s, "max_iters", bad) for s in _SOLVERS
                     if s not in ("stationarity", "c_transform") for bad in (0, 2.0, True)])
 
