@@ -94,11 +94,11 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
     params = _object(cfg.get("dataset_params", {}), "dataset_params")
     try:
         seed = cfg.get("seed", 0)
-        # counts reach the makers unconverted, so their as_count rejects 2.7
+        # counts and the scale reach the makers unconverted, so their checks
+        # reject 2.7 and a scale of 0
         if selector == "isotropic":
             return datagen.make_isotropic(d=params.get("d", 20), n=params.get("n", 640),
-                                          scale=as_real(params.get("scale", 0.03), "scale"),
-                                          seed=seed)
+                                          scale=params.get("scale", 0.03), seed=seed)
         if selector == "rotated":
             return datagen.make_rotated(d=params.get("d", 100), n=params.get("n", 640),
                                         seed=seed)

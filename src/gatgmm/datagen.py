@@ -17,7 +17,15 @@ import numpy as np
 
 from .em import GmmParams
 from .errors import InvalidInput, ParseError
-from .gausscore import SeededRng, as_count, as_points, random_orthogonal, sqrtm_psd, symmetrize
+from .gausscore import (
+    SeededRng,
+    as_count,
+    as_points,
+    as_real,
+    random_orthogonal,
+    sqrtm_psd,
+    symmetrize,
+)
 from .model import SHARED_COV, SYMMETRIC2, GeneratorParams, draw_latents, gen_apply
 
 __all__ = [
@@ -86,8 +94,10 @@ def _symmetric_draw(truth: GmmParams, factor: np.ndarray, n: int,
 
 def make_isotropic(d: int = 20, n: int = 640, scale: float = 0.03,
                    seed: int = 0) -> Dataset:
-    """Symmetric two-component mixture with all-ones mean and scale * I covariance."""
+    """Symmetric two-component mixture with all-ones mean and scale * I
+    covariance, scale > 0."""
     d, n = as_count(d, "d"), as_count(n, "n")
+    scale = as_real(scale, "scale", positive=True)
     mu = np.ones(d)
     cov = scale * np.eye(d)
     truth = GmmParams.symmetric2(mu, cov)
@@ -133,7 +143,7 @@ def redraw(meta: DatasetMeta, seed: int) -> Dataset:
     """A fresh draw of the recipe ``meta`` records (kind, d, n, params,
     truth) at another seed."""
     if meta.kind == "isotropic" and "scale" in meta.params:
-        return make_isotropic(meta.d, meta.n, float(meta.params["scale"]), seed)
+        return make_isotropic(meta.d, meta.n, meta.params["scale"], seed)
     if meta.kind == "rotated":
         return make_rotated(meta.d, meta.n, seed)
     if meta.kind == "kmix" and meta.truth is not None:

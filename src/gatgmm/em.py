@@ -2,8 +2,21 @@
 
 Supports per-component covariances, a shared covariance, and the
 constrained symmetric two-component mode (means mirrored through the
-origin, equal weights, shared covariance), whose M-step pools the
-reflected sufficient statistics of the two components.
+origin, equal weights, shared covariance).
+
+In the symmetric mode EM is a tanh fixed point on the data's second moment
+S = X^T X / n, computed once.  With equal weights the responsibility gap is
+r+ - r- = tanh(x^T Sigma^{-1} mu), and since r+ + r- = 1 the pooled
+reflected scatter is S - mu' mu'^T, so an iteration is
+
+    mu'    = X^T tanh(X Sigma^{-1} mu) / n
+    Sigma' = sym(S - mu' mu'^T) + ridge
+
+scored by the mean log-likelihood
+-(d log 2 pi + log det Sigma + tr(Sigma^{-1} S) + mu^T Sigma^{-1} mu) / 2
++ mean log cosh(X Sigma^{-1} mu).  One Cholesky factor of Sigma serves both,
+so an iteration costs O(d^3 + n d) where the generic E and M steps cost
+O(n d^2).
 
 A constant diagonal ridge, 1e-8 * tr(total data covariance) / d, is added
 at every covariance update so the fit cannot collapse on near-atomic data.
@@ -15,10 +28,18 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import InvalidInput, SingularCovariance
-from .gausscore import SeededRng, as_count, as_gaussian, as_points, lse_softmax, symmetrize
+from .gausscore import (
+    SeededRng,
+    as_count,
+    as_gaussian,
+    as_points,
+    logcosh,
+    lse_softmax,
+    symmetrize,
+)
 from .model import SYMMETRIC2
 
 __all__ = ["GmmParams", "em_fit", "gmm_loglik"]
@@ -125,6 +146,39 @@ def gmm_loglik(p: GmmParams, data) -> float:
     return float(np.mean(lse_softmax(_log_joint(p, xs))[0]))
 
 
+def _symmetric_loglik(xs: np.ndarray, second: np.ndarray, mu: np.ndarray,
+                      cov: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean log-likelihood of (1/2) N(mu, cov) + (1/2) N(-mu, cov) on xs, whose
+    second moment is ``second``, and the projections t = xs cov^{-1} mu."""
+    d = xs.shape[1]
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance(f"component covariance is singular: {exc}") from exc
+    sol = cho_solve((chol, True), np.column_stack([second, mu]))
+    a = sol[:, d]
+    t = xs @ a
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    quad = float(np.trace(sol[:, :d])) + float(mu @ a)
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad) + float(np.mean(logcosh(t))), t
+
+
+def _symmetric_fit(xs: np.ndarray, mu: np.ndarray, cov: np.ndarray, ridge: np.ndarray,
+                   max_iters: int, tol: float) -> tuple[GmmParams, list[float]]:
+    """Symmetric EM from (mu, cov) as the tanh fixed point on S = X^T X / n."""
+    n = xs.shape[0]
+    second = symmetrize(xs.T @ xs / n)
+    trace: list[float] = []
+    for it in range(max_iters + 1):
+        ll, t = _symmetric_loglik(xs, second, mu, cov)
+        trace.append(ll)
+        if it == max_iters or (len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol):
+            break
+        mu = np.tanh(t) @ xs / n
+        cov = symmetrize(second - np.outer(mu, mu)) + ridge
+    return GmmParams.symmetric2(mu, cov), trace
+
+
 def _kmeanspp_means(xs: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
     n = xs.shape[0]
     centers = [xs[int(rng.gen.integers(0, n))]]
@@ -152,8 +206,10 @@ def em_fit(
     """Fit a k-component GMM; returns the parameters and the loglik trace.
 
     The trace is nondecreasing within 1e-9 and its last entry is the mean
-    log-likelihood of the returned parameters.  Empty components (posterior
-    mass below 1e-12) are reseeded from a random data point, not an error.
+    log-likelihood of the returned parameters (``gmm_loglik`` within 1e-9;
+    the symmetric mode computes it in its own closed form).  Empty
+    components (posterior mass below 1e-12) are reseeded from a random data
+    point, not an error.
     """
     xs = as_points(data, what="data")
     n, d = xs.shape
@@ -170,14 +226,13 @@ def em_fit(
     # spherical covariance init: a full-covariance start makes the first
     # posterior noise-dominated when n is small relative to d
     sphere = (float(np.trace(total_cov)) / d) * np.eye(d) + ridge
-    if symmetric2:
+    if symmetric2:  # from the largest-norm point
         mu = xs[int(np.argmax(np.sum(xs ** 2, axis=1)))]
-        params = GmmParams.symmetric2(mu, sphere)
-    else:
-        means = _kmeanspp_means(xs, k, rng)
-        covs = np.repeat(sphere[None], k, axis=0)
-        params = GmmParams(weights=np.full(k, 1.0 / k), means=means, covs=covs,
-                           shared_cov=shared_cov or symmetric2)
+        return _symmetric_fit(xs, mu, sphere, ridge, max_iters, tol)
+    means = _kmeanspp_means(xs, k, rng)
+    covs = np.repeat(sphere[None], k, axis=0)
+    params = GmmParams(weights=np.full(k, 1.0 / k), means=means, covs=covs,
+                       shared_cov=shared_cov)
 
     trace: list[float] = []
     for _ in range(max_iters):
@@ -190,15 +245,6 @@ def em_fit(
         # sample-major, so each component's mass sums in sample order
         resp = np.ascontiguousarray(np.exp(lj - row_lse).T)
         mass = resp.sum(axis=0)
-
-        if symmetric2:
-            w = resp[:, 0] - resp[:, 1]
-            mu = (w @ xs) / n
-            dp = xs - mu
-            dm = xs + mu
-            cov = (dp.T @ (resp[:, 0:1] * dp) + dm.T @ (resp[:, 1:2] * dm)) / n
-            params = GmmParams.symmetric2(mu, symmetrize(cov) + ridge)
-            continue
 
         new_means = params.means.copy()
         new_covs = params.covs.copy()

@@ -9,6 +9,8 @@ instead (data stream, latent stream, init stream, ...).
 
 :func:`lse_softmax` is the one row log-sum-exp and softmax: of the
 discriminator's two logit groups and of EM's log joint densities.
+:func:`logcosh` is the one stable log cosh: of the quadrature kinds, the
+moment oracles and the symmetric EM fit.
 
 :func:`as_points` is the one check of a sample-batch argument (a Dataset, a
 matrix or one point), :func:`as_gaussian` of a (mean, covariance) pair,
@@ -31,6 +33,7 @@ __all__ = [
     "as_count",
     "as_real",
     "lse_softmax",
+    "logcosh",
     "EigenDecomp",
     "symmetrize",
     "check_symmetric",
@@ -130,6 +133,13 @@ def lse_softmax(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(s - m)
     tot = e.sum(axis=-2, keepdims=True)
     return (m + np.log(tot))[..., 0, :], e / tot
+
+
+def logcosh(t: np.ndarray) -> np.ndarray:
+    """log cosh(t) elementwise as |t| + log1p(exp(-2|t|)) - log 2, which does
+    not overflow for large |t|."""
+    a = np.abs(t)
+    return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
 
 
 @dataclass(frozen=True)

@@ -256,12 +256,17 @@ def disc_value(dd: DiscriminatorParams, x: np.ndarray) -> float:
     return float(disc_value_batch(dd, [x])[0])
 
 
+def _grad_x(quad: np.ndarray, rows: np.ndarray, consts: np.ndarray,
+            xs: np.ndarray) -> np.ndarray:
+    """``disc_grad_x_batch`` at the unchecked arrays (quad, 2k rows, consts)."""
+    k = rows.shape[0] // 2
+    qn, qd = group_log_ratio(rows, consts, xs)[1]
+    return xs @ quad + qn @ rows[:k] - qd @ rows[k:]
+
+
 def disc_grad_x_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
     """Row-wise gradient A x + sum_num q_i b_i - sum_den q_i b_i."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    k = dd.k
-    qn, qd = group_log_ratio(dd.logits, dd.consts, xs)[1]
-    return xs @ dd.quad + qn @ dd.logits[:k] - qd @ dd.logits[k:]
+    return _grad_x(dd.quad, dd.logits, dd.consts, np.atleast_2d(np.asarray(xs, dtype=np.float64)))
 
 
 def disc_grad_x(dd: DiscriminatorParams, x: np.ndarray) -> np.ndarray:

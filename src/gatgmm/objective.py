@@ -68,13 +68,14 @@ from numbers import Real
 import numpy as np
 
 from .errors import InvalidInput, NotCConcave, NotStronglyConcave
-from .gausscore import as_count, as_gaussian, as_points, as_real, symmetrize
+from .gausscore import as_count, as_gaussian, as_points, as_real, logcosh, symmetrize
 from .model import (
     SHARED_COV,
     SYMMETRIC2,
     DiscriminatorParams,
     GeneratorParams,
     GradPack,
+    _grad_x,
     check_latents,
     disc_grad_x_batch,
     disc_smoothness_bound,
@@ -112,11 +113,6 @@ __all__ = [
 # Gauss-Hermite expectations of tanh-family nonlinearities
 
 
-def _logcosh(t: np.ndarray) -> np.ndarray:
-    a = np.abs(t)
-    return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
-
-
 def _tanh_prime(t):
     return 1.0 - np.tanh(t) ** 2
 
@@ -136,7 +132,7 @@ _KINDS = {
     "tanh_prime": _tanh_prime,
     "tanh_pp": _tanh_pp,
     "tanh_ppp": _tanh_ppp,
-    "logcosh": _logcosh,
+    "logcosh": logcosh,
 }
 
 
@@ -212,15 +208,18 @@ class Anchors:
         return np.concatenate([self.e_consts, self.e_consts])
 
 
+def _penalty(quad: np.ndarray, rows: np.ndarray, consts: np.ndarray, anchors: Anchors) -> float:
+    """``penalty_value`` at the unchecked arrays (quad, 2k rows, consts)."""
+    return float(np.sum(quad ** 2)
+                 + np.sum((rows - anchors.slot_vectors()) ** 2)
+                 + np.sum((consts - anchors.slot_consts()) ** 2))
+
+
 def penalty_value(dd: DiscriminatorParams, anchors: Anchors) -> float:
     """||A||_F^2 + sum_j ||b_j - anchor_j||^2 + sum_j (c_j - e_j)^2."""
     if anchors.k != dd.k:
         raise InvalidInput("anchor count does not match discriminator slot count")
-    sv = anchors.slot_vectors()
-    se = anchors.slot_consts()
-    return float(np.sum(dd.quad ** 2)
-                 + np.sum((dd.logits - sv) ** 2)
-                 + np.sum((dd.consts - se) ** 2))
+    return _penalty(dd.quad, dd.logits, dd.consts, anchors)
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,7 @@ class SampleMoments:
         self.mean_sq = float(np.trace(self.second))
 
     def logcosh_expect(self, b: np.ndarray) -> np.ndarray:
-        return np.mean(_logcosh(self.xs @ b), axis=0)
+        return np.mean(logcosh(self.xs @ b), axis=0)
 
     def logcosh_grad(self, b: np.ndarray) -> np.ndarray:
         return self.xs.T @ np.tanh(self.xs @ b) / self.n
@@ -331,7 +330,7 @@ class LatentMoments:
         return y, y * (self.z @ (b.T @ self.cov).T + b.T @ self.mu)
 
     def logcosh_expect(self, b: np.ndarray) -> np.ndarray:
-        return np.mean(_logcosh(self._proj(b)[1]), axis=0)
+        return np.mean(logcosh(self._proj(b)[1]), axis=0)
 
     def tanh_moments(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y, proj = self._proj(b)
@@ -352,14 +351,21 @@ class LatentMoments:
 _GROUP_SIGNS = np.array([[1.0], [-1.0]])
 
 
+def _log_ratio_gap(rows: np.ndarray, consts: np.ndarray, xs: np.ndarray, gx: np.ndarray):
+    """The logit block's mean log-ratio gap E_X - E_G and the group softmax
+    weights of the two batches."""
+    lr_x, q_x = group_log_ratio(rows, consts, xs)
+    lr_g, q_g = group_log_ratio(rows, consts, gx)
+    return float(np.mean(lr_x)) - float(np.mean(lr_g)), q_x, q_g
+
+
 def _logit_block(rows: np.ndarray, consts: np.ndarray, anchors: Anchors, xs: np.ndarray,
                  gx: np.ndarray, train_consts: bool):
     """Logit block of F: the mean log-ratio gap E_X - E_G, and its ascent
     gradients in the 2k rows and (when trained, else None) the constants,
     with their anchor penalties."""
     lam = anchors.lam
-    lr_x, q_x = group_log_ratio(rows, consts, xs)
-    lr_g, q_g = group_log_ratio(rows, consts, gx)
+    gap, q_x, q_g = _log_ratio_gap(rows, consts, xs, gx)
     # per group E_X[q x] - E_G[q g], each group signed as it enters D
     moments = (q_x.transpose(0, 2, 1) @ xs / xs.shape[0]
                - q_g.transpose(0, 2, 1) @ gx / gx.shape[0])
@@ -369,7 +375,7 @@ def _logit_block(rows: np.ndarray, consts: np.ndarray, anchors: Anchors, xs: np.
     if train_consts:
         const_grads = (_GROUP_SIGNS * (np.mean(q_x, axis=1) - np.mean(q_g, axis=1))).ravel() \
             - lam * (consts - anchors.slot_consts())
-    return float(np.mean(lr_x)) - float(np.mean(lr_g)), row_grads, const_grads
+    return gap, row_grads, const_grads
 
 
 class TiedGame:
@@ -430,6 +436,12 @@ def _half_gap(sx: np.ndarray, gx: np.ndarray) -> np.ndarray:
     return symmetrize(0.5 * (sx - symmetrize(gx.T @ gx / gx.shape[0])))
 
 
+def _block_value(quad: np.ndarray, half_gap: np.ndarray, gap: float, pen: float,
+                 lam: float) -> float:
+    """F = tr(quad half_gap) + the logit block's gap - (lam/2) penalty."""
+    return float(np.sum(quad * half_gap)) + gap - 0.5 * lam * pen
+
+
 def disc_block_value_and_grads(dd: DiscriminatorParams, anchors: Anchors,
                                xs: np.ndarray, gx: np.ndarray, train_consts: bool,
                                sx: np.ndarray | None = None):
@@ -442,19 +454,19 @@ def disc_block_value_and_grads(dd: DiscriminatorParams, anchors: Anchors,
     if sx is None:
         sx = symmetrize(xs.T @ xs / xs.shape[0])
     half_gap = _half_gap(sx, gx)
-    reg = 0.5 * anchors.lam * penalty_value(dd, anchors)  # also checks the anchor count
+    pen = penalty_value(dd, anchors)  # also checks the anchor count
     gap, row_grads, const_grads = _logit_block(dd.logits, dd.consts, anchors, xs, gx,
                                                train_consts)
-    value = float(np.sum(dd.quad * half_gap)) + gap - reg
+    value = _block_value(dd.quad, half_gap, gap, pen, anchors.lam)
     return value, half_gap - anchors.lam * dd.quad, dd.fold(row_grads), const_grads
 
 
-def gen_block_grads(g: GeneratorParams, dd: DiscriminatorParams, gx: np.ndarray,
-                    z: np.ndarray, labels: np.ndarray):
-    """Generator-block gradients of F (descent direction is the negation of
-    the chained discriminator input-gradient)."""
+def _gen_grads(g: GeneratorParams, quad: np.ndarray, rows: np.ndarray, consts: np.ndarray,
+               gx: np.ndarray, z: np.ndarray, labels: np.ndarray):
+    """``gen_block_grads`` at the unchecked discriminator arrays (quad, 2k rows,
+    consts)."""
     m = gx.shape[0]
-    s = disc_grad_x_batch(dd, gx)
+    s = _grad_x(quad, rows, consts, gx)
     if g.mode == SYMMETRIC2:
         yf = labels.astype(np.float64)
         signed = yf[:, None] * s
@@ -466,6 +478,13 @@ def gen_block_grads(g: GeneratorParams, dd: DiscriminatorParams, gx: np.ndarray,
         means_grad = np.stack([s[labels == i].sum(axis=0) for i in range(g.k)])
         means_grad *= -1.0 / m
     return cov_grad, means_grad
+
+
+def gen_block_grads(g: GeneratorParams, dd: DiscriminatorParams, gx: np.ndarray,
+                    z: np.ndarray, labels: np.ndarray):
+    """Generator-block gradients of F (descent direction is the negation of
+    the chained discriminator input-gradient)."""
+    return _gen_grads(g, dd.quad, dd.logits, dd.consts, gx, z, labels)
 
 
 def minimax_value_and_grads(
@@ -522,14 +541,13 @@ class BatchGame:
 
     def gen_grads(self, quad, rows, consts):
         """Descent gradients (cov_grad, means_grad) of F in the generator."""
-        dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
-        return gen_block_grads(self.g, dd, self.gx, self.z, self.labels)
+        return _gen_grads(self.g, quad, rows, consts, self.gx, self.z, self.labels)
 
     def value(self, quad, rows, consts) -> float:
         """F at the discriminator (quad, rows, consts)."""
-        dd = DiscriminatorParams(quad=quad, logits=rows, consts=consts)
-        return disc_block_value_and_grads(dd, self.anchors, self.xm.xs, self.gx,
-                                          self.train_consts, sx=self.xm.second)[0]
+        gap = _log_ratio_gap(rows, consts, self.xm.xs, self.gx)[0]
+        return _block_value(quad, self.half_gap, gap, _penalty(quad, rows, consts, self.anchors),
+                            self.anchors.lam)
 
     @cached_property
     def gm(self) -> SampleMoments:  # read on demand: GDA rounds never read it

@@ -188,12 +188,22 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
     ({"c.json": '{"dataset": "kmix", "dataset_params": {"d": 4, "k": 2, "n": 16, '
                 '"spread": true}}'},
      ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16, "scale": -1}}'},
+     ["train", "--config", "@c.json", "--method", "em", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16, "scale": 0}}'},
+     ["train", "--config", "@c.json", "--method", "em", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16, "scale": NaN}}'},
+     ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
+    ({"d.csv": "x0,x1\n1,2\n-1,-2\n", "d.meta.json": '{"kind": "isotropic", "d": 2, "n": 2, '
+      '"seed": 0, "params": {"scale": "abc"}}'},
+     ["train", "--dataset", "file:@d.csv", "--method", "em", "--holdout", "--out", "@run"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
         "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory",
         "params-nan-mean", "params-nan-weight", "train-out-is-a-file",
         "gen-data-out-is-a-file", "lr-gen-nan", "dataset-count-not-integer",
-        "kmix-k-not-integer", "scale-bool", "scale-string", "spread-bool"])
+        "kmix-k-not-integer", "scale-bool", "scale-string", "spread-bool", "scale-negative",
+        "scale-zero", "scale-nan", "holdout-meta-scale-string"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():  # a name ending in "/" is a directory
         if name.endswith("/"):

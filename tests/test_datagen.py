@@ -9,15 +9,15 @@ from gatgmm.datagen import (
     make_rotated,
     save_csv,
 )
-from gatgmm.errors import ParseError
+from gatgmm.errors import InvalidInput, ParseError
 
 
-def test_isotropic_atoms_at_zero_scale():
-    ds = make_isotropic(d=3, n=40, scale=0.0, seed=0)
-    mu = np.ones(3)
-    ok = (np.all(np.isclose(ds.samples, mu), axis=1)
-          | np.all(np.isclose(ds.samples, -mu), axis=1))
-    assert np.all(ok)
+@pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan")])
+def test_isotropic_rejects_a_scale_that_is_not_positive(scale):
+    # a zero scale would make a dataset of two atoms, a negative one a nan
+    # square root
+    with pytest.raises(InvalidInput, match="scale"):
+        make_isotropic(d=3, n=40, scale=scale, seed=0)
 
 
 def test_isotropic_second_moment():

@@ -3,8 +3,8 @@ import pytest
 
 from gatgmm import em
 from gatgmm.em import GmmParams, em_fit, gmm_loglik
-from gatgmm.errors import InvalidInput
-from gatgmm.gausscore import SeededRng
+from gatgmm.errors import InvalidInput, SingularCovariance
+from gatgmm.gausscore import SeededRng, lse_softmax, symmetrize
 
 
 def test_gmm_params_validates_weights():
@@ -157,3 +157,73 @@ def test_kmeanspp_with_fewer_distinct_points_than_k():
     centers = em._kmeanspp_means(pts, 4, SeededRng(0, 17))
     assert centers.shape == (4, 2)
     assert {tuple(c) for c in centers} == {(0.0, 1.0), (2.0, 0.0)}
+
+
+def _overlapping(n=200, d=3, seed=7):
+    """Mirrored components N(+-0.3 * 1, I) that overlap, so tanh does not saturate."""
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(0, 2, n) * 2 - 1
+    return signs[:, None] * np.full(d, 0.3) + rng.standard_normal((n, d))
+
+
+def _symmetric_step_ref(xs, p, ridge):
+    """One symmetric EM iteration from p by the reference formulas: the loglik
+    and responsibilities of the log joint, then the two-pass reflected M-step."""
+    n = xs.shape[0]
+    lj = em._log_joint(p, xs)
+    row_lse = lse_softmax(lj)[0]
+    resp = np.exp(lj - row_lse).T
+    mu = (resp[:, 0] - resp[:, 1]) @ xs / n
+    dp, dm = xs - mu, xs + mu
+    cov = (dp.T @ (resp[:, :1] * dp) + dm.T @ (resp[:, 1:] * dm)) / n
+    return float(np.mean(row_lse)), resp, mu, symmetrize(cov) + ridge
+
+
+def test_symmetric_iterations_match_reference_formulas():
+    # iteration j + 1 from the iterate em_fit returns after j iterations
+    xs = _overlapping()
+    d = xs.shape[1]
+    ridge = 1e-8 * np.trace(np.cov(xs, rowvar=False, bias=True)) / d * np.eye(d)
+    for j in range(4):
+        p, trace = em_fit(xs, k=2, symmetric2=True, max_iters=j, tol=0.0)
+        ll, resp, mu, cov = _symmetric_step_ref(xs, p, ridge)
+        if j:  # from the far init most of tanh saturates; later, most does not
+            assert np.median(np.abs(resp[:, 0] - resp[:, 1])) < 0.9
+        nxt, nxt_trace = em_fit(xs, k=2, symmetric2=True, max_iters=j + 1, tol=0.0)
+        assert abs(nxt_trace[j] - ll) <= 1e-10
+        assert np.max(np.abs(nxt.means[0] - mu)) <= 1e-10
+        assert np.max(np.abs(nxt.covs[0] - cov)) <= 1e-10
+        assert np.array_equal(nxt.means[1], -nxt.means[0])
+        assert np.array_equal(nxt.covs[1], nxt.covs[0])
+
+
+def test_symmetric_trace_scores_each_iterate():
+    # em_fit stopped after j iterations returns the iterate trace entry j scores
+    xs = _overlapping()
+    _, trace = em_fit(xs, k=2, symmetric2=True, max_iters=6, tol=0.0)
+    assert np.all(np.diff(trace) >= -1e-9)
+    for j in range(7):
+        p, head = em_fit(xs, k=2, symmetric2=True, max_iters=j, tol=0.0)
+        assert head == trace[:j + 1]
+        assert abs(head[-1] - gmm_loglik(p, xs)) <= 1e-10
+
+
+def test_symmetric_singular_covariance_is_typed():
+    with pytest.raises(SingularCovariance):
+        em_fit(np.zeros((4, 2)), k=2, symmetric2=True)
+
+
+def test_symmetric_fit_needs_no_per_sample_density(monkeypatch):
+    # the symmetric path works on X^T X and one projection per sample: it
+    # must not fall back to the O(n d^2) log joint densities
+    xs = _overlapping()
+    want, want_trace = em_fit(xs, k=2, symmetric2=True, max_iters=20)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symmetric EM evaluated per-sample Gaussian densities")
+
+    monkeypatch.setattr(em, "_log_joint", forbidden)
+    monkeypatch.setattr(em, "solve_triangular", forbidden)
+    p, trace = em_fit(xs, k=2, symmetric2=True, max_iters=20)
+    assert trace == want_trace
+    assert np.array_equal(p.means, want.means) and np.array_equal(p.covs, want.covs)

@@ -25,6 +25,7 @@ from gatgmm.model import (
 )
 from gatgmm.objective import (
     Anchors,
+    BatchGame,
     GeneratorMoments,
     LatentMoments,
     MixtureMoments,
@@ -484,6 +485,33 @@ def test_means_grad_matches_scatter_add_bitwise():
         assert np.array_equal(means_grad, _means_grad_ref(s, labels, k))
         assert np.array_equal(cov_grad, -s.T @ z / m)
     assert not np.any(means_grad[1])  # label 1 is absent from the second batch
+
+
+@pytest.mark.parametrize("mode", [SYMMETRIC2, SHARED_COV])
+def test_batch_game_matches_the_public_blocks_bitwise(mode):
+    # the game reads its own half gap and the unchecked arrays, not a
+    # DiscriminatorParams, yet gives the public entries' numbers bit for bit
+    rng = np.random.default_rng(33)
+    d, k, m = 4, 2 if mode == SYMMETRIC2 else 3, 150
+    g = GeneratorParams(mode=mode, cov_factor=0.5 * rng.standard_normal((d, d)),
+                        means=rng.standard_normal((1 if mode == SYMMETRIC2 else k, d)))
+    xs = rng.standard_normal((120, d)) + rng.standard_normal(d)
+    z, labels = draw_latents(g, m, SeededRng(3))
+    anchors = Anchors(d_vecs=0.3 * rng.standard_normal((k, d)),
+                      e_consts=0.1 * rng.standard_normal(k), lam=0.7)
+    dd = DiscriminatorParams(quad=symmetrize(0.1 * rng.standard_normal((d, d))),
+                             logits=0.3 * rng.standard_normal((2 * k, d)),
+                             consts=0.2 * rng.standard_normal(2 * k))
+    game = BatchGame(anchors, g, SampleMoments(xs), z, labels)
+    gx = gen_apply(g, z, labels)
+    value, *grads = disc_block_value_and_grads(dd, anchors, xs, gx, mode == SHARED_COV,
+                                               sx=symmetrize(xs.T @ xs / len(xs)))
+    assert game.value(dd.quad, dd.logits, dd.consts) == value
+    for got, want in zip(game.disc_grads(dd.quad, dd.logits, dd.consts), grads):
+        assert got is want is None or np.array_equal(got, want)
+    for got, want in zip(game.gen_grads(dd.quad, dd.logits, dd.consts),
+                         gen_block_grads(g, dd, gx, z, labels)):
+        assert np.array_equal(got, want)
 
 
 def _train_shared_cov_ref(xs, cfg, anchors):
