@@ -1,9 +1,11 @@
 """The exact inner maximization and its two-block decomposition.
 
 For a fixed generator the discriminator maximization splits into a
-closed-form quadratic block (second-moment mismatch, reported as l1) and a
-strongly concave logit block solved by gradient ascent (l2).  Both blocks
-are nonnegative and vanish exactly when the generator matches the data.
+closed-form quadratic block (the second-moment mismatch
+||Sx - Sg||^2 / (8 lam), reported as l1) and a strongly concave logit block
+solved by gradient ascent (l2).  Their sum, the total, is the objective F at
+the maximizing discriminator.  Both blocks are nonnegative and vanish
+exactly when the generator matches the data.
 The c-transform of a smooth discriminator is also computed by ascent and
 compared against its regularized upper bound.
 """

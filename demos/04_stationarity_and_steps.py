@@ -1,7 +1,8 @@
 """Stationarity of the envelope objective and the guaranteed step sizes.
 
-At the true parameters the Danskin envelope gradient of the inner-maximum
-value vanishes; half a unit away it does not.  The quadrature-backed
+At the true parameters the Danskin envelope gradient of
+Phi(g) = max_D F(g, D), the inner-maximum value that GDA descends, vanishes;
+half a unit away it does not.  The quadrature-backed
 tanh-moment inequalities that drive the uniqueness argument are evaluated
 on a grid, and the conservative step-size formulas are printed for a small
 feasible regime.

@@ -36,6 +36,7 @@ from .gausscore import (
     as_count,
     as_gaussian,
     as_points,
+    as_real,
     logcosh,
     lse_softmax,
     symmetrize,
@@ -214,6 +215,8 @@ def em_fit(
     xs = as_points(data, what="data")
     n, d = xs.shape
     k, max_iters = as_count(k, "k"), as_count(max_iters, "max_iters", 0)
+    if as_real(tol, "tol") < 0:
+        raise InvalidInput(f"tol must be >= 0, got {tol!r}")
     if n < k:
         raise InvalidInput(f"need at least k={k} samples, got {n}")
     if symmetric2 and k != 2:

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _MIX64 = 0x9E3779B97F4A7C15  # golden-ratio constant for stream derivation
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _FLOAT_MAX = float(np.finfo(np.float64).max)  # a larger int has no float
 
 
@@ -56,18 +57,24 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream = int(stream) & 0xFFFFFFFFFFFFFFFF
+        self.seed, self.stream = _key(seed, "seed"), _key(stream, "stream")
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
     def split(self, child: int) -> "SeededRng":
         """Derive an independent child stream; deterministic in (stream, child)."""
-        mixed = (self.stream * _MIX64 + int(child) + 1) & 0xFFFFFFFFFFFFFFFF
-        return SeededRng(self.seed, mixed)
+        return SeededRng(self.seed, (self.stream * _MIX64 + _key(child, "child") + 1) & _MASK64)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SeededRng(seed={self.seed}, stream={self.stream})"
+
+
+def _key(n, what: str) -> int:
+    """An integer (not a bool), negative ones included, as its 64-bit two's
+    complement; anything else raises InvalidInput."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise InvalidInput(f"{what} must be an integer, got {n!r}")
+    return int(n) & _MASK64
 
 
 def as_points(xs, d: int | None = None, what: str = "samples") -> np.ndarray:
@@ -209,8 +216,7 @@ def inv_sqrtm_psd(m: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
 
 def random_orthogonal(d: int, rng: SeededRng) -> np.ndarray:
     """Haar-distributed orthogonal matrix: QR of a Gaussian with sign-fixed R diagonal."""
-    if d < 1:
-        raise InvalidInput(f"dimension must be >= 1, got {d}")
+    d = as_count(d, "dimension")
     g = rng.gen.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))

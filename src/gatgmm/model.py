@@ -266,11 +266,11 @@ def _grad_x(quad: np.ndarray, rows: np.ndarray, consts: np.ndarray,
 
 def disc_grad_x_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
     """Row-wise gradient A x + sum_num q_i b_i - sum_den q_i b_i."""
-    return _grad_x(dd.quad, dd.logits, dd.consts, np.atleast_2d(np.asarray(xs, dtype=np.float64)))
+    return _grad_x(dd.quad, dd.logits, dd.consts, as_points(xs, dd.d, "discriminator input"))
 
 
 def disc_grad_x(dd: DiscriminatorParams, x: np.ndarray) -> np.ndarray:
-    return disc_grad_x_batch(dd, as_points([x], dd.d, "point"))[0]
+    return disc_grad_x_batch(dd, [x])[0]
 
 
 def disc_smoothness_bound(dd: DiscriminatorParams) -> float:

@@ -18,16 +18,15 @@ The maximization decouples across blocks.  The quadratic block has the
 closed form A* = (Sx - Sg) / (2 lam) with Sx, Sg the two second moments;
 the logit block is smooth and strongly concave whenever
 lam > E||X||^2 + E||G||^2 and is solved by fixed-step gradient ascent from
-the anchors.  The decomposed optimum is reported as
+the anchors.  The optimum Phi(gen) = F(gen, D*) is reported as
 
-    l1 = ||Sx - Sg||_F^2 / (2 lam)     (second-moment mismatch)
+    l1 = ||Sx - Sg||_F^2 / (8 lam)     (quadratic block at A*: the
+                                        second-moment mismatch)
     l2 = logit-block value at its maximum
-    total = l1 + l2,
+    total = l1 + l2 = F(gen, D*),
 
-both blocks nonnegative, and the Danskin envelope gradient exposed here
-differentiates this same total.  The total is not F at its maximizer D*:
-F's quadratic block (1/2) x^T A x - (lam/2) ||A||^2 peaks at
-||Sx - Sg||_F^2 / (8 lam) = l1 / 4, so F(gen, D*) = l2 + l1 / 4.
+both blocks nonnegative, and the Danskin envelope gradient exposed here,
+F's generator gradient at D*, differentiates this same total.
 
 Solvers
 -------
@@ -77,7 +76,6 @@ from .model import (
     GradPack,
     _grad_x,
     check_latents,
-    disc_grad_x_batch,
     disc_smoothness_bound,
     disc_value_batch,
     gen_apply,
@@ -161,7 +159,8 @@ def _gh(mean, std, kind: str, order: int):
 
 def gh_expect(mean: float, std: float, kind: str, order: int = 64) -> float:
     """E[f(mean + std*Z)], Z standard normal, by Gauss-Hermite quadrature."""
-    if not std >= 0:
+    mean, std = as_real(mean, "mean"), as_real(std, "std")
+    if std < 0:
         raise InvalidInput(f"std must be >= 0, got {std!r}")
     if kind not in _KINDS:
         raise InvalidInput(f"unknown kind {kind!r}; one of {sorted(_KINDS)}")
@@ -224,8 +223,7 @@ def penalty_value(dd: DiscriminatorParams, anchors: Anchors) -> float:
 
 @dataclass(frozen=True)
 class ObjectiveValue:
-    """Decomposed inner-maximum value: total = l1 + l2.  ``total`` is not F
-    at the maximizer D*: F(gen, D*) = l2 + l1 / 4 (see the module docstring)."""
+    """Decomposed inner-maximum value: total = l1 + l2 = F(gen, D*)."""
 
     l1: float
     l2: float
@@ -577,10 +575,13 @@ class BatchGame:
 
 
 def l1_value(g: GeneratorParams, data_second_moment: np.ndarray, lam: float) -> float:
-    """Second-moment mismatch (1/(2 lam)) ||Sx - E[G G^T]||_F^2."""
-    as_real(lam, "lam", positive=True)
-    diff = np.asarray(data_second_moment, dtype=np.float64) - gen_second_moment(g)
-    return float(np.sum(diff ** 2)) / (2.0 * lam)
+    """Second-moment mismatch (1/(8 lam)) ||Sx - E[G G^T]||_F^2, F's quadratic
+    block at its maximizer."""
+    lam = as_real(lam, "lam", positive=True)
+    sx = as_points(data_second_moment, g.d, "data second moment")
+    if sx.shape[0] != g.d:
+        raise InvalidInput(f"data second moment must be {g.d} x {g.d}, got shape {sx.shape}")
+    return float(np.sum((sx - gen_second_moment(g)) ** 2)) / (8.0 * lam)
 
 
 def _ascend(grad, x: np.ndarray, step, tol: float, max_iters: int,
@@ -606,18 +607,19 @@ def _ascend(grad, x: np.ndarray, step, tol: float, max_iters: int,
 
 def _inner_max(game, tol: float, max_iters: int):
     """Exact inner maximum of a TiedGame or a BatchGame, the maximizer and its
-    decomposed value: check the margin lam > E||X||^2 + E||G||^2, have the
-    game ascend its logit block from the anchors, read l2 as the game's F at
-    quad = 0, and join the closed-form quadratic block A* = (Sx - Sg) / (2 lam)."""
+    decomposed value F(gen, D*): check the margin lam > E||X||^2 + E||G||^2,
+    have the game ascend its logit block from the anchors, read l2 as the
+    game's F at quad = 0, and join the closed-form quadratic block
+    A* = half_gap / lam, worth l1 = ||half_gap||^2 / (2 lam)."""
     xm, gm, lam = game.xm, game.gm, game.anchors.lam
     margin = lam - (xm.mean_sq + gm.mean_sq)
     if margin <= 0:
         raise NotStronglyConcave(margin)
     rows, consts = game.ascend(tol, max_iters)
     l2 = game.value(np.zeros_like(xm.second), rows, consts)
-    gap = xm.second - gm.second
-    dd = DiscriminatorParams.from_free(symmetrize(gap / (2.0 * lam)), rows, consts, game.tied)
-    return dd, ObjectiveValue(l1=float(np.sum(gap ** 2)) / (2.0 * lam), l2=l2)
+    half_gap = game.half_gap
+    dd = DiscriminatorParams.from_free(symmetrize(half_gap / lam), rows, consts, game.tied)
+    return dd, ObjectiveValue(l1=float(np.sum(half_gap ** 2)) / (2.0 * lam), l2=l2)
 
 
 def inner_max_solve(
@@ -637,7 +639,7 @@ def inner_max_solve(
     gradient norm <= tol.  With ``z_eval`` the generator side is the
     empirical latent batch; without it (symmetric tied mode only) the
     generator side uses analytic second moments and quadrature.  The value
-    returned is l1 + l2, not F at the maximizer (see ``ObjectiveValue``).
+    returned is F at the maximizer, split as ``ObjectiveValue``.
     """
     xm = SampleMoments(x_batch)
     if z_eval is not None:
@@ -676,15 +678,14 @@ def envelope_generator_grad(
     gh_order: int = 64,
     max_iters: int = 100000,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Danskin gradient of the inner-maximum total l1 + l2 with respect to
-    (mu, C), as (grad_mu, grad_cov_factor), for a SampleMoments or
-    MixtureMoments data side and the quadrature generator side.  It is the
-    tied game's generator gradient at the maximizer with four times its
-    quad: l1 is four times F's quadratic-block maximum ||Sx - Sg||^2 / (8 lam).
+    """Danskin gradient of Phi(gen) = F(gen, D*), the inner-maximum total,
+    with respect to (mu, C), as (grad_mu, grad_cov_factor), for a
+    SampleMoments or MixtureMoments data side and the quadrature generator
+    side: the tied game's generator gradient at the maximizer D*.
     """
     game = TiedGame(anchors, x_moments, GeneratorMoments(g, gh_order))
     dd, _ = _inner_max(game, tol_inner, max_iters)
-    cov_grad, means_grad = game.gen_grads(4.0 * dd.quad, dd.free_rows)
+    cov_grad, means_grad = game.gen_grads(dd.quad, dd.free_rows)
     return means_grad[0], cov_grad
 
 
@@ -708,8 +709,8 @@ def c_transform_batch(dd: DiscriminatorParams, xs: np.ndarray,
     if eta >= 1.0:
         raise NotCConcave(f"curvature bound {eta:.6g} >= 1")
     step = np.linalg.inv(np.eye(dd.d) - dd.quad)
-    u, _ = _ascend(lambda u: disc_grad_x_batch(dd, xs + u) - u, np.zeros_like(xs), step, tol,
-                   max_iters, "c-transform")
+    u, _ = _ascend(lambda u: _grad_x(dd.quad, dd.logits, dd.consts, xs + u) - u,
+                   np.zeros_like(xs), step, tol, max_iters, "c-transform")
     return disc_value_batch(dd, xs + u) - 0.5 * np.sum(u ** 2, axis=1)
 
 
@@ -723,7 +724,7 @@ def c_transform_upper_bound(dd: DiscriminatorParams, anchors: Anchors,
 
         mean D(X) + 3 k^2 (mean ||X||^2 + 1) / (1 - eta) * penalty.
     """
-    if eta >= 1.0:
+    if as_real(eta, "eta") >= 1.0:
         raise InvalidInput("eta must be < 1")
     if disc_smoothness_bound(dd) > eta + 1e-12:
         raise InvalidInput("discriminator curvature bound exceeds eta")

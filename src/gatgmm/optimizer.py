@@ -18,8 +18,9 @@ results are those of a serial run, and ``train_gda`` joins it before
 returning or raising.
 
 The stationarity measure is the Danskin envelope gradient: solve the inner
-maximization to tolerance, then take the generator gradient of the
-decomposed optimum.  It requires the strong-concavity margin
+maximization to tolerance, then take F's generator gradient at the
+maximizer D*, which is the gradient of Phi(gen) = max_D F(gen, D), the
+function GDA descends.  It requires the strong-concavity margin
 lam > E||X||^2 + E||G||^2; the practical training configs violate it, so
 the trainer falls back to the minibatch generator-gradient norm at eval
 points when the envelope is unavailable.
@@ -37,7 +38,7 @@ import numpy as np
 
 from .em import GmmParams
 from .errors import Diverged, InfeasibleRegime, InvalidInput, NotStronglyConcave
-from .gausscore import SeededRng, as_points, as_real, symmetrize
+from .gausscore import SeededRng, as_count, as_points, as_real, symmetrize
 from .metrics import fit_score
 from .model import (
     SYMMETRIC2,
@@ -90,6 +91,10 @@ def guaranteed_stepsizes(lam: float, eta: float, k: int,
     kappa_alt carries the alternative condition-number convention
     (lam + 2 eta)/(lam - 2 eta); both are exposed for inspection.
     """
+    lam, eta = as_real(lam, "lam"), as_real(eta, "eta")
+    k, max_anchor_normsq = as_count(k, "k"), as_real(max_anchor_normsq, "max_anchor_normsq")
+    if max_anchor_normsq < 0:
+        raise InvalidInput(f"max_anchor_normsq must be >= 0, got {max_anchor_normsq}")
     if not (eta > 0 and lam > 2 * eta):
         raise InfeasibleRegime(f"need lam > 2*eta > 0, got lam={lam}, eta={eta}")
     alpha_max = 1.0 / (lam + 2.0 * eta)
@@ -105,8 +110,7 @@ def init_params(d: int, mode: str, sigma_init: float, rng: SeededRng,
     """Initialization: means uniform in (-0.5, 0.5)^d, covariance factor
     sigma * (I + 0.01 N(0,1)), quadratic matrix I + 0.01 N(0,1) symmetrized,
     logit rows 0.01 N(0,1)."""
-    if d < 1:
-        raise InvalidInput("d must be >= 1")
+    d = as_count(d, "d")
     gen = rng.gen
     n_means = 1 if mode == SYMMETRIC2 else k
     means = gen.uniform(-0.5, 0.5, size=(n_means, d))
@@ -218,7 +222,7 @@ def _feasible_scale(cov: np.ndarray, means: np.ndarray, eta: float) -> float:
 
 def project_to_feasible(g: GeneratorParams, eta: float) -> GeneratorParams:
     """Jointly rescale (C, means) onto ||C||_F^2 + max_i ||mu_i||^2 + 1 <= eta."""
-    if not eta > 1.0:
+    if not as_real(eta, "feasibility radius eta") > 1.0:
         raise InvalidInput("feasibility radius eta must exceed 1")
     t = _feasible_scale(g.cov_factor, g.means, eta)
     return g if t == 1.0 else replace(g, cov_factor=t * g.cov_factor, means=t * g.means)
@@ -260,13 +264,16 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
               truth: GmmParams | None = None) -> TrainReport:
     """Alternating GDA on the minimax objective for max_iters rounds.
 
-    Raises InvalidInput before the first round on empty or non-finite data
-    and on anchors that do not fit it or whose lam is not cfg.lam, and Diverged with the iteration index
-    and its cause: a non-finite discriminator or generator gradient or step,
-    or an eval point where C C^T overflows.
+    Raises InvalidInput before the first round on empty or non-finite data,
+    on anchors that do not fit it or whose lam is not cfg.lam and on a truth
+    that is not a GmmParams of the data's dimension, and Diverged with the
+    iteration index and its cause: a non-finite discriminator or generator
+    gradient or step, or an eval point where C C^T overflows.
     """
     xs = as_points(data, what="training data")
     n, d = xs.shape
+    if truth is not None and not (isinstance(truth, GmmParams) and truth.d == d):
+        raise InvalidInput(f"truth must be a GmmParams of the data's dimension {d}")
 
     root = SeededRng(cfg.seed)
     init_rng = root.split(1)

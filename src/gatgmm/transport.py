@@ -89,10 +89,10 @@ def posterior(p: GmmParams, x: np.ndarray) -> np.ndarray:
 
 def psi_randomized(tp: TransportPair, x: np.ndarray, y: int) -> np.ndarray:
     """Label-indexed affine map Gamma_y (x - mu_y) + mu~_y."""
-    if not 0 <= int(y) < tp.k:
+    x = as_points([x], tp.source.d, "point")[0]
+    i = as_count(y, "label", 0)
+    if i >= tp.k:
         raise InvalidInput(f"label {y} out of range 0..{tp.k - 1}")
-    x = np.asarray(x, dtype=np.float64)
-    i = int(y)
     return tp.gammas[i] @ (x - tp.source.means[i]) + tp.target.means[i]
 
 

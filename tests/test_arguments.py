@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from gatgmm.datagen import Dataset, make_isotropic
 from gatgmm.em import GmmParams, em_fit, gmm_loglik
 from gatgmm.errors import GatgmmError, InvalidInput
-from gatgmm.gausscore import SeededRng
+from gatgmm.gausscore import SeededRng, random_orthogonal
 from gatgmm.metrics import (
     bures_w2,
     condition1_check,
@@ -25,6 +25,7 @@ from gatgmm.model import (
     DiscriminatorParams,
     GeneratorParams,
     disc_grad_x,
+    disc_grad_x_batch,
     disc_value,
     disc_value_batch,
     draw_latents,
@@ -36,10 +37,19 @@ from gatgmm.objective import (
     c_transform,
     c_transform_batch,
     c_transform_upper_bound,
+    gh_expect,
     inner_max_solve,
+    l1_value,
     minimax_value_and_grads,
 )
-from gatgmm.optimizer import TrainConfig, stationarity_grad_norm, train_gda
+from gatgmm.optimizer import (
+    TrainConfig,
+    guaranteed_stepsizes,
+    init_params,
+    project_to_feasible,
+    stationarity_grad_norm,
+    train_gda,
+)
 from gatgmm.transport import (
     TransportPair,
     bayes_error,
@@ -48,6 +58,7 @@ from gatgmm.transport import (
     posterior_batch,
     psi_map,
     psi_map_batch,
+    psi_randomized,
     sample_mixture,
     w2_1d_exact,
     w2_assignment_exact,
@@ -72,6 +83,7 @@ ENTRIES = {
     "gmm_loglik": lambda xs: gmm_loglik(TRUTH, xs),
     "em_fit": lambda xs: em_fit(xs, 2, max_iters=3),
     "disc_value_batch": lambda xs: disc_value_batch(CRITIC, xs),
+    "disc_grad_x_batch": lambda xs: disc_grad_x_batch(CRITIC, xs),
     "SampleMoments": SampleMoments,
     "c_transform_batch": lambda xs: c_transform_batch(CRITIC, xs),
     "c_transform_upper_bound": lambda xs: c_transform_upper_bound(CRITIC, ANCHORS, xs, 0.9),
@@ -168,6 +180,45 @@ CASES = {
     "Anchors lam string": lambda: Anchors.symmetric(np.ones(D), lam="2"),
     "Anchors lam bool": lambda: Anchors.symmetric(np.ones(D), lam=True),
     "Anchors lam inf": lambda: Anchors.symmetric(np.ones(D), lam=float("inf")),
+    "em_fit tol string": lambda: em_fit(XS, 2, tol="x"),
+    "em_fit tol nan": lambda: em_fit(XS, 2, tol=np.nan),
+    "em_fit tol negative": lambda: em_fit(XS, 2, tol=-1.0),
+    "gh_expect mean string": lambda: gh_expect("0", 1.0, "tanh"),
+    "gh_expect std string": lambda: gh_expect(0.0, "1", "tanh"),
+    "gh_expect mean nan": lambda: gh_expect(np.nan, 1.0, "tanh"),
+    "gh_expect std inf": lambda: gh_expect(0.0, np.inf, "tanh"),
+    "c_transform_upper_bound eta nan": lambda: c_transform_upper_bound(CRITIC, ANCHORS, XS,
+                                                                       np.nan),
+    "c_transform_upper_bound eta string": lambda: c_transform_upper_bound(CRITIC, ANCHORS, XS,
+                                                                          "0.9"),
+    "project_to_feasible eta string": lambda: project_to_feasible(GEN, "a"),
+    "guaranteed_stepsizes lam string": lambda: guaranteed_stepsizes("4", 1.0, 2, 1.0),
+    "guaranteed_stepsizes lam inf": lambda: guaranteed_stepsizes(np.inf, 1.0, 2, 1.0),
+    "guaranteed_stepsizes k 2.5": lambda: guaranteed_stepsizes(4.0, 1.0, 2.5, 1.0),
+    "guaranteed_stepsizes normsq nan": lambda: guaranteed_stepsizes(4.0, 1.0, 2, np.nan),
+    "guaranteed_stepsizes normsq negative": lambda: guaranteed_stepsizes(4.0, 1.0, 2, -100.0),
+    "init_params d 2.5": lambda: init_params(2.5, SYMMETRIC2, 0.1, SeededRng(0)),
+    "random_orthogonal d 2.5": lambda: random_orthogonal(2.5, SeededRng(0)),
+    "train_gda truth string": lambda: train_gda(XS, TrainConfig(max_iters=0, lam=50.0), ANCHORS,
+                                                truth="x"),
+    "train_gda truth width": lambda: train_gda(
+        XS, TrainConfig(max_iters=0, lam=50.0), ANCHORS,
+        truth=GmmParams.symmetric2(np.ones(3), np.eye(3))),
+    "l1_value width": lambda: l1_value(GEN, np.eye(3), 1.0),
+    "l1_value one row": lambda: l1_value(GEN, np.ones((1, D)), 1.0),
+    "l1_value nan": lambda: l1_value(GEN, np.full((D, D), np.nan), 1.0),
+    "SeededRng seed 1.5": lambda: SeededRng(1.5),
+    "SeededRng seed string": lambda: SeededRng("a"),
+    "SeededRng stream 1.5": lambda: SeededRng(0, stream=1.5),
+    "SeededRng split 2.7": lambda: SeededRng(0).split(2.7),
+    "em_fit seed 1.5": lambda: em_fit(XS, 2, seed=1.5),
+    "make_isotropic seed 1.5": lambda: make_isotropic(d=2, n=8, seed=1.5),
+    "duality_gap_1d seed 1.5": lambda: duality_gap_1d(2.0, 1.0, 2.3, 0.8, n_pairs=10, n_mc=10,
+                                                      grid_points=11, seed=1.5),
+    "disc_grad_x_batch width": lambda: disc_grad_x_batch(CRITIC, np.ones((5, 3))),
+    "disc_grad_x_batch nan": lambda: disc_grad_x_batch(CRITIC, [[np.nan, 0.0]]),
+    "psi_randomized width": lambda: psi_randomized(PAIR, np.ones(3), 0),
+    "psi_randomized label 1.5": lambda: psi_randomized(PAIR, np.ones(D), 1.5),
 }
 
 

@@ -123,6 +123,13 @@ def test_rng_streams_differ_and_replay():
     assert np.array_equal(c1.gen.standard_normal(4), c2.gen.standard_normal(4))
 
 
+def test_rng_takes_negative_and_numpy_integer_seeds():
+    # a negative seed keys Philox by its 64-bit two's complement
+    assert SeededRng(-1).seed == 2 ** 64 - 1
+    assert np.array_equal(SeededRng(np.int64(7)).gen.standard_normal(4),
+                          SeededRng(7).gen.standard_normal(4))
+
+
 # --- row log-sum-exp and softmax ---------------------------------------------
 
 

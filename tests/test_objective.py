@@ -316,7 +316,7 @@ def test_l1_matched_moments():
 
 def test_l1_scalar_case():
     g = sym2(np.array([[1.0]]), np.array([0.0]))  # E[GG'] = 1
-    assert l1_value(g, np.array([[2.0]]), lam=1.0) == pytest.approx(0.5)
+    assert l1_value(g, np.array([[2.0]]), lam=1.0) == pytest.approx(0.125)
 
 
 def test_l1_scaling_in_lam():
@@ -668,13 +668,16 @@ def test_dimension_mismatch_is_invalid_input(case):
         calls[case]()
 
 
-@pytest.mark.parametrize("side", ["tied latent", "tied quadrature", "untied", "shared_cov"])
+@pytest.mark.parametrize("side", ["tied latent", "tied quadrature", "population", "untied",
+                                  "shared_cov"])
 def test_inner_max_solution_maximizes_F(side):
-    # D* zeroes F's block gradients, and F(g, D*) = l2 + l1 / 4, not total
+    # D* zeroes F's block gradients, and the reported total is F(g, D*)
     rng = np.random.default_rng(24)
     d = 3
     g = sym2(0.3 * rng.standard_normal((d, d)), 0.6 * rng.standard_normal(d))
-    half = 0.3 * rng.standard_normal((30, d)) + rng.standard_normal(d)
+    noise = 0.3 * rng.standard_normal((30, d))
+    centre = rng.standard_normal(d)
+    half = noise + centre
     xs = np.concatenate([half, -half])
     z, labels = rng.standard_normal((40, d)), rng.integers(0, 2, 40) * 2 - 1
     lam = float(np.mean(np.sum(xs ** 2, axis=1)) + np.trace(gen_second_moment(g))) + 1.0
@@ -692,9 +695,14 @@ def test_inner_max_solution_maximizes_F(side):
         value, *grads = disc_block_value_and_grads(
             dd, anchors, xs, gen_apply(g, z, labels), train_consts=True)
         assert np.max(np.abs(dd.consts - anchors.slot_consts())) > 1e-3  # the constants moved
-    elif side == "tied quadrature":
-        dd, val = inner_max_solve(g, xs, anchors, tol=1e-12)
-        game = TiedGame(anchors, SampleMoments(xs), GeneratorMoments(g))
+    elif side in ("tied quadrature", "population"):
+        if side == "population":  # the law the sample xs is drawn from
+            dd, val = inner_max_solve_population(g, centre, 0.09 * np.eye(d), anchors, tol=1e-12)
+            xm = MixtureMoments(centre, 0.09 * np.eye(d))
+        else:
+            dd, val = inner_max_solve(g, xs, anchors, tol=1e-12)
+            xm = SampleMoments(xs)
+        game = TiedGame(anchors, xm, GeneratorMoments(g))
         rows = dd.free_rows
         value = game.value(dd.quad, rows)
         grads = game.disc_grads(dd.quad, rows)[:2]
@@ -705,7 +713,7 @@ def test_inner_max_solution_maximizes_F(side):
             dd, anchors, xs, gen_apply(g, z, labels), train_consts=False)
         assert const_grads is None
     assert max(float(np.max(np.abs(gr))) for gr in grads) <= 1e-9
-    assert value == pytest.approx(val.l2 + val.l1 / 4, abs=1e-12)
+    assert value == pytest.approx(val.total, abs=1e-12)
     assert val.total == pytest.approx(val.l1 + val.l2) and val.l1 > 1e-3
 
 
