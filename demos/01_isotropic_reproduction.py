@@ -30,8 +30,7 @@ print(f"dataset: {ds.n} samples in {ds.d} dimensions")
 direction = principal_direction(ds.samples)
 anchors = Anchors.symmetric(direction, lam=2.0)
 cfg = TrainConfig(max_iters=ITERS, lr_gen=1e-2, lr_disc=1e-1, lam=2.0,
-                  seed=1, eval_every=2000, sigma_init=0.1,
-                  antithetic_from=ITERS // 2)
+                  seed=1, eval_every=2000, sigma_init=0.1)
 
 print("\nadversarial training (one descent + one ascent step per round):")
 report = train_gda(ds, cfg, anchors, truth=truth)

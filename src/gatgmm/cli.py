@@ -29,9 +29,9 @@ from .gausscore import SeededRng, as_count, as_real, sym_eigen, symmetrize
 # per-dataset trained defaults (validated to reproduce the reference scores)
 _TRAIN_DEFAULTS = {
     "isotropic": dict(max_iters=56000, lr_gen=1e-2, lr_disc=1e-1, lam=2.0,
-                      sigma_init=0.1, antithetic_from=24000, eval_every=4000),
+                      sigma_init=0.1, eval_every=4000),
     "rotated": dict(max_iters=32000, lr_gen=1e-2, lr_disc=1e-1, lam=2.0,
-                    sigma_init=0.1, antithetic_from=16000, eval_every=4000),
+                    sigma_init=0.1, eval_every=4000),
     "kmix": dict(max_iters=20000, lr_gen=2e-2, lr_disc=1e-1, lam=0.5,
                  sigma_init=0.1, eval_every=2000, mode=model.SHARED_COV, k=4,
                  tied=False),
@@ -125,6 +125,8 @@ def _dataset_kind(cfg: dict) -> str:
 def _make_anchors(cfg: dict, ds: datagen.Dataset,
                   tcfg: optimizer.TrainConfig) -> objective.Anchors:
     policy = cfg.get("anchor_policy", "principal-eig")
+    if policy not in ("principal-eig", "top-k-eigs", "fixed-vector"):
+        raise InvalidInput(f"unknown anchor_policy {policy!r}")
     k, lam = tcfg.k, tcfg.lam
     if policy == "fixed-vector":
         try:

@@ -185,23 +185,26 @@ def draw_latents(g: GeneratorParams, n: int, rng: SeededRng) -> tuple[np.ndarray
 
 def check_latents(g: GeneratorParams, z: np.ndarray,
                   labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z, labels) as arrays: z is (n, d) with one valid label per row."""
-    z, labels = np.atleast_2d(np.asarray(z, dtype=np.float64)), np.asarray(labels)
-    if z.shape[1] != g.d or labels.shape != z.shape[:1]:
-        raise InvalidInput(f"need (n, {g.d}) latents and n labels, got shapes {z.shape} "
-                           f"and {labels.shape}")
+    """(z, labels) as arrays: z is a finite (n, d) batch with one valid label per row."""
+    z, labels = as_points(z, g.d, "latents"), np.asarray(labels)
+    if labels.shape != z.shape[:1]:
+        raise InvalidInput(f"need {z.shape[0]} labels, one per latent, got shape {labels.shape}")
     if g.mode == SYMMETRIC2:
         if not np.all(np.isin(labels, (-1, 1))):
             raise InvalidInput("symmetric2 labels must be +1 or -1")
     else:
-        if labels.size and (labels.min() < 0 or labels.max() >= g.k):
+        if labels.min() < 0 or labels.max() >= g.k:
             raise InvalidInput(f"shared_cov labels must lie in 0..{g.k - 1}")
     return z, labels
 
 
 def gen_apply(g: GeneratorParams, z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Vectorized generator forward map on an (n, d) latent batch."""
-    z, labels = check_latents(g, z, labels)
+    return _gen_apply(g, *check_latents(g, z, labels))
+
+
+def _gen_apply(g: GeneratorParams, z: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``gen_apply`` on latents that ``check_latents`` has passed."""
     base = z @ g.cov_factor.T
     if g.mode == SYMMETRIC2:
         return (base + g.means[0]) * np.asarray(labels, dtype=np.float64)[:, None]

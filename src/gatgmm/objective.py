@@ -50,11 +50,11 @@ took, and warns when it reaches max_iters.  The steps:
 * general logit block, 1/(lam + E||X||^2 + E||G||^2 (+ 2)): its trained
   constants add curvature the margin check does not bound.
 
-Population (evaluation-mode) expectations use Gauss-Hermite quadrature on
-one-dimensional projections: for a symmetric two-component law every
-integrand appearing here (logcosh, its tanh moments) is even, so the
-mixture expectation equals the single-component Gaussian expectation and
-reduces to an integral over b^T X ~ N(b^T mu, b^T Sigma b).
+Population (evaluation-mode) expectations use 64-node Gauss-Hermite
+quadrature on one-dimensional projections: for a symmetric two-component
+law every integrand appearing here (logcosh, its tanh moments) is even, so
+the mixture expectation equals the single-component Gaussian expectation
+and reduces to an integral over b^T X ~ N(b^T mu, b^T Sigma b).
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Real
 
 import numpy as np
 
@@ -74,11 +73,11 @@ from .model import (
     DiscriminatorParams,
     GeneratorParams,
     GradPack,
+    _gen_apply,
     _grad_x,
     check_latents,
     disc_smoothness_bound,
     disc_value_batch,
-    gen_apply,
     gen_second_moment,
     group_log_ratio,
 )
@@ -135,36 +134,34 @@ _KINDS = {
 
 
 @lru_cache(maxsize=None)
-def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if not (isinstance(order, Real) and float(order).is_integer() and 10 <= order <= 200):
-        raise InvalidInput(f"quadrature order must be an integer in [10, 200], got {order!r}")
-    # physicists' Hermite; change of variables so sum(w) = 1 and
+def _gh_nodes() -> tuple[np.ndarray, np.ndarray]:
+    # 64 physicists' Hermite nodes; change of variables so sum(w) = 1 and
     # E[f(Z)] ~= w @ f(x) for standard normal Z
-    x, w = np.polynomial.hermite.hermgauss(int(order))
+    x, w = np.polynomial.hermite.hermgauss(64)
     return x * np.sqrt(2.0), w / np.sqrt(np.pi)
 
 
-def _gh_points(mean, std, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _gh_points(mean, std) -> tuple[np.ndarray, np.ndarray]:
     """Nodes mean + std*x on a trailing axis, per entry of mean and std, and
     the weights: E[f(mean + std*Z)] ~= f(nodes) @ weights."""
-    x, w = _gh_nodes(order)
+    x, w = _gh_nodes()
     return np.asarray(mean)[..., None] + np.asarray(std)[..., None] * x, w
 
 
-def _gh(mean, std, kind: str, order: int):
+def _gh(mean, std, kind: str):
     """E[f(mean + std*Z)] for each entry of the arrays (or scalars) mean, std."""
-    t, w = _gh_points(mean, std, order)
+    t, w = _gh_points(mean, std)
     return _KINDS[kind](t) @ w
 
 
-def gh_expect(mean: float, std: float, kind: str, order: int = 64) -> float:
+def gh_expect(mean: float, std: float, kind: str) -> float:
     """E[f(mean + std*Z)], Z standard normal, by Gauss-Hermite quadrature."""
     mean, std = as_real(mean, "mean"), as_real(std, "std")
     if std < 0:
         raise InvalidInput(f"std must be >= 0, got {std!r}")
     if kind not in _KINDS:
         raise InvalidInput(f"unknown kind {kind!r}; one of {sorted(_KINDS)}")
-    return float(_gh(mean, std, kind, order))
+    return float(_gh(mean, std, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +259,8 @@ class MixtureMoments:
     """Population expectations for the symmetric two-component mixture
     (1/2) N(mu, cov) + (1/2) N(-mu, cov), via 1-D quadrature."""
 
-    def __init__(self, mu: np.ndarray, cov: np.ndarray, order: int = 64):
+    def __init__(self, mu: np.ndarray, cov: np.ndarray):
         self.mu, self.cov = as_gaussian(mu, cov)
-        self.order = order
         self.second = symmetrize(self.cov + np.outer(self.mu, self.mu))
         self.mean_sq = float(np.trace(self.second))
 
@@ -274,12 +270,12 @@ class MixtureMoments:
         return self.mu @ b, np.sqrt(np.maximum(s2, 0.0))
 
     def logcosh_expect(self, b: np.ndarray) -> np.ndarray:
-        return _gh(*self._proj(b), "logcosh", self.order)
+        return _gh(*self._proj(b), "logcosh")
 
     def _tanh_pair(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(E[tanh(b^T W)], E[tanh'(b^T W)]) per column of b, from one tanh
         pass at the quadrature nodes (tanh' = 1 - tanh^2, as ``_tanh_prime``)."""
-        t, w = _gh_points(*self._proj(b), self.order)
+        t, w = _gh_points(*self._proj(b))
         th = np.tanh(t)
         return th @ w, (1.0 - th ** 2) @ w
 
@@ -293,10 +289,10 @@ class GeneratorMoments(MixtureMoments):
     """Population expectations of the symmetric generator law; by Stein's
     lemma in z, cross = C, gbar = mu and E[y z tanh(b^T G)] = E[tanh'] C^T b."""
 
-    def __init__(self, g: GeneratorParams, order: int = 64):
+    def __init__(self, g: GeneratorParams):
         if g.mode != SYMMETRIC2:
             raise InvalidInput("quadrature generator moments require symmetric2 mode")
-        super().__init__(g.means[0], g.cov_factor @ g.cov_factor.T, order)
+        super().__init__(g.means[0], g.cov_factor @ g.cov_factor.T)
         self.cross, self.gbar = g.cov_factor, self.mu
 
     def tanh_moments(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,10 +496,10 @@ def minimax_value_and_grads(
     C block contracts the outer product of grad_x D(G(z)) with z.
     """
     xs = as_points(x_batch, g.d, "x batch")
-    z, labels = check_latents(g, as_points(z_batch, g.d, "latents"), labels)
+    z, labels = check_latents(g, z_batch, labels)
     if dd.d != g.d or anchors.d != g.d:
         raise InvalidInput("dimension mismatch between batches and parameters")
-    gx = gen_apply(g, z, labels)  # the anchor count is checked with the penalty
+    gx = _gen_apply(g, z, labels)  # the anchor count is checked with the penalty
     value, quad_grad, logit_grads, const_grads = disc_block_value_and_grads(
         dd, anchors, xs, gx, train_consts=(g.mode == SHARED_COV))
     cov_grad, means_grad = gen_block_grads(g, dd, gx, z, labels)
@@ -525,8 +521,8 @@ class BatchGame:
             raise InvalidInput(f"data, generator and anchors have d {len(xm.second)}, {g.d}, "
                                f"{anchors.d}; generator and anchors k {g.k}, {anchors.k}")
         self.anchors, self.g, self.xm = anchors, g, xm
-        self.z, self.labels = z, labels
-        self.gx = gen_apply(g, z, labels)
+        self.z, self.labels = check_latents(g, z, labels)
+        self.gx = _gen_apply(g, self.z, self.labels)
         self.half_gap = _half_gap(xm.second, self.gx)
         self.train_consts = g.mode == SHARED_COV
 
@@ -630,7 +626,6 @@ def inner_max_solve(
     labels: np.ndarray | None = None,
     tol: float = 1e-8,
     tied: bool = True,
-    gh_order: int = 64,
     max_iters: int = 100000,
 ) -> tuple[DiscriminatorParams, ObjectiveValue]:
     """Exact inner maximization over the discriminator for a fixed generator.
@@ -643,9 +638,9 @@ def inner_max_solve(
     """
     xm = SampleMoments(x_batch)
     if z_eval is not None:
-        z_eval, labels = check_latents(g, as_points(z_eval, g.d, "latents"), labels)
+        z_eval, labels = check_latents(g, z_eval, labels)
     if g.mode == SYMMETRIC2 and tied:
-        gm = (GeneratorMoments(g, gh_order) if z_eval is None
+        gm = (GeneratorMoments(g) if z_eval is None
               else LatentMoments(g.cov_factor, g.means[0], z_eval, labels))
         game = TiedGame(anchors, xm, gm)
     elif z_eval is None:
@@ -661,12 +656,11 @@ def inner_max_solve_population(
     cov_x: np.ndarray,
     anchors: Anchors,
     tol: float = 1e-8,
-    gh_order: int = 64,
     max_iters: int = 100000,
 ) -> tuple[DiscriminatorParams, ObjectiveValue]:
     """Inner maximization against the population symmetric mixture
     (1/2) N(mu_x, cov_x) + (1/2) N(-mu_x, cov_x), fully quadrature-based."""
-    game = TiedGame(anchors, MixtureMoments(mu_x, cov_x, gh_order), GeneratorMoments(g, gh_order))
+    game = TiedGame(anchors, MixtureMoments(mu_x, cov_x), GeneratorMoments(g))
     return _inner_max(game, tol, max_iters)
 
 
@@ -675,7 +669,6 @@ def envelope_generator_grad(
     x_moments,
     anchors: Anchors,
     tol_inner: float = 1e-8,
-    gh_order: int = 64,
     max_iters: int = 100000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Danskin gradient of Phi(gen) = F(gen, D*), the inner-maximum total,
@@ -683,7 +676,7 @@ def envelope_generator_grad(
     SampleMoments or MixtureMoments data side and the quadrature generator
     side: the tied game's generator gradient at the maximizer D*.
     """
-    game = TiedGame(anchors, x_moments, GeneratorMoments(g, gh_order))
+    game = TiedGame(anchors, x_moments, GeneratorMoments(g))
     dd, _ = _inner_max(game, tol_inner, max_iters)
     cov_grad, means_grad = game.gen_grads(dd.quad, dd.free_rows)
     return means_grad[0], cov_grad

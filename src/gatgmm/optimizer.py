@@ -137,7 +137,6 @@ class TrainConfig:
     lr_gen: float = 1e-2
     lr_disc: float = 1e-1
     batch_size: int = 0          # 0 = full batch
-    latent_batch: int = 0        # 0 = match the data batch
     lam: float = 2.0
     eta: float | None = None     # feasibility radius; needed for projection
     seed: int = 0
@@ -147,11 +146,6 @@ class TrainConfig:
     k: int = 2
     tied: bool = True
     sigma_init: float | None = None  # default 2**(-1/d)
-    # iteration from which latents are drawn as antithetic pairs (z, -z);
-    # None = plain i.i.d. throughout.  Pairing cancels the mean/covariance
-    # cross term of the latent-batch second moment, shrinking the late-phase
-    # parameter jitter (symmetric mode only).
-    antithetic_from: int | None = None
 
     def __post_init__(self):
         for f in fields(self):  # configs read from JSON reach here unchecked
@@ -167,8 +161,8 @@ class TrainConfig:
                 as_real(val, f.name)
         if self.lr_gen < 0 or self.lr_disc < 0:
             raise InvalidInput("learning rates must be >= 0")
-        if min(self.batch_size, self.latent_batch, self.max_iters, self.antithetic_from or 0) < 0:
-            raise InvalidInput("sizes and antithetic_from must be nonnegative")
+        if min(self.batch_size, self.max_iters) < 0:
+            raise InvalidInput("sizes must be nonnegative")
         if self.disc_steps_per_gen_step < 1:
             raise InvalidInput("disc_steps_per_gen_step must be >= 1")
         if self.k < 2:
@@ -229,7 +223,7 @@ def project_to_feasible(g: GeneratorParams, eta: float) -> GeneratorParams:
 
 
 def stationarity_grad_norm(g: GeneratorParams, target, anchors: Anchors,
-                           tol_inner: float = 1e-8, gh_order: int = 64) -> float:
+                           tol_inner: float = 1e-8) -> float:
     """Norm of the envelope generator gradient at the inner maximum.
 
     ``target`` is a Dataset / sample matrix (empirical data side) or a
@@ -238,10 +232,10 @@ def stationarity_grad_norm(g: GeneratorParams, target, anchors: Anchors,
     if isinstance(target, GmmParams):
         if target.k != 2:
             raise InvalidInput("population stationarity needs a symmetric 2-component truth")
-        xm = MixtureMoments(target.means[0], target.covs[0], gh_order)
+        xm = MixtureMoments(target.means[0], target.covs[0])
     else:
         xm = SampleMoments(target)
-    grad_mu, grad_cov = envelope_generator_grad(g, xm, anchors, tol_inner, gh_order)
+    grad_mu, grad_cov = envelope_generator_grad(g, xm, anchors, tol_inner)
     return float(np.sqrt(np.sum(grad_mu ** 2) + np.sum(grad_cov ** 2)))
 
 
@@ -297,8 +291,8 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
 
     tied = dd.tied
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
-    m = cfg.latent_batch if cfg.latent_batch > 0 else batch
-    pair_from = cfg.antithetic_from if cfg.mode == SYMMETRIC2 else None
+    # pairing cancels the latent second moment's mean/covariance cross term
+    pair_from = cfg.max_iters // 2 if cfg.mode == SYMMETRIC2 else None
     full_xm = SampleMoments(xs) if batch == n else None
     cov, means, quad, consts = g.cov_factor, g.means, dd.quad, dd.consts
     rows = dd.free_rows
@@ -308,9 +302,10 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     def draw(it):
         """Round it's latents: i.i.d., then antithetic pairs (z, -z) after pair_from."""
         if pair_from is not None and it > pair_from:
-            half = z_rng.gen.standard_normal(((m + 1) // 2, d))
-            return np.concatenate([half, -half])[:m], z_rng.gen.integers(0, 2, size=m) * 2 - 1
-        return draw_latents(law, m, z_rng)
+            half = z_rng.gen.standard_normal(((batch + 1) // 2, d))
+            return (np.concatenate([half, -half])[:batch],
+                    z_rng.gen.integers(0, 2, size=batch) * 2 - 1)
+        return draw_latents(law, batch, z_rng)
 
     t0 = time.perf_counter()
     # One worker thread draws round it + 1's latents while round it computes.

@@ -22,8 +22,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .em import GmmParams, _log_joint
 from .errors import InvalidInput, TooLarge
-from .gausscore import (SeededRng, as_count, as_points, inv_sqrtm_psd, lse_softmax,
-                        sqrtm_psd)
+from .gausscore import (SeededRng, as_count, as_points, as_real, inv_sqrtm_psd,
+                        lse_softmax, sqrtm_psd)
 
 __all__ = [
     "TransportPair",
@@ -135,10 +135,15 @@ def duality_gap_bound_terms(tp: TransportPair, pe: float, ex_norm2: float,
                    ex_norm4: float) -> tuple[float, float, float]:
     """Approximation-error bound pieces (M1, M2, bound) for the map pair.
 
-    bound = (3/2 M1 + sqrt(M1 M2)) sqrt(pe) + sqrt(M1 M2) pe^(1/4).
+    bound = (3/2 M1 + sqrt(M1 M2)) sqrt(pe) + sqrt(M1 M2) pe^(1/4), for a real
+    pe in [0, 1] and finite moments E||X||^2, E||X||^4 >= 0, else InvalidInput.
     """
+    pe, ex_norm2, ex_norm4 = (as_real(pe, "pe"), as_real(ex_norm2, "ex_norm2"),
+                              as_real(ex_norm4, "ex_norm4"))
     if not 0.0 <= pe <= 1.0:
         raise InvalidInput("pe must lie in [0, 1]")
+    if min(ex_norm2, ex_norm4) < 0.0:
+        raise InvalidInput("the moments ex_norm2 and ex_norm4 must be >= 0")
     spec = [np.linalg.norm(gam, 2) for gam in tp.gammas]
     shift = [np.linalg.norm(tp.gammas[i] @ tp.source.means[i] - tp.target.means[i])
              for i in range(tp.k)]
@@ -247,14 +252,14 @@ def duality_gap_1d(
     maximum (:func:`_grid_c_transform`), and both sides of the weak-duality
     inequality are then estimated on n_pairs fresh samples per measure; the
     Bayes error and the bound's moments use n_mc draws of the source.
-    Non-finite or nonpositive scales, pad <= 0, an n_pairs or n_mc that is
-    not an integer >= 1 and a grid_points that is not one >= 2 raise
-    InvalidInput.
+    A mean, scale or pad that is not a finite real, a scale or pad <= 0, an
+    n_pairs or n_mc that is not an integer >= 1 and a grid_points that is
+    not one >= 2 raise InvalidInput.
     """
-    if not all(np.isfinite(v) for v in (mu_src, sigma_src, mu_tgt, sigma_tgt, pad)):
-        raise InvalidInput("means, scales and pad must be finite")
-    if min(sigma_src, sigma_tgt) <= 0.0 or pad <= 0.0:
-        raise InvalidInput("scales and pad must be positive")
+    mu_src, mu_tgt = as_real(mu_src, "mu_src"), as_real(mu_tgt, "mu_tgt")
+    sigma_src = as_real(sigma_src, "sigma_src", positive=True)
+    sigma_tgt = as_real(sigma_tgt, "sigma_tgt", positive=True)
+    pad = as_real(pad, "pad", positive=True)
     n_pairs, n_mc = as_count(n_pairs, "n_pairs"), as_count(n_mc, "n_mc")
     grid_points = as_count(grid_points, "grid_points", 2)
     source = GmmParams.symmetric2(np.array([mu_src]), np.array([[sigma_src ** 2]]))

@@ -7,9 +7,9 @@ Each run is a name and a function returning a flat dict of float scalars:
 
 * ``gda/<kind>/<seed>``: ``train_gda`` on the benchmark's datasets, anchors
   and shortened configs (the CLI's trained defaults cut to 700, 160 and 300
-  rounds, the antithetic switch at the same fraction, two eval points), seeds
-  41-43.  Every eval record's objective, grad_norm and gmm_objective, then
-  ||mu||^2, tr C C^T and the final mu and C contracted with a seeded probe.
+  rounds, two eval points), seeds 41-43.  Every eval record's objective,
+  grad_norm and gmm_objective, then ||mu||^2, tr C C^T and the final mu and C
+  contracted with a seeded probe.
 * ``em/<kind>/<seed>``: ``em_fit`` on the same datasets, symmetric for the
   two-component tasks (10 iterations) and shared-covariance k = 4 for kmix
   (30 iterations), tol 0: every trace entry and the fit contracted with a
@@ -43,10 +43,7 @@ PROBE_SEED = 7919  # the probe matrices' Philox seed; the stream names the quant
 
 def shortened_config(kind: str, seed: int) -> optimizer.TrainConfig:
     fields = dict(cli._TRAIN_DEFAULTS[kind])
-    rounds, full = ROUNDS[kind], fields["max_iters"]
-    fields.update(max_iters=rounds, eval_every=rounds // 2, seed=seed)
-    if fields.get("antithetic_from") is not None:
-        fields["antithetic_from"] = fields["antithetic_from"] * rounds // full
+    fields.update(max_iters=ROUNDS[kind], eval_every=ROUNDS[kind] // 2, seed=seed)
     return optimizer.TrainConfig(**fields)
 
 

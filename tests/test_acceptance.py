@@ -45,9 +45,9 @@ from gatgmm.transport import duality_gap_1d, sample_mixture
 SEEDS = (1, 2, 3, 4, 5)
 
 ISO_TRAIN = dict(max_iters=56000, lr_gen=1e-2, lr_disc=1e-1, lam=2.0,
-                 sigma_init=0.1, antithetic_from=24000, eval_every=56000)
+                 sigma_init=0.1, eval_every=56000)
 ROT_TRAIN = dict(max_iters=32000, lr_gen=1e-2, lr_disc=1e-1, lam=2.0,
-                 sigma_init=0.1, antithetic_from=16000, eval_every=32000)
+                 sigma_init=0.1, eval_every=32000)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

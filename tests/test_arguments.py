@@ -24,15 +24,18 @@ from gatgmm.model import (
     SYMMETRIC2,
     DiscriminatorParams,
     GeneratorParams,
+    check_latents,
     disc_grad_x,
     disc_grad_x_batch,
     disc_value,
     disc_value_batch,
     draw_latents,
+    gen_apply,
     gen_sample_batch,
 )
 from gatgmm.objective import (
     Anchors,
+    BatchGame,
     SampleMoments,
     c_transform,
     c_transform_batch,
@@ -54,6 +57,7 @@ from gatgmm.transport import (
     TransportPair,
     bayes_error,
     duality_gap_1d,
+    duality_gap_bound_terms,
     posterior,
     posterior_batch,
     psi_map,
@@ -219,6 +223,17 @@ CASES = {
     "disc_grad_x_batch nan": lambda: disc_grad_x_batch(CRITIC, [[np.nan, 0.0]]),
     "psi_randomized width": lambda: psi_randomized(PAIR, np.ones(3), 0),
     "psi_randomized label 1.5": lambda: psi_randomized(PAIR, np.ones(D), 1.5),
+    "duality_gap_1d mu_src string": lambda: duality_gap_1d("2", 1.0, 2.3, 0.8),
+    "duality_gap_1d pad string": lambda: duality_gap_1d(2.0, 1.0, 2.3, 0.8, pad="8"),
+    "duality_gap_bound_terms pe string": lambda: duality_gap_bound_terms(PAIR, "0.1", 1.0, 1.0),
+    "duality_gap_bound_terms ex_norm2 nan": lambda: duality_gap_bound_terms(PAIR, 0.1, np.nan,
+                                                                            1.0),
+    "duality_gap_bound_terms ex_norm4 negative": lambda: duality_gap_bound_terms(PAIR, 0.1, 1.0,
+                                                                                 -1.0),
+    "check_latents string": lambda: check_latents(GEN, "abc", LABELS),
+    "gen_apply nan latents": lambda: gen_apply(GEN, NAN_Z, LABELS),
+    "BatchGame symmetric2 label 0": lambda: BatchGame(ANCHORS, GEN, SampleMoments(XS), Z,
+                                                      np.where(LABELS > 0, 0, -1)),
 }
 
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gatgmm import cli
+from gatgmm import cli, optimizer
 from gatgmm.cli import main
 from gatgmm.datagen import make_isotropic
 from gatgmm.em import GmmParams, gmm_loglik
+from gatgmm.model import draw_latents
 from gatgmm.optimizer import TrainConfig
 
 
@@ -41,8 +42,7 @@ def _small_train_cfg(tmp_path, **extra):
     cfg = {
         "dataset": "isotropic",
         "dataset_params": {"d": 3, "n": 64, "scale": 0.02},
-        "train": {"max_iters": 400, "eval_every": 200, "sigma_init": 0.1,
-                  "antithetic_from": 200},
+        "train": {"max_iters": 400, "eval_every": 200, "sigma_init": 0.1},
     }
     cfg.update(extra)
     return _cfg(tmp_path, cfg)
@@ -136,10 +136,29 @@ def test_missing_file_is_config_error(tmp_path):
     {"train": {"no_such_field": 1}},
     {"dataset_params": {"d": "three"}},
     {"anchor_policy": "fixed-vector"},
+    {"train": {"antithetic_from": 5}},
+    {"train": {"latent_batch": 5}},
+    {"anchor_policy": "princpal-eig"},
 ])
 def test_bad_train_config_is_config_error(tmp_path, extra):
     cfg = _small_train_cfg(tmp_path, **extra)
     assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+
+
+def test_shortened_run_pairs_its_second_half(tmp_path, monkeypatch):
+    # `--iters 40` on the isotropic defaults: rounds 1-20 draw i.i.d. latents
+    # through draw_latents, rounds 21-40 antithetic pairs (z, -z)
+    calls = []
+
+    def draw(*args):
+        calls.append(args)
+        return draw_latents(*args)
+
+    monkeypatch.setattr(optimizer, "draw_latents", draw)
+    cfg = _cfg(tmp_path, {"dataset_params": {"d": 3, "n": 64, "scale": 0.02}})
+    assert run(["train", "--dataset", "isotropic", "--iters", "40", "--config", str(cfg),
+                "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 20
 
 
 # a config file for a small d = 2 isotropic dataset

@@ -218,8 +218,12 @@ def test_fast_loop_matches_generic_updates():
 
     g, dd = init_params(3, SYMMETRIC2, 0.2, SeededRng(13).split(1))
     z_rng = SeededRng(13).split(2)
-    for _ in range(100):
-        z = z_rng.gen.standard_normal((48, 3))
+    for it in range(1, 101):
+        if it > 50:  # the second half of the run pairs its latents (z, -z)
+            half = z_rng.gen.standard_normal((24, 3))
+            z = np.concatenate([half, -half])
+        else:
+            z = z_rng.gen.standard_normal((48, 3))
         labels = z_rng.gen.integers(0, 2, size=48) * 2 - 1
         gx = gen_apply(g, z, labels)
         _, qg, lg, _ = disc_block_value_and_grads(dd, anchors, xs, gx, False)
@@ -261,12 +265,11 @@ def _replay(xs, cfg, anchors):
     root = SeededRng(cfg.seed)
     g, dd = init_params(d, cfg.mode, cfg.sigma_init, root.split(1), k=cfg.k, tied=cfg.tied)
     z_rng, batch_rng = root.split(2), root.split(3)
-    batch = cfg.batch_size if 0 < cfg.batch_size < n else n
-    m = cfg.latent_batch or batch
+    m = cfg.batch_size if 0 < cfg.batch_size < n else n
     worst, values, norms = 0.0, [], []
     for it in range(1, cfg.max_iters + 1):
-        xb = xs if batch == n else xs[batch_rng.gen.integers(0, n, size=batch)]
-        if cfg.antithetic_from is not None and it > cfg.antithetic_from:
+        xb = xs if m == n else xs[batch_rng.gen.integers(0, n, size=m)]
+        if cfg.mode == SYMMETRIC2 and it > cfg.max_iters // 2:  # antithetic pairs (z, -z)
             half = z_rng.gen.standard_normal(((m + 1) // 2, d))
             z = np.concatenate([half, -half])[:m]
             labels = z_rng.gen.integers(0, 2, size=m) * 2 - 1
@@ -304,15 +307,14 @@ def _replay(xs, cfg, anchors):
 
 
 @pytest.mark.parametrize("d, n, overrides", [
-    (3, 48, dict(antithetic_from=6)),  # full batch, even m
-    (3, 48, dict(batch_size=20, latent_batch=25, antithetic_from=6)),  # odd m != batch
-    (3, 48, dict(disc_steps_per_gen_step=2, latent_batch=31, antithetic_from=6)),
+    (3, 48, dict()),  # full batch, even m
+    (3, 48, dict(batch_size=25)),  # odd m: the antithetic draw truncates a pair
+    (3, 48, dict(disc_steps_per_gen_step=2, batch_size=31)),
     (3, 48, dict(project_feasible=True, eta=1.3)),
-    (100, 64, dict(batch_size=40, latent_batch=33, antithetic_from=4,
-                   disc_steps_per_gen_step=2)),
+    (100, 64, dict(batch_size=33, disc_steps_per_gen_step=2)),
     # the generic block round: its eval objective is F after the last ascent step too
     (3, 48, dict(mode=SHARED_COV, k=4, disc_steps_per_gen_step=2)),
-    (3, 48, dict(tied=False, batch_size=20, latent_batch=25)),
+    (3, 48, dict(tied=False, batch_size=25)),
 ])
 def test_moment_round_matches_block_gradients(d, n, overrides):
     # lam = 2 < E||X||^2 here, so the eval points report the minibatch norm
@@ -355,11 +357,11 @@ def test_moment_round_matches_block_gradients(d, n, overrides):
     dict(lr_gen="0.1"),
     dict(tied="yes"),
     dict(sigma_init=[0.1]),
-    dict(antithetic_from=1.0),
+    dict(disc_steps_per_gen_step=0),
     dict(lr_gen=float("nan")),
     dict(lam=float("inf")),
-    dict(latent_batch=-3),
-    dict(antithetic_from=-5),
+    dict(batch_size=-3),
+    dict(max_iters=-5),
 ])
 def test_train_config_rejects_bad_fields(fields):
     with pytest.raises(InvalidInput):
@@ -451,7 +453,8 @@ def test_train_joins_its_draw_thread(monkeypatch, outcome):
         with pytest.raises(expected):
             train_gda(xs, cfg, anchors)
     assert threading.active_count() == before
-    assert len(calls) == {"completes": 20, "diverges": 2, "draw_fails": 3}[outcome]
+    # the second half of the run draws antithetic pairs, without draw_latents
+    assert len(calls) == {"completes": 10, "diverges": 2, "draw_fails": 3}[outcome]
 
 
 def test_concurrent_trainings_match_a_single_run():
@@ -459,7 +462,7 @@ def test_concurrent_trainings_match_a_single_run():
     # worker feeds only its own loop, so every run gives the serial bytes
     xs, anchors = _two_sided(d=8, n=48)
     cfg = TrainConfig(max_iters=60, eval_every=20, lr_gen=1e-2, lr_disc=1e-1, lam=0.5,
-                      sigma_init=0.1, seed=3, latent_batch=33, antithetic_from=30)
+                      sigma_init=0.1, seed=3, batch_size=33)
 
     def result_bytes():
         return json.dumps(train_gda(xs, cfg, anchors).to_json()).encode()
