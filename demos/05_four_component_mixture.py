@@ -30,8 +30,7 @@ anchor_rows = np.stack([vecs[:, 0], -vecs[:, 0], vecs[:, 1], -vecs[:, 1]])
 anchors = Anchors(d_vecs=anchor_rows, e_consts=np.zeros(k), lam=0.5)
 
 cfg = TrainConfig(max_iters=20000, lr_gen=2e-2, lr_disc=1e-1, lam=0.5, seed=2,
-                  eval_every=5000, sigma_init=0.1, mode="shared_cov", k=k,
-                  tied=False)
+                  eval_every=5000, sigma_init=0.1, mode="shared_cov", k=k)
 report = train_gda(ds, cfg, anchors)
 for rec in report.iterates:
     print(f"  iter {rec.iteration:5d}  objective {rec.objective:+.4f}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import datagen, em, metrics, model, objective, optimizer, transport
 from .errors import GatgmmError, InvalidInput, ParseError
-from .gausscore import SeededRng, as_count, as_real, sym_eigen, symmetrize
+from .gausscore import SeededRng, as_count, as_real, second_moment, sym_eigen, symmetrize
 
 # per-dataset trained defaults (validated to reproduce the reference scores)
 _TRAIN_DEFAULTS = {
@@ -33,8 +33,7 @@ _TRAIN_DEFAULTS = {
     "rotated": dict(max_iters=32000, lr_gen=1e-2, lr_disc=1e-1, lam=2.0,
                     sigma_init=0.1, eval_every=4000),
     "kmix": dict(max_iters=20000, lr_gen=2e-2, lr_disc=1e-1, lam=0.5,
-                 sigma_init=0.1, eval_every=2000, mode=model.SHARED_COV, k=4,
-                 tied=False),
+                 sigma_init=0.1, eval_every=2000, mode=model.SHARED_COV, k=4),
 }
 _TRAIN_DEFAULTS["file"] = _TRAIN_DEFAULTS["rotated"]  # a data file trains as the rotated task
 
@@ -58,20 +57,23 @@ def _load_config(path: str | None) -> dict:
         raise InvalidInput(f"cannot read config {path}: {exc}") from exc
 
 
+# the config keys the flags set: each flag's dest is its key, and an unset flag is None
+_RUN_KEYS = ("dataset", "method", "seed", "out", "holdout")
+_TRAIN_KEYS = ("lam", "lr_gen", "lr_disc", "disc_steps_per_gen_step", "max_iters", "batch_size")
+
+
 def _check_fields(cfg: dict) -> dict:
-    """Type-check the top-level run fields a config may set."""
-    for key in ("dataset", "method", "out", "anchor_policy"):
+    """Reject a top-level key no run reads and type-check the run fields."""
+    unknown = sorted(set(cfg) - set(_RUN_KEYS + ("train", "dataset_params")))
+    if unknown:
+        raise InvalidInput(f"unknown config keys {unknown}; see the README for the keys")
+    for key in ("dataset", "method", "out"):
         if key in cfg and not isinstance(cfg[key], str):
             raise InvalidInput(f"{key} must be a string, got {cfg[key]!r}")
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise InvalidInput(f"seed must be an integer, got {seed!r}")
     return cfg
-
-
-# the config keys the flags set: each flag's dest is its key, and an unset flag is None
-_RUN_KEYS = ("dataset", "method", "seed", "out", "holdout")
-_TRAIN_KEYS = ("lam", "lr_gen", "lr_disc", "disc_steps_per_gen_step", "max_iters", "batch_size")
 
 
 def _merged_config(args) -> dict:
@@ -92,28 +94,24 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
     if selector.startswith("file:"):
         return datagen.load_csv(selector[len("file:"):])
     params = _object(cfg.get("dataset_params", {}), "dataset_params")
-    try:
-        seed = cfg.get("seed", 0)
-        # counts and the scale reach the makers unconverted, so their checks
-        # reject 2.7 and a scale of 0
-        if selector == "isotropic":
-            return datagen.make_isotropic(d=params.get("d", 20), n=params.get("n", 640),
-                                          scale=params.get("scale", 0.03), seed=seed)
-        if selector == "rotated":
-            return datagen.make_rotated(d=params.get("d", 100), n=params.get("n", 640),
-                                        seed=seed)
-        if selector == "kmix":
-            d = as_count(params.get("d", 20), "d")  # sizes the default means
-            k = as_count(params.get("k", 4), "k", 2)
-            means = params.get("means")
-            if means is None:
-                base = np.eye(d)[:k] * as_real(params.get("spread", 4.0), "spread")
-                means = np.concatenate([base[: (k + 1) // 2], -base[: k // 2]])
-            cov = np.array(params.get("cov", (0.05 * np.eye(d)).tolist()))
-            return datagen.make_k_mixture(d=d, k=k, means=np.asarray(means),
-                                          cov=cov, n=params.get("n", 640), seed=seed)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"bad dataset_params: {exc}") from exc
+    seed = cfg.get("seed", 0)
+    # the params reach the makers unconverted, so their checks reject a count
+    # of 2.7, a scale of 0 and a covariance that is not PSD
+    if selector == "isotropic":
+        return datagen.make_isotropic(d=params.get("d", 20), n=params.get("n", 640),
+                                      scale=params.get("scale", 0.03), seed=seed)
+    if selector == "rotated":
+        return datagen.make_rotated(d=params.get("d", 100), n=params.get("n", 640), seed=seed)
+    if selector == "kmix":
+        d = as_count(params.get("d", 20), "d")  # sizes the default means and cov
+        k = as_count(params.get("k", 4), "k", 2)
+        means = params.get("means")
+        if means is None:
+            base = np.eye(d)[:k] * as_real(params.get("spread", 4.0), "spread")
+            means = np.concatenate([base[: (k + 1) // 2], -base[: k // 2]])
+        return datagen.make_k_mixture(d=d, k=k, means=means,
+                                      cov=params.get("cov", 0.05 * np.eye(d)),
+                                      n=params.get("n", 640), seed=seed)
     raise InvalidInput(f"unknown dataset selector {selector!r}")
 
 
@@ -122,31 +120,18 @@ def _dataset_kind(cfg: dict) -> str:
     return "file" if selector.startswith("file:") else selector
 
 
-def _make_anchors(cfg: dict, ds: datagen.Dataset,
-                  tcfg: optimizer.TrainConfig) -> objective.Anchors:
-    policy = cfg.get("anchor_policy", "principal-eig")
-    if policy not in ("principal-eig", "top-k-eigs", "fixed-vector"):
-        raise InvalidInput(f"unknown anchor_policy {policy!r}")
+def _make_anchors(ds: datagen.Dataset, tcfg: optimizer.TrainConfig) -> objective.Anchors:
+    """The principal direction for k = 2, else +- the top (k + 1) // 2
+    eigenvectors of the data's second moment, k rows in all."""
     k, lam = tcfg.k, tcfg.lam
-    if policy == "fixed-vector":
-        try:
-            vec = np.asarray(cfg["anchor_vector"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"fixed-vector anchors need a numeric anchor_vector: {exc}") from exc
-        return objective.Anchors.symmetric(vec, lam)
-    if policy == "top-k-eigs" or k > 2:
-        half = (k + 1) // 2
-        if half > ds.d:
-            raise InvalidInput(f"k={k} anchors need {half} eigenvectors; the data has d={ds.d}")
-        second = symmetrize(ds.samples.T @ ds.samples / ds.n)
-        vecs = sym_eigen(second).vectors
-        rows = []
-        for i in range(half):
-            rows.append(vecs[:, i])
-            if len(rows) < k:
-                rows.append(-vecs[:, i])
-        return objective.Anchors(d_vecs=np.stack(rows[:k]), e_consts=np.zeros(k), lam=lam)
-    return objective.Anchors.symmetric(metrics.principal_direction(ds.samples), lam)
+    if k == 2:
+        return objective.Anchors.symmetric(metrics.principal_direction(ds.samples), lam)
+    half = (k + 1) // 2
+    if half > ds.d:
+        raise InvalidInput(f"k={k} anchors need {half} eigenvectors; the data has d={ds.d}")
+    vecs = sym_eigen(second_moment(ds.samples)).vectors[:, :half].T
+    rows = np.stack([vecs, -vecs], axis=1).reshape(2 * half, ds.d)[:k]  # v1, -v1, v2, ...
+    return objective.Anchors(d_vecs=rows, e_consts=np.zeros(k), lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +178,7 @@ def _scatter_outputs(outdir: Path, ds: datagen.Dataset, model_samples: np.ndarra
     groups_xy = [("data", "#1f77b4", ds.samples[:500, :2]),
                  ("model", "#d62728", model_samples[:500, :2])]
     _scatter_svg(outdir / "scatter_xy.svg", groups_xy, "first two coordinates")
-    second = symmetrize(ds.samples.T @ ds.samples / ds.n)
-    basis = sym_eigen(second).vectors[:, :2]
+    basis = sym_eigen(second_moment(ds.samples)).vectors[:, :2]
     groups_pca = [("data", "#1f77b4", ds.samples[:500] @ basis),
                   ("model", "#d62728", model_samples[:500] @ basis)]
     _scatter_svg(outdir / "scatter_pca.svg", groups_pca, "top-2 principal plane")
@@ -270,7 +254,7 @@ def _run_experiment(cfg: dict) -> dict:
         rows = ["iter,loglik"] + ["%d,%.17g" % (i, v) for i, v in enumerate(trace)]
         model_samples = transport.sample_mixture(fit, n_shown, shown_rng)[0]
     elif method == "gatgmm":
-        run = optimizer.train_gda(ds, tcfg, _make_anchors(cfg, ds, tcfg),
+        run = optimizer.train_gda(ds, tcfg, _make_anchors(ds, tcfg),
                                   truth=ds.meta.truth if ds.meta is not None else None)
         g, seconds = run.final_gen, run.wall_clock_seconds
         fit = em.GmmParams.from_generator(g)

@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .em import GmmParams
-from .errors import InvalidInput, ParseError
+from .errors import InvalidInput, NotPsd, ParseError
 from .gausscore import (
     SeededRng,
     as_count,
+    as_gaussian,
     as_points,
     as_real,
     random_orthogonal,
@@ -125,15 +126,20 @@ def make_rotated(d: int = 100, n: int = 640, seed: int = 0) -> Dataset:
 
 def make_k_mixture(d: int, k: int, means: np.ndarray, cov: np.ndarray,
                    n: int, seed: int = 0) -> Dataset:
-    """Uniform-weight shared-covariance k-component mixture."""
+    """Uniform-weight shared-covariance k-component mixture: k finite mean
+    rows of width d and a finite PSD d x d covariance, else InvalidInput."""
     d, n, k = as_count(d, "d"), as_count(n, "n"), as_count(k, "k", 2)
-    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
-    if means.shape != (k, d):
-        raise InvalidInput(f"means must be ({k}, {d})")
-    cov = symmetrize(cov)
+    means = as_points(means, d, "means")
+    if means.shape[0] != k:
+        raise InvalidInput(f"means must be ({k}, {d}), got {means.shape}")
+    cov = as_gaussian(means[0], cov)[1]
+    try:
+        factor = sqrtm_psd(cov)
+    except NotPsd as exc:
+        raise InvalidInput(f"cov must be positive semidefinite: {exc}") from exc
     truth = GmmParams(weights=np.full(k, 1.0 / k), means=means,
                       covs=np.repeat(cov[None], k, axis=0), shared_cov=True)
-    g = GeneratorParams(mode=SHARED_COV, cov_factor=sqrtm_psd(cov), means=means)
+    g = GeneratorParams(mode=SHARED_COV, cov_factor=factor, means=means)
     z, labels = draw_latents(g, n, SeededRng(seed))
     meta = DatasetMeta(kind="kmix", d=d, n=n, seed=seed, truth=truth, params={"k": k})
     return Dataset(samples=gen_apply(g, z, labels), meta=meta)

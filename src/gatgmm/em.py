@@ -39,6 +39,7 @@ from .gausscore import (
     as_real,
     logcosh,
     lse_softmax,
+    second_moment,
     symmetrize,
 )
 from .model import SYMMETRIC2
@@ -168,7 +169,7 @@ def _symmetric_fit(xs: np.ndarray, mu: np.ndarray, cov: np.ndarray, ridge: np.nd
                    max_iters: int, tol: float) -> tuple[GmmParams, list[float]]:
     """Symmetric EM from (mu, cov) as the tanh fixed point on S = X^T X / n."""
     n = xs.shape[0]
-    second = symmetrize(xs.T @ xs / n)
+    second = second_moment(xs)
     trace: list[float] = []
     for it in range(max_iters + 1):
         ll, t = _symmetric_loglik(xs, second, mu, cov)

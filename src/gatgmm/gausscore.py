@@ -7,6 +7,7 @@ bit-identical sample sequence across runs and platforms.  Callers never
 share one SeededRng between independent purposes; they split child streams
 instead (data stream, latent stream, init stream, ...).
 
+:func:`second_moment` is the one sample second moment X^T X / n.
 :func:`lse_softmax` is the one row log-sum-exp and softmax: of the
 discriminator's two logit groups and of EM's log joint densities.
 :func:`logcosh` is the one stable log cosh: of the quadrature kinds, the
@@ -36,6 +37,7 @@ __all__ = [
     "logcosh",
     "EigenDecomp",
     "symmetrize",
+    "second_moment",
     "check_symmetric",
     "sym_eigen",
     "sqrtm_psd",
@@ -161,6 +163,11 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     """Return (m + m.T)/2 as a new float64 array."""
     m = np.asarray(m, dtype=np.float64)
     return 0.5 * (m + m.T)
+
+
+def second_moment(xs: np.ndarray) -> np.ndarray:
+    """The sample second moment X^T X / n of an (n, d) batch, symmetrized."""
+    return symmetrize(xs.T @ xs / xs.shape[0])
 
 
 def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .em import GmmParams
 from .errors import InsufficientSamples, InvalidInput
-from .gausscore import as_gaussian, as_points, sqrtm_psd, sym_eigen, symmetrize
+from .gausscore import as_gaussian, as_points, second_moment, sqrtm_psd, sym_eigen, symmetrize
 
 __all__ = [
     "MetricsRecord",
@@ -132,8 +132,7 @@ def gmm_objective_orthant(truth: GmmParams, samples: np.ndarray,
             raise InsufficientSamples(
                 f"orthant half has {half.shape[0]} samples; need at least {d + 1}")
         m_hat = half.mean(axis=0)
-        diff = half - m_hat
-        c_hat = symmetrize(diff.T @ diff / half.shape[0])
+        c_hat = second_moment(half - m_hat)
         total += _trace_term(cov, c_hat) + _sign_min_mean_term(mu, m_hat)
     return 0.5 * total
 
@@ -153,7 +152,7 @@ def principal_direction(samples: np.ndarray) -> np.ndarray:
     """Unit top eigenvector of the empirical second moment; sign fixed so the
     first coordinate with magnitude above 1e-12 is positive."""
     xs = as_points(samples)
-    second = symmetrize(xs.T @ xs / xs.shape[0])
+    second = second_moment(xs)
     vec = sym_eigen(second).vectors[:, 0]
     vec = vec / np.linalg.norm(vec)
     nz = np.nonzero(np.abs(vec) > 1e-12)[0]

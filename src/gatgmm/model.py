@@ -14,11 +14,12 @@ Discriminator
 
 with 2k logit rows split into a numerator and a denominator group, each
 evaluated with max-subtracted log-sum-exp.  In the symmetric two-component
-mode the constants are structurally zero, and the optional ``tied``
-constraint enforces b_2 = -b_1, b_4 = -b_3 exactly, which reduces the log
-ratio to logcosh(b_1^T x) - logcosh(b_3^T x); D is then an even function.
-Gradients in tied mode are taken with respect to the free rows b_1, b_3
-only (the chain rule through the mirrored rows yields the tanh forms).
+mode the constants are structurally zero, and training ties the rows
+exactly, b_2 = -b_1 and b_4 = -b_3 (``DiscriminatorParams.tied``), which
+reduces the log ratio to logcosh(b_1^T x) - logcosh(b_3^T x); D is then an
+even function.  Gradients in tied mode are taken with respect to the free
+rows b_1, b_3 only (the chain rule through the mirrored rows yields the
+tanh forms).
 """
 
 from __future__ import annotations
@@ -185,10 +186,13 @@ def draw_latents(g: GeneratorParams, n: int, rng: SeededRng) -> tuple[np.ndarray
 
 def check_latents(g: GeneratorParams, z: np.ndarray,
                   labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z, labels) as arrays: z is a finite (n, d) batch with one valid label per row."""
+    """(z, labels) as arrays: z is a finite (n, d) batch with one valid
+    integer label per row (a bool is not a label)."""
     z, labels = as_points(z, g.d, "latents"), np.asarray(labels)
     if labels.shape != z.shape[:1]:
         raise InvalidInput(f"need {z.shape[0]} labels, one per latent, got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidInput(f"labels must be integers, got dtype {labels.dtype}")
     if g.mode == SYMMETRIC2:
         if not np.all(np.isin(labels, (-1, 1))):
             raise InvalidInput("symmetric2 labels must be +1 or -1")

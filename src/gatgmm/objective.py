@@ -66,7 +66,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidInput, NotCConcave, NotStronglyConcave
-from .gausscore import as_count, as_gaussian, as_points, as_real, logcosh, symmetrize
+from .gausscore import (as_count, as_gaussian, as_points, as_real, logcosh, second_moment,
+                        symmetrize)
 from .model import (
     SHARED_COV,
     SYMMETRIC2,
@@ -245,7 +246,7 @@ class SampleMoments:
     def __init__(self, xs: np.ndarray):
         self.xs = xs = as_points(xs)
         self.n = xs.shape[0]
-        self.second = symmetrize(xs.T @ xs / self.n)
+        self.second = second_moment(xs)
         self.mean_sq = float(np.trace(self.second))
 
     def logcosh_expect(self, b: np.ndarray) -> np.ndarray:
@@ -427,7 +428,7 @@ class TiedGame:
 
 def _half_gap(sx: np.ndarray, gx: np.ndarray) -> np.ndarray:
     """(Sx - Sg) / 2 with Sg the second moment of the generated batch gx."""
-    return symmetrize(0.5 * (sx - symmetrize(gx.T @ gx / gx.shape[0])))
+    return symmetrize(0.5 * (sx - second_moment(gx)))
 
 
 def _block_value(quad: np.ndarray, half_gap: np.ndarray, gap: float, pen: float,
@@ -446,7 +447,7 @@ def disc_block_value_and_grads(dd: DiscriminatorParams, anchors: Anchors,
     ``sx`` optionally carries the precomputed x-batch second moment
     (the batch is often fixed across iterations)."""
     if sx is None:
-        sx = symmetrize(xs.T @ xs / xs.shape[0])
+        sx = second_moment(xs)
     half_gap = _half_gap(sx, gx)
     pen = penalty_value(dd, anchors)  # also checks the anchor count
     gap, row_grads, const_grads = _logit_block(dd.logits, dd.consts, anchors, xs, gx,

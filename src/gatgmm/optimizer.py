@@ -4,18 +4,18 @@ One round = ``disc_steps_per_gen_step`` ascent steps on the discriminator
 block followed by one descent step on the generator, each evaluated on the
 current minibatch with a fresh latent batch per round.  One loop in
 ``train_gda`` serves every mode and a per-mode round supplies the gradients:
-in the tied symmetric mode ``objective.TiedGame`` over the minibatch's
-``SampleMoments`` and the latent batch's ``LatentMoments``, which never forms
-the generated batch and agrees to rounding with the generic block (the tied
-``disc_block_value_and_grads`` + ``gen_block_grads``), and the generic block,
-``objective.BatchGame``, otherwise.  Every mode's eval records report F at the
-round's generator and its discriminator after the round's last ascent step.
-All randomness flows through split streams of a single Philox seed, so a
-(config, seed) pair replays bit-identically.  The latent draws never depend on
-a round's results, so one worker thread draws round t+1's batch while round t
-computes; it is the latent stream's only user and draws in order, so the
-results are those of a serial run, and ``train_gda`` joins it before
-returning or raising.
+in the symmetric mode, always tied, ``objective.TiedGame`` over the
+minibatch's ``SampleMoments`` and the latent batch's ``LatentMoments``, which
+never forms the generated batch and agrees to rounding with the generic block
+(the tied ``disc_block_value_and_grads`` + ``gen_block_grads``), and the
+generic block, ``objective.BatchGame``, otherwise.  Every mode's eval records
+report F at the round's generator and its discriminator after the round's last
+ascent step.  All randomness flows through split streams of a single Philox
+seed, so a (config, seed) pair replays bit-identically.  The latent draws
+never depend on a round's results, so one worker thread draws round t+1's
+batch while round t computes; it is the latent stream's only user and draws in
+order, so the results are those of a serial run, and ``train_gda`` joins it
+before returning or raising.
 
 The stationarity measure is the Danskin envelope gradient: solve the inner
 maximization to tolerance, then take F's generator gradient at the
@@ -106,10 +106,10 @@ def guaranteed_stepsizes(lam: float, eta: float, k: int,
 
 
 def init_params(d: int, mode: str, sigma_init: float, rng: SeededRng,
-                k: int = 2, tied: bool = True) -> tuple[GeneratorParams, DiscriminatorParams]:
+                k: int = 2) -> tuple[GeneratorParams, DiscriminatorParams]:
     """Initialization: means uniform in (-0.5, 0.5)^d, covariance factor
     sigma * (I + 0.01 N(0,1)), quadratic matrix I + 0.01 N(0,1) symmetrized,
-    logit rows 0.01 N(0,1)."""
+    logit rows 0.01 N(0,1), only b1 and b3 when tied (the symmetric mode)."""
     d = as_count(d, "d")
     gen = rng.gen
     n_means = 1 if mode == SYMMETRIC2 else k
@@ -117,34 +117,34 @@ def init_params(d: int, mode: str, sigma_init: float, rng: SeededRng,
     cov_factor = sigma_init * (np.eye(d) + 0.01 * gen.standard_normal((d, d)))
     quad = symmetrize(np.eye(d) + 0.01 * gen.standard_normal((d, d)))
     g = GeneratorParams(mode=mode, cov_factor=cov_factor, means=means)
-    if mode == SYMMETRIC2 and tied:
+    if mode == SYMMETRIC2:
         dd = DiscriminatorParams.tied_symmetric(
             quad, 0.01 * gen.standard_normal(d), 0.01 * gen.standard_normal(d))
     else:
         rows = 0.01 * gen.standard_normal((2 * g.k, d))
-        dd = DiscriminatorParams(quad=quad, logits=rows, consts=np.zeros(2 * g.k),
-                                 tied=False)
+        dd = DiscriminatorParams(quad=quad, logits=rows, consts=np.zeros(2 * g.k))
     return g, dd
 
 
-_FIELD_KINDS = {"int": Integral, "float": Real, "bool": (bool, np.bool_), "str": str}
+_FIELD_KINDS = {"int": Integral, "float": Real, "str": str}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A GDA run: the symmetric mode trains the tied discriminator, and an
+    ``eta`` > 1 projects every generator step onto the feasible set."""
+
     max_iters: int = 4000
     disc_steps_per_gen_step: int = 1
     lr_gen: float = 1e-2
     lr_disc: float = 1e-1
     batch_size: int = 0          # 0 = full batch
     lam: float = 2.0
-    eta: float | None = None     # feasibility radius; needed for projection
+    eta: float | None = None     # feasibility radius of the projection
     seed: int = 0
     eval_every: int = 200
-    project_feasible: bool = False
     mode: str = SYMMETRIC2
     k: int = 2
-    tied: bool = True
     sigma_init: float | None = None  # default 2**(-1/d)
 
     def __post_init__(self):
@@ -153,9 +153,8 @@ class TrainConfig:
             kind, _, optional = f.type.partition(" | ")
             if optional and val is None:
                 continue
-            # bool is an int subclass: only bool fields take one
-            is_bool = isinstance(val, _FIELD_KINDS["bool"])
-            if is_bool != (kind == "bool") or not isinstance(val, _FIELD_KINDS[kind]):
+            # bool is an int subclass, and no field takes one
+            if isinstance(val, (bool, np.bool_)) or not isinstance(val, _FIELD_KINDS[kind]):
                 raise InvalidInput(f"{f.name} must be {f.type}, got {val!r}")
             if kind == "float":
                 as_real(val, f.name)
@@ -171,8 +170,13 @@ class TrainConfig:
             raise InvalidInput("lam must be > 0")
         if self.eval_every < 1:
             raise InvalidInput("eval_every must be >= 1")
-        if self.project_feasible and not (self.eta is not None and self.eta > 1.0):
-            raise InvalidInput("projection needs an explicit eta > 1")
+        if self.eta is not None and not self.eta > 1.0:
+            raise InvalidInput(f"the feasibility radius eta must exceed 1, got {self.eta}")
+
+    @property
+    def tied(self) -> bool:
+        """Whether the run trains the tied discriminator: in the symmetric mode."""
+        return self.mode == SYMMETRIC2
 
 
 @dataclass(frozen=True)
@@ -245,7 +249,7 @@ def _eval_record(it, value, g, anchors, xs, cfg, truth, t0):
     except InvalidInput as exc:  # a finite C whose C C^T overflows
         raise Diverged(it, "eval_cov") from exc
     envelope = float("nan")
-    if cfg.mode == SYMMETRIC2 and cfg.tied:
+    if cfg.tied:
         try:
             envelope = stationarity_grad_norm(g, xs, anchors, tol_inner=1e-6)
         except NotStronglyConcave:
@@ -275,7 +279,7 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     batch_rng = root.split(3)
 
     sigma = cfg.sigma_init if cfg.sigma_init is not None else 2.0 ** (-1.0 / d)
-    g, dd = init_params(d, cfg.mode, sigma, init_rng, k=cfg.k, tied=cfg.tied)
+    g, dd = init_params(d, cfg.mode, sigma, init_rng, k=cfg.k)
     if anchors.d != d or anchors.k != g.k:
         raise InvalidInput(f"anchors hold {anchors.k} vectors of dimension {anchors.d}; "
                            f"training needs {g.k} of dimension {d}")
@@ -289,7 +293,6 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
                                  seconds=0.0)],
             final_gen=g, final_disc=dd, wall_clock_seconds=0.0)
 
-    tied = dd.tied
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
     # pairing cancels the latent second moment's mean/covariance cross term
     pair_from = cfg.max_iters // 2 if cfg.mode == SYMMETRIC2 else None
@@ -319,7 +322,7 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
             z, labels = nxt.result()
             if it < cfg.max_iters:
                 nxt = pool.submit(draw, it + 1)
-            if tied:
+            if cfg.tied:
                 rnd = TiedGame(anchors, xm, LatentMoments(cov, means[0], z, labels))
             else:
                 rnd = BatchGame(anchors,
@@ -340,7 +343,7 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
             means = means - cfg.lr_gen * means_grad
             if not np.isfinite(np.sum(cov) + np.sum(means)):  # also catches an overflowing step
                 raise Diverged(it, "gen_step")
-            if cfg.project_feasible:
+            if cfg.eta is not None:
                 t = _feasible_scale(cov, means, cfg.eta)
                 if t < 1.0:
                     cov, means = t * cov, t * means
@@ -356,5 +359,5 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
 
     return TrainReport(iterates=records,
                        final_gen=GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means),
-                       final_disc=DiscriminatorParams.from_free(quad, rows, consts, tied),
+                       final_disc=DiscriminatorParams.from_free(quad, rows, consts, cfg.tied),
                        wall_clock_seconds=time.perf_counter() - t0)

@@ -233,41 +233,36 @@ def _grid_c_transform(grid: np.ndarray, values: np.ndarray, chunk: int = 64) -> 
     return out
 
 
-def duality_gap_1d(
-    mu_src: float,
-    sigma_src: float,
-    mu_tgt: float,
-    sigma_tgt: float,
-    n_pairs: int = 2000,
-    n_mc: int = 100000,
-    seed: int = 0,
-    grid_points: int = 4001,
-    pad: float = 8.0,
-) -> Duality1DResult:
+# duality_gap_1d's sample pairs, source draws, grid points and grid pad in scales
+_DUALITY_PAIRS = 2000
+_DUALITY_MC = 100_000
+_DUALITY_GRID = 4001
+_DUALITY_PAD = 8.0
+
+
+def duality_gap_1d(mu_src: float, sigma_src: float, mu_tgt: float, sigma_tgt: float,
+                   seed: int = 0) -> Duality1DResult:
     """Desk-scale duality check between two symmetric 1-D two-component mixtures.
 
     The surrogate potential integrates the conditional-expectation map on a
-    uniform grid of grid_points over +-(max |mu| + pad * max sigma)
+    uniform grid of 4001 points over +-(max |mu| + 8 max sigma)
     (D~ = x^2/2 - phi with phi' = psi), its c-transform is the exact grid
     maximum (:func:`_grid_c_transform`), and both sides of the weak-duality
-    inequality are then estimated on n_pairs fresh samples per measure; the
-    Bayes error and the bound's moments use n_mc draws of the source.
-    A mean, scale or pad that is not a finite real, a scale or pad <= 0, an
-    n_pairs or n_mc that is not an integer >= 1 and a grid_points that is
-    not one >= 2 raise InvalidInput.
+    inequality are then estimated on 2000 fresh samples per measure; the
+    Bayes error and the bound's moments use 100 000 draws of the source.
+    A mean or scale that is not a finite real, a scale <= 0 and a seed that
+    is not an integer raise InvalidInput.
     """
     mu_src, mu_tgt = as_real(mu_src, "mu_src"), as_real(mu_tgt, "mu_tgt")
     sigma_src = as_real(sigma_src, "sigma_src", positive=True)
     sigma_tgt = as_real(sigma_tgt, "sigma_tgt", positive=True)
-    pad = as_real(pad, "pad", positive=True)
-    n_pairs, n_mc = as_count(n_pairs, "n_pairs"), as_count(n_mc, "n_mc")
-    grid_points = as_count(grid_points, "grid_points", 2)
+    rng = SeededRng(seed, stream=101)
     source = GmmParams.symmetric2(np.array([mu_src]), np.array([[sigma_src ** 2]]))
     target = GmmParams.symmetric2(np.array([mu_tgt]), np.array([[sigma_tgt ** 2]]))
     tp = TransportPair.build(source, target)
 
-    lim = max(abs(mu_src), abs(mu_tgt)) + pad * max(sigma_src, sigma_tgt)
-    grid = np.linspace(-lim, lim, grid_points)
+    lim = max(abs(mu_src), abs(mu_tgt)) + _DUALITY_PAD * max(sigma_src, sigma_tgt)
+    grid = np.linspace(-lim, lim, _DUALITY_GRID)
     psi_vals = psi_map_batch(tp, grid[:, None])[:, 0]
     phi = cumulative_trapezoid(psi_vals, grid, initial=0.0)
     dtilde = 0.5 * grid ** 2 - phi
@@ -277,22 +272,21 @@ def duality_gap_1d(
     # two samples match exactly (otherwise the sorted matching is forced to
     # pair a few points across modes and the empirical cost picks up an
     # O(separation^2 / sqrt(n)) excess)
-    rng = SeededRng(seed, stream=101)
-    signs = rng.split(1).gen.integers(0, 2, size=n_pairs) * 2 - 1
-    xs = signs * (mu_src + sigma_src * rng.split(2).gen.standard_normal(n_pairs))
-    xt = signs * (mu_tgt + sigma_tgt * rng.split(3).gen.standard_normal(n_pairs))
+    signs = rng.split(1).gen.integers(0, 2, size=_DUALITY_PAIRS) * 2 - 1
+    xs = signs * (mu_src + sigma_src * rng.split(2).gen.standard_normal(_DUALITY_PAIRS))
+    xt = signs * (mu_tgt + sigma_tgt * rng.split(3).gen.standard_normal(_DUALITY_PAIRS))
 
     dvals = np.interp(xs, grid, dtilde)
     cvals = np.interp(xt, grid, dtilde_c)
     dual = float(np.mean(dvals) - np.mean(cvals))
     w2 = w2_1d_exact(xs, xt)
     pair_costs = 0.5 * (np.sort(xs) - np.sort(xt)) ** 2
-    se = float(np.sqrt((dvals.var() + cvals.var() + pair_costs.var()) / n_pairs))
+    se = float(np.sqrt((dvals.var() + cvals.var() + pair_costs.var()) / _DUALITY_PAIRS))
 
-    mc, labels = sample_mixture(source, n_mc, rng.split(4))
+    mc, labels = sample_mixture(source, _DUALITY_MC, rng.split(4))
     predicted = np.argmax(posterior_batch(source, mc), axis=1)
     # rule-of-three floor: a zero miscount only bounds pe above by ~3/n
-    pe = max(float(np.mean(predicted != labels)), 3.0 / n_mc)
+    pe = max(float(np.mean(predicted != labels)), 3.0 / _DUALITY_MC)
     norms2 = np.sum(mc ** 2, axis=1)
     bound = duality_gap_bound_terms(tp, pe, float(norms2.mean()), float((norms2 ** 2).mean()))[2]
 

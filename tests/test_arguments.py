@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gatgmm.datagen import Dataset, make_isotropic
+from gatgmm.datagen import Dataset, make_isotropic, make_k_mixture
 from gatgmm.em import GmmParams, em_fit, gmm_loglik
 from gatgmm.errors import GatgmmError, InvalidInput
 from gatgmm.gausscore import SeededRng, random_orthogonal
@@ -21,6 +21,7 @@ from gatgmm.metrics import (
     principal_direction,
 )
 from gatgmm.model import (
+    SHARED_COV,
     SYMMETRIC2,
     DiscriminatorParams,
     GeneratorParams,
@@ -72,6 +73,7 @@ D = 2
 TRUTH = GmmParams.symmetric2(np.array([1.0, 0.5]), 0.1 * np.eye(D))
 PAIR = TransportPair.build(TRUTH, GmmParams.symmetric2(np.array([0.8, 0.4]), 0.2 * np.eye(D)))
 GEN = GeneratorParams(mode=SYMMETRIC2, cov_factor=0.3 * np.eye(D), means=[[0.5, 0.2]])
+KGEN = GeneratorParams(mode=SHARED_COV, cov_factor=np.eye(D), means=np.ones((3, D)))
 CRITIC = DiscriminatorParams(quad=0.1 * np.eye(D), consts=np.zeros(4),
                              logits=0.1 * np.array([[1.0, 0.0], [0.0, 1.0],
                                                     [-1.0, 0.0], [0.0, -1.0]]))
@@ -170,9 +172,8 @@ CASES = {
     "em_fit k 2.5": lambda: em_fit(XS, 2.5),
     "em_fit max_iters 2.5": lambda: em_fit(XS, 2, max_iters=2.5),
     "sample_mixture n -1": lambda: sample_mixture(TRUTH, -1, SeededRng(0)),
-    "duality_gap_1d n_pairs 2.5": lambda: duality_gap_1d(2.0, 1.0, 2.3, 0.8, n_pairs=2.5),
-    "duality_gap_1d grid_points 2.5": lambda: duality_gap_1d(2.0, 1.0, 2.3, 0.8,
-                                                             grid_points=2.5),
+    "duality_gap_1d sigma_src bool": lambda: duality_gap_1d(2.0, True, 2.3, 0.8),
+    "duality_gap_1d sigma_tgt string": lambda: duality_gap_1d(2.0, 1.0, 2.3, "0.8"),
     "make_isotropic d 2.5": lambda: make_isotropic(d=2.5),
     "make_isotropic n 2.5": lambda: make_isotropic(n=2.5),
     "gen_sample_batch n 2.5": lambda: gen_sample_batch(GEN, 2.5, SeededRng(0)),
@@ -217,14 +218,13 @@ CASES = {
     "SeededRng split 2.7": lambda: SeededRng(0).split(2.7),
     "em_fit seed 1.5": lambda: em_fit(XS, 2, seed=1.5),
     "make_isotropic seed 1.5": lambda: make_isotropic(d=2, n=8, seed=1.5),
-    "duality_gap_1d seed 1.5": lambda: duality_gap_1d(2.0, 1.0, 2.3, 0.8, n_pairs=10, n_mc=10,
-                                                      grid_points=11, seed=1.5),
+    "duality_gap_1d seed 1.5": lambda: duality_gap_1d(2.0, 1.0, 2.3, 0.8, seed=1.5),
     "disc_grad_x_batch width": lambda: disc_grad_x_batch(CRITIC, np.ones((5, 3))),
     "disc_grad_x_batch nan": lambda: disc_grad_x_batch(CRITIC, [[np.nan, 0.0]]),
     "psi_randomized width": lambda: psi_randomized(PAIR, np.ones(3), 0),
     "psi_randomized label 1.5": lambda: psi_randomized(PAIR, np.ones(D), 1.5),
     "duality_gap_1d mu_src string": lambda: duality_gap_1d("2", 1.0, 2.3, 0.8),
-    "duality_gap_1d pad string": lambda: duality_gap_1d(2.0, 1.0, 2.3, 0.8, pad="8"),
+    "duality_gap_1d seed string": lambda: duality_gap_1d(2.0, 1.0, 2.3, 0.8, seed="3"),
     "duality_gap_bound_terms pe string": lambda: duality_gap_bound_terms(PAIR, "0.1", 1.0, 1.0),
     "duality_gap_bound_terms ex_norm2 nan": lambda: duality_gap_bound_terms(PAIR, 0.1, np.nan,
                                                                             1.0),
@@ -234,6 +234,14 @@ CASES = {
     "gen_apply nan latents": lambda: gen_apply(GEN, NAN_Z, LABELS),
     "BatchGame symmetric2 label 0": lambda: BatchGame(ANCHORS, GEN, SampleMoments(XS), Z,
                                                       np.where(LABELS > 0, 0, -1)),
+    "gen_apply shared_cov label 0.5": lambda: gen_apply(KGEN, Z[:2], np.array([0.5, 1.0])),
+    "gen_apply shared_cov float labels": lambda: gen_apply(KGEN, Z[:2], np.array([0.0, 1.0])),
+    "check_latents shared_cov string labels": lambda: check_latents(KGEN, Z[:2], ["a", "b"]),
+    "check_latents symmetric2 bool labels": lambda: check_latents(GEN, Z[:2], [True, True]),
+    "make_k_mixture means string": lambda: make_k_mixture(D, 2, "abc", np.eye(D), 8),
+    "make_k_mixture cov string": lambda: make_k_mixture(D, 2, np.eye(D), "abc", 8),
+    "make_k_mixture cov nan": lambda: make_k_mixture(D, 2, np.eye(D), np.full((D, D), np.nan), 8),
+    "make_k_mixture cov not PSD": lambda: make_k_mixture(D, 2, np.eye(D), -np.eye(D), 8),
 }
 
 

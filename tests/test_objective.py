@@ -517,7 +517,7 @@ def _train_shared_cov_ref(xs, cfg, anchors):
     n, d = xs.shape
     k, lam = cfg.k, anchors.lam
     root = SeededRng(cfg.seed)
-    g, dd = init_params(d, SHARED_COV, cfg.sigma_init, root.split(1), k=k, tied=False)
+    g, dd = init_params(d, SHARED_COV, cfg.sigma_init, root.split(1), k=k)
     z_rng = root.split(2)
     sv, se = anchors.slot_vectors(), anchors.slot_consts()
     sx = symmetrize(xs.T @ xs / n)
@@ -553,7 +553,7 @@ def test_shared_cov_training_matches_reference_loop():
     anchors = Anchors(d_vecs=0.3 * rng.standard_normal((k, d)),
                       e_consts=0.1 * rng.standard_normal(k), lam=0.5)
     cfg = TrainConfig(max_iters=50, lr_gen=2e-2, lr_disc=1e-1, lam=0.5, sigma_init=0.1,
-                      mode=SHARED_COV, k=k, tied=False, seed=5, eval_every=50)
+                      mode=SHARED_COV, k=k, seed=5, eval_every=50)
     rep = train_gda(xs, cfg, anchors)
     got = (rep.final_gen.cov_factor, rep.final_gen.means, rep.final_disc.quad,
            rep.final_disc.logits, rep.final_disc.consts)

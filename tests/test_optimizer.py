@@ -71,6 +71,11 @@ def test_init_params_contracts():
     assert np.array_equal(ga.cov_factor, gb.cov_factor)
 
 
+def test_train_config_ties_the_symmetric_mode():
+    assert TrainConfig().tied
+    assert not TrainConfig(mode=SHARED_COV, k=4).tied
+
+
 def test_project_to_feasible():
     g = GeneratorParams(mode=SYMMETRIC2, cov_factor=2.0 * np.eye(2),
                         means=np.array([[3.0, 0.0]]))
@@ -128,7 +133,7 @@ def test_train_projection_keeps_iterates_feasible():
     xs = np.random.default_rng(2).standard_normal((64, 2)) * 0.2
     eta = 1.5
     cfg = TrainConfig(max_iters=200, lr_gen=5e-2, lr_disc=1e-1, lam=4.0, seed=3,
-                      eval_every=200, sigma_init=0.3, project_feasible=True, eta=eta)
+                      eval_every=200, sigma_init=0.3, eta=eta)
     anchors = Anchors.symmetric(np.array([0.5, 0.0]), lam=4.0)
     rep = train_gda(xs, cfg, anchors)
     g = rep.final_gen
@@ -263,7 +268,7 @@ def _replay(xs, cfg, anchors):
     step."""
     n, d = xs.shape
     root = SeededRng(cfg.seed)
-    g, dd = init_params(d, cfg.mode, cfg.sigma_init, root.split(1), k=cfg.k, tied=cfg.tied)
+    g, dd = init_params(d, cfg.mode, cfg.sigma_init, root.split(1), k=cfg.k)
     z_rng, batch_rng = root.split(2), root.split(3)
     m = cfg.batch_size if 0 < cfg.batch_size < n else n
     worst, values, norms = 0.0, [], []
@@ -301,7 +306,7 @@ def _replay(xs, cfg, anchors):
         g = GeneratorParams(mode=cfg.mode,
                             cov_factor=g.cov_factor - cfg.lr_gen * gp.gen_cov_factor,
                             means=g.means - cfg.lr_gen * gp.gen_means)
-        if cfg.project_feasible:
+        if cfg.eta is not None:
             g = project_to_feasible(g, cfg.eta)
     return g, dd, worst, values, norms
 
@@ -310,11 +315,12 @@ def _replay(xs, cfg, anchors):
     (3, 48, dict()),  # full batch, even m
     (3, 48, dict(batch_size=25)),  # odd m: the antithetic draw truncates a pair
     (3, 48, dict(disc_steps_per_gen_step=2, batch_size=31)),
-    (3, 48, dict(project_feasible=True, eta=1.3)),
+    (3, 48, dict(eta=1.3)),
     (100, 64, dict(batch_size=33, disc_steps_per_gen_step=2)),
     # the generic block round: its eval objective is F after the last ascent step too
     (3, 48, dict(mode=SHARED_COV, k=4, disc_steps_per_gen_step=2)),
-    (3, 48, dict(tied=False, batch_size=25)),
+    # the generic block round on minibatches of odd size
+    (3, 48, dict(mode=SHARED_COV, k=4, batch_size=25)),
 ])
 def test_moment_round_matches_block_gradients(d, n, overrides):
     # lam = 2 < E||X||^2 here, so the eval points report the minibatch norm
@@ -343,19 +349,19 @@ def test_moment_round_matches_block_gradients(d, n, overrides):
     for r in rep.iterates:
         assert r.objective == pytest.approx(values[r.iteration - 1], rel=1e-10)
         assert r.grad_norm == pytest.approx(norms[r.iteration - 1], rel=1e-10)
-    if cfg.project_feasible:  # the projection was active at the end
+    if cfg.eta is not None:  # the projection was active at the end
         total = np.sum(g.cov_factor ** 2) + np.sum(g.means ** 2)
         assert total + 1.0 == pytest.approx(cfg.eta, rel=1e-12)
 
 
 @pytest.mark.parametrize("fields", [
     dict(eval_every=0),
-    dict(project_feasible=True),
-    dict(project_feasible=True, eta=1.0),
+    dict(eta=1.0),
+    dict(eta=0.5),
     dict(k=1),
     dict(max_iters=2.5),
     dict(lr_gen="0.1"),
-    dict(tied="yes"),
+    dict(seed=True),
     dict(sigma_init=[0.1]),
     dict(disc_steps_per_gen_step=0),
     dict(lr_gen=float("nan")),
@@ -393,7 +399,7 @@ def test_runaway_steps_raise_diverged(lr, mode):
     xs = rng.standard_normal((32, 3)) + np.array([2.0, 0.0, 0.0])
     xs[::2] *= -1.0
     cfg = TrainConfig(max_iters=50, eval_every=1, lr_gen=lr, lr_disc=lr, lam=0.5,
-                      sigma_init=0.1, mode=mode, tied=mode == "symmetric2")
+                      sigma_init=0.1, mode=mode)
     anchors = Anchors.symmetric(np.array([1.0, 0.0, 0.0]), lam=0.5)
     with pytest.raises(Diverged, match=re.escape(Diverged.CAUSES[cause])) as info:
         train_gda(xs, cfg, anchors)
@@ -409,7 +415,7 @@ def test_overflowing_discriminator_step_raises_diverged(mode):
     xs = rng.standard_normal((32, 3)) + np.array([2.0, 0.0, 0.0])
     xs[::2] *= -1.0
     cfg = TrainConfig(max_iters=50, eval_every=1, lr_gen=1e-3, lr_disc=1e308, lam=0.5,
-                      sigma_init=0.1, mode=mode, tied=mode == "symmetric2")
+                      sigma_init=0.1, mode=mode)
     with pytest.raises(Diverged, match=re.escape(Diverged.CAUSES["disc_step"])) as info:
         train_gda(xs, cfg, Anchors.symmetric(np.array([1.0, 0.0, 0.0]), lam=0.5))
     assert (info.value.cause, info.value.iteration) == ("disc_step", 1)
