@@ -13,6 +13,7 @@ GATGMM_THREADS environment variable and by the number of configs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -93,26 +94,27 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
         raise InvalidInput("no dataset specified (--dataset or config)")
     if selector.startswith("file:"):
         return datagen.load_csv(selector[len("file:"):])
-    params = _object(cfg.get("dataset_params", {}), "dataset_params")
-    seed = cfg.get("seed", 0)
-    # the params reach the makers unconverted, so their checks reject a count
-    # of 2.7, a scale of 0 and a covariance that is not PSD
-    if selector == "isotropic":
-        return datagen.make_isotropic(d=params.get("d", 20), n=params.get("n", 640),
-                                      scale=params.get("scale", 0.03), seed=seed)
-    if selector == "rotated":
-        return datagen.make_rotated(d=params.get("d", 100), n=params.get("n", 640), seed=seed)
-    if selector == "kmix":
-        d = as_count(params.get("d", 20), "d")  # sizes the default means and cov
-        k = as_count(params.get("k", 4), "k", 2)
-        means = params.get("means")
-        if means is None:
-            base = np.eye(d)[:k] * as_real(params.get("spread", 4.0), "spread")
-            means = np.concatenate([base[: (k + 1) // 2], -base[: k // 2]])
-        return datagen.make_k_mixture(d=d, k=k, means=means,
-                                      cov=params.get("cov", 0.05 * np.eye(d)),
-                                      n=params.get("n", 640), seed=seed)
-    raise InvalidInput(f"unknown dataset selector {selector!r}")
+    maker = {"isotropic": datagen.make_isotropic, "rotated": datagen.make_rotated,
+             "kmix": datagen.make_k_mixture}.get(selector)
+    if maker is None:
+        raise InvalidInput(f"unknown dataset selector {selector!r}")
+    params = dict(_object(cfg.get("dataset_params", {}), "dataset_params"))
+    if selector == "kmix":  # the CLI sizes kmix's means (from its own key spread) and cov
+        d = as_count(params.setdefault("d", 20), "d")
+        k = as_count(params.setdefault("k", 4), "k", 2)
+        if "means" not in params:
+            base = np.eye(d)[:k] * as_real(params.pop("spread", 4.0), "spread")
+            params["means"] = np.concatenate([base[: (k + 1) // 2], -base[: k // 2]])
+        elif "spread" in params:
+            raise InvalidInput("kmix takes means or spread, not both")
+        params = {"cov": 0.05 * np.eye(d), "n": 640} | params
+    # the other keys are the maker's arguments, the seed (a top-level key) excepted; their
+    # values reach it unconverted, so its checks reject a count of 2.7 or a scale of 0
+    takes = set(inspect.signature(maker).parameters) - {"seed"}
+    if set(params) - takes:
+        raise InvalidInput(f"unknown {selector} dataset_params {sorted(set(params) - takes)}; "
+                           "see the README for the keys")
+    return maker(**params, seed=cfg.get("seed", 0))
 
 
 def _dataset_kind(cfg: dict) -> str:
@@ -187,11 +189,11 @@ def _scatter_outputs(outdir: Path, ds: datagen.Dataset, model_samples: np.ndarra
 def _metrics_record(ds: datagen.Dataset, fit: em.GmmParams,
                     nll_xs: np.ndarray) -> metrics.MetricsRecord:
     """The fit's score against the dataset's truth (``metrics.fit_score``), its
-    NLL, and condition 1 along the principal direction for a two-component
-    truth, else for the fit's first component."""
+    NLL, and condition 1 along the principal direction for a symmetric
+    two-component truth, else for the fit's first component."""
     direction = metrics.principal_direction(ds.samples)
     truth = ds.meta.truth if ds.meta is not None else None
-    law = truth if truth is not None and truth.k == 2 else fit
+    law = truth if truth is not None and truth.is_symmetric2 else fit
     holds, margin = metrics.condition1_check(law.means[0], law.covs[0], direction)
     return metrics.MetricsRecord(gmm_objective=metrics.fit_score(truth, fit),
                                  nll=-em.gmm_loglik(fit, nll_xs),
@@ -316,13 +318,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check_condition1(args) -> int:
-    cfg = _merged_config(args)
-    ds = _resolve_dataset(cfg)
-    if ds.meta is None or ds.meta.truth is None:
-        raise InvalidInput("check-condition1 needs a dataset with a stored truth")
-    truth = ds.meta.truth
-    direction = metrics.principal_direction(ds.samples)
-    holds, margin = metrics.condition1_check(truth.means[0], truth.covs[0], direction)
+    ds = _resolve_dataset(_merged_config(args))
+    truth = ds.meta.truth if ds.meta is not None else None
+    if truth is None or not truth.is_symmetric2:
+        raise InvalidInput("check-condition1 needs a stored symmetric two-component truth")
+    holds, margin = metrics.condition1_check(truth.means[0], truth.covs[0],
+                                             metrics.principal_direction(ds.samples))
     print(f"condition1 along principal direction: holds={holds} margin={margin:.6g}")
     return 0
 

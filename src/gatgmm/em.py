@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -89,6 +90,13 @@ class GmmParams:
     @property
     def d(self) -> int:
         return self.means.shape[1]
+
+    @cached_property
+    def is_symmetric2(self) -> bool:
+        """Whether this is (1/2) N(mu, S) + (1/2) N(-mu, S) to 1e-9, the law the
+        paper's guarantees hold for: the one test of it."""
+        return bool(self.k == 2 and np.allclose(self.means[1], -self.means[0], atol=1e-9)
+                    and np.allclose(self.covs[0], self.covs[1], atol=1e-9))
 
     @staticmethod
     def symmetric2(mu: np.ndarray, cov: np.ndarray) -> "GmmParams":

@@ -1,7 +1,7 @@
-"""Evaluation metrics: Gaussian transport distance, its sign-minimized
-mixture form, its matched k-component form, the rule that picks between them
-to score a fit against a truth (:func:`fit_score`), the orthant-split sample
-estimate, NLL, and the separability margin used to place anchors.
+"""Evaluation metrics: Gaussian transport distance, its sign-minimized form
+against a symmetric truth (``GmmParams.is_symmetric2``), its matched
+k-component form, the rule that picks one to score a fit (:func:`fit_score`),
+the orthant-split sample estimate, NLL, and the anchors' separability margin.
 
 The Gaussian distance here is the full squared 2-Wasserstein value
 
@@ -67,16 +67,6 @@ def bures_w2(mu1, cov1, mu2, cov2) -> float:
     return val
 
 
-def _symmetric2_parts(truth: GmmParams) -> tuple[np.ndarray, np.ndarray]:
-    if truth.k != 2:
-        raise InvalidInput("truth must be a symmetric 2-component mixture")
-    if not np.allclose(truth.means[1], -truth.means[0], atol=1e-9):
-        raise InvalidInput("truth means must be mirrored through the origin")
-    if not np.allclose(truth.covs[0], truth.covs[1], atol=1e-9):
-        raise InvalidInput("truth components must share a covariance")
-    return truth.means[0], symmetrize(truth.covs[0])
-
-
 def _sign_min_mean_term(mu: np.ndarray, fitted_mu: np.ndarray) -> float:
     return float(min(np.sum((mu - fitted_mu) ** 2), np.sum((mu + fitted_mu) ** 2)))
 
@@ -84,9 +74,10 @@ def _sign_min_mean_term(mu: np.ndarray, fitted_mu: np.ndarray) -> float:
 def gmm_objective(truth: GmmParams, fitted_mu, fitted_cov) -> float:
     """Sign-minimized Gaussian transport distance of a fitted component pair
     against a symmetric two-component truth."""
-    mu, cov = _symmetric2_parts(truth)
+    if not truth.is_symmetric2:
+        raise InvalidInput("truth must be a symmetric two-component mixture")
     fitted_mu, fitted_cov = as_gaussian(fitted_mu, fitted_cov, truth.d)
-    val = _trace_term(cov, fitted_cov) + _sign_min_mean_term(mu, fitted_mu)
+    val = _trace_term(truth.covs[0], fitted_cov) + _sign_min_mean_term(truth.means[0], fitted_mu)
     if -1e-8 < val < 0.0:
         return 0.0
     return val
@@ -105,9 +96,11 @@ def gmm_objective_matched(truth: GmmParams, fit: GmmParams) -> float:
 
 
 def fit_score(truth: GmmParams | None, fit: GmmParams) -> float:
-    """A fit's score: ``gmm_objective`` against a two-component truth,
-    ``gmm_objective_matched`` against one with the fit's k, else nan."""
-    if truth is not None and truth.k == 2:
+    """A fit's score: ``gmm_objective`` of a two-component fit against a
+    symmetric two-component truth (``GmmParams.is_symmetric2``),
+    ``gmm_objective_matched`` against any other truth with the fit's k, and
+    nan without a truth or when the component counts differ."""
+    if truth is not None and truth.is_symmetric2 and fit.k == 2:
         return gmm_objective(truth, fit.means[0], fit.covs[0])
     if truth is not None and truth.k == fit.k:
         return gmm_objective_matched(truth, fit)
@@ -117,9 +110,10 @@ def fit_score(truth: GmmParams | None, fit: GmmParams) -> float:
 def gmm_objective_orthant(truth: GmmParams, samples: np.ndarray,
                           split_dir: np.ndarray) -> float:
     """Sample estimate: split by the sign of the projection onto split_dir,
-    fit a Gaussian per half (biased MLE), and average the two sign-minimized
-    distances against the truth component."""
-    mu, cov = _symmetric2_parts(truth)
+    fit a Gaussian per half (biased MLE), and average the two halves'
+    ``gmm_objective`` against the truth."""
+    if not truth.is_symmetric2:
+        raise InvalidInput("truth must be a symmetric two-component mixture")
     d = truth.d
     xs = as_points(samples, d)
     split_dir = as_points(split_dir, d, "split direction").ravel()
@@ -132,8 +126,7 @@ def gmm_objective_orthant(truth: GmmParams, samples: np.ndarray,
             raise InsufficientSamples(
                 f"orthant half has {half.shape[0]} samples; need at least {d + 1}")
         m_hat = half.mean(axis=0)
-        c_hat = second_moment(half - m_hat)
-        total += _trace_term(cov, c_hat) + _sign_min_mean_term(mu, m_hat)
+        total += gmm_objective(truth, m_hat, second_moment(half - m_hat))
     return 0.5 * total
 
 

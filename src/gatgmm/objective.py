@@ -626,29 +626,25 @@ def inner_max_solve(
     z_eval: np.ndarray | None = None,
     labels: np.ndarray | None = None,
     tol: float = 1e-8,
-    tied: bool = True,
     max_iters: int = 100000,
 ) -> tuple[DiscriminatorParams, ObjectiveValue]:
     """Exact inner maximization over the discriminator for a fixed generator.
 
-    The quadratic block is closed-form, the logit block is ascended to
-    gradient norm <= tol.  With ``z_eval`` the generator side is the
-    empirical latent batch; without it (symmetric tied mode only) the
-    generator side uses analytic second moments and quadrature.  The value
-    returned is F at the maximizer, split as ``ObjectiveValue``.
+    The generator's mode picks the game: ``TiedGame`` for symmetric2,
+    ``BatchGame`` for shared_cov.  The quadratic block is closed-form, the
+    logit block is ascended to gradient norm <= tol.  With ``z_eval`` the
+    generator side is the empirical latent batch; without it (symmetric2
+    only) analytic second moments and quadrature.  The value returned is F
+    at the maximizer, split as ``ObjectiveValue``.
     """
     xm = SampleMoments(x_batch)
-    if z_eval is not None:
-        z_eval, labels = check_latents(g, z_eval, labels)
-    if g.mode == SYMMETRIC2 and tied:
-        gm = (GeneratorMoments(g) if z_eval is None
-              else LatentMoments(g.cov_factor, g.means[0], z_eval, labels))
-        game = TiedGame(anchors, xm, gm)
-    elif z_eval is None:
-        raise InvalidInput("untied/general inner solve requires a latent batch")
-    else:
-        game = BatchGame(anchors, g, xm, z_eval, labels)
-    return _inner_max(game, tol, max_iters)
+    if g.mode != SYMMETRIC2:
+        if z_eval is None:
+            raise InvalidInput("a shared_cov inner solve requires a latent batch")
+        return _inner_max(BatchGame(anchors, g, xm, z_eval, labels), tol, max_iters)
+    gm = (GeneratorMoments(g) if z_eval is None
+          else LatentMoments(g.cov_factor, g.means[0], *check_latents(g, z_eval, labels)))
+    return _inner_max(TiedGame(anchors, xm, gm), tol, max_iters)
 
 
 def inner_max_solve_population(

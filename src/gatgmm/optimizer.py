@@ -231,11 +231,12 @@ def stationarity_grad_norm(g: GeneratorParams, target, anchors: Anchors,
     """Norm of the envelope generator gradient at the inner maximum.
 
     ``target`` is a Dataset / sample matrix (empirical data side) or a
-    GmmParams symmetric truth (population side via quadrature).
+    GmmParams truth that passes ``is_symmetric2`` (population side via
+    quadrature); any other GmmParams raises InvalidInput.
     """
     if isinstance(target, GmmParams):
-        if target.k != 2:
-            raise InvalidInput("population stationarity needs a symmetric 2-component truth")
+        if not target.is_symmetric2:
+            raise InvalidInput("population stationarity needs a symmetric two-component truth")
         xm = MixtureMoments(target.means[0], target.covs[0])
     else:
         xm = SampleMoments(target)

@@ -15,8 +15,9 @@ Each run is a name and a function returning a flat dict of float scalars:
   (30 iterations), tol 0: every trace entry and the fit contracted with a
   probe.
 * ``inner/<seed>``: l1, l2 and total of the exact inner maximum through
-  ``inner_max_solve`` (tied latent, tied quadrature and untied latent sides)
-  and ``inner_max_solve_population``, and ``stationarity_grad_norm`` on the
+  ``inner_max_solve`` (tied latent and tied quadrature sides), the generic
+  ``BatchGame`` on the symmetric generator (the untied latent side) and
+  ``inner_max_solve_population``, and ``stationarity_grad_norm`` on the
   sample and on the population data side, on small seeded instances.
 
 ``tests/test_trajectories.py`` reruns every run and compares it with the
@@ -119,8 +120,8 @@ def inner_run(seed: int) -> dict:
     sides = {
         "tied_latent": objective.inner_max_solve(g, xs, anchors, z_eval=z, labels=labels),
         "tied_quadrature": objective.inner_max_solve(g, xs, anchors),
-        "untied_latent": objective.inner_max_solve(g, xs, anchors, z_eval=z, labels=labels,
-                                                   tied=False),
+        "untied_latent": objective._inner_max(  # the generic game on the symmetric generator
+            objective.BatchGame(anchors, g, objective.SampleMoments(xs), z, labels), 1e-8, 100000),
         "population": objective.inner_max_solve_population(g, mu, cov, anchors),
     }
     out = {}

@@ -2,7 +2,9 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; the whole suite takes roughly 15-20 minutes on one core (it trains
-the two reproduction tasks over five seeds each, at full length).
+the two reproduction tasks over five seeds each, at full length).  Every
+test here carries the ``acceptance`` marker, so ``pytest -m "not acceptance"``
+runs the rest of the suite alone.
 """
 
 import json
@@ -41,6 +43,8 @@ from gatgmm.objective import (
 )
 from gatgmm.optimizer import TrainConfig, stationarity_grad_norm, train_gda
 from gatgmm.transport import duality_gap_1d, sample_mixture
+
+pytestmark = pytest.mark.acceptance
 
 SEEDS = (1, 2, 3, 4, 5)
 

@@ -122,6 +122,26 @@ def test_check_condition1(tmp_path, capsys):
     assert "holds=True" in capsys.readouterr().out
 
 
+def test_check_condition1_needs_a_symmetric_truth(tmp_path, capsys):
+    # the kmix truth has four components: Condition 1 is not defined for it
+    cfg = _cfg(tmp_path, {"dataset_params": {"d": 4, "n": 64}})
+    assert run(["check-condition1", "--dataset", "kmix", "--config", str(cfg)]) == 2
+    assert "symmetric two-component" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["gatgmm", "em"])
+def test_train_scores_an_unmirrored_two_component_kmix(tmp_path, method):
+    # two components that are not mirrored: the matched score, not an exit 2
+    params = {"d": 2, "k": 2, "n": 64, "means": [[1, 0], [0, 1]], "cov": [[0.05, 0], [0, 0.05]]}
+    cfg = _cfg(tmp_path, {"dataset": "kmix", "dataset_params": params,
+                          "train": {"k": 2, "max_iters": 60, "eval_every": 30}})
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg), "--method", method, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    score = report["metrics"]["gmm_objective"]
+    assert score is not None and 0.0 < score < float("inf")
+
+
 def test_bad_dataset_is_config_error(tmp_path):
     assert run(["train", "--dataset", "nosuch", "--out", str(tmp_path)]) == 2
 
@@ -229,6 +249,17 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
      ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
     ({"s.json": '[{"dataset": "isotropic", "method": "em", "datset_params": {"d": 2}}]'},
      ["sweep", "--configs", "@s.json"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 3, "n": 8, "scal": 0.5}}'},
+     ["train", "--config", "@c.json", "--method", "em", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "rotated", "dataset_params": {"d": 3, "n": 8, "scale": 0.5}}'},
+     ["train", "--config", "@c.json", "--method", "em", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "kmix", "dataset_params": {"d": 2, "k": 2, "n": 16, "spred": 2}}'},
+     ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "kmix", "dataset_params": {"d": 2, "k": 2, "n": 16, "spread": 2, '
+                '"means": [[1, 0], [-1, 0]]}}'},
+     ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16, "seed": 3}}'},
+     ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
         "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory",
@@ -236,7 +267,8 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
         "gen-data-out-is-a-file", "lr-gen-nan", "dataset-count-not-integer",
         "kmix-k-not-integer", "scale-bool", "scale-string", "spread-bool", "scale-negative",
         "scale-zero", "scale-nan", "holdout-meta-scale-string", "kmix-cov-not-psd",
-        "kmix-cov-string", "kmix-means-string", "sweep-unknown-key"])
+        "kmix-cov-string", "kmix-means-string", "sweep-unknown-key", "isotropic-param-typo",
+        "rotated-param-scale", "kmix-param-typo", "kmix-spread-and-means", "dataset-param-seed"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():  # a name ending in "/" is a directory
         if name.endswith("/"):

@@ -19,6 +19,20 @@ def test_symmetric2_constructor():
     assert np.allclose(p.weights, 0.5)
 
 
+@pytest.mark.parametrize("means, covs, symmetric", [
+    ([[1.0, -2.0], [-1.0, 2.0]], [np.eye(2)] * 2, True),
+    ([[1.0, -2.0], [-1.0, 2.0 + 1e-10]], [np.eye(2), np.eye(2) + 1e-10], True),
+    ([[1.0, 0.0], [0.0, 1.0]], [np.eye(2)] * 2, False),
+    ([[1.0, -2.0], [-1.0, 2.0]], [np.eye(2), 2.0 * np.eye(2)], False),
+    ([[1.0, -2.0], [-1.0, 2.0], [0.0, 0.0]], [np.eye(2)] * 3, False),
+], ids=["mirrored", "within-1e-9", "unmirrored", "two-covariances", "three-components"])
+def test_is_symmetric2(means, covs, symmetric):
+    k = len(means)
+    p = GmmParams(weights=np.full(k, 1.0 / k), means=np.array(means), covs=np.stack(covs))
+    assert p.is_symmetric2 is symmetric
+    assert p.__dict__["is_symmetric2"] is symmetric  # computed once per instance
+
+
 def test_loglik_standard_normal():
     p = GmmParams(weights=np.array([1.0]), means=np.zeros((1, 1)),
                   covs=np.ones((1, 1, 1)))

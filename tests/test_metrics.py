@@ -9,6 +9,7 @@ from gatgmm.gausscore import SeededRng, random_orthogonal, symmetrize
 from gatgmm.metrics import (
     bures_w2,
     condition1_check,
+    fit_score,
     gmm_objective,
     gmm_objective_matched,
     gmm_objective_orthant,
@@ -111,6 +112,29 @@ def test_gmm_objective_requires_symmetric_truth():
                     covs=np.stack([np.eye(2)] * 2))
     with pytest.raises(InvalidInput):
         gmm_objective(bad, np.zeros(2), np.eye(2))
+    with pytest.raises(InvalidInput):
+        gmm_objective_orthant(bad, np.random.default_rng(4).standard_normal((40, 2)),
+                              np.array([1.0, 0.0]))
+
+
+def test_fit_score_matches_components_of_an_unmirrored_two_component_truth():
+    # two components, but not the symmetric law: scored by the matched form
+    truth = GmmParams(weights=np.array([0.5, 0.5]), means=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                      covs=np.stack([0.1 * np.eye(2)] * 2))
+    fit = GmmParams(weights=np.array([0.5, 0.5]), means=np.array([[0.1, 0.9], [0.8, 0.1]]),
+                    covs=np.stack([0.2 * np.eye(2)] * 2))
+    assert fit_score(truth, fit) == pytest.approx(gmm_objective_matched(truth, fit), rel=1e-15)
+    assert fit_score(truth, truth) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fit_score_is_nan_when_the_component_counts_differ():
+    truth = GmmParams.symmetric2(np.array([1.0, -0.5]), 0.1 * np.eye(2))
+    fit = GmmParams(weights=np.full(4, 0.25), means=np.array([[1.0, -0.5], [-1.0, 0.5],
+                                                              [0.0, 1.0], [0.0, -1.0]]),
+                    covs=0.1 * np.eye(2))
+    assert np.isnan(fit_score(truth, fit))
+    assert np.isnan(fit_score(None, fit))
+    assert fit_score(truth, truth) == gmm_objective(truth, truth.means[0], truth.covs[0])
 
 
 def test_orthant_estimate_on_atoms():

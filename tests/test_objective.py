@@ -415,10 +415,10 @@ def test_inner_max_tied_equals_untied_on_symmetric_data():
     labels = np.concatenate([np.ones(40, dtype=int), -np.ones(40, dtype=int)])
     lam = float(np.mean(np.sum(xs**2, axis=1)) + np.trace(gen_second_moment(g))) + 0.5
     anchors = Anchors.symmetric(np.array([0.8, 0.1]), lam=lam)
-    _, tied_val = inner_max_solve(g, xs, anchors, z_eval=z_eval, labels=labels,
-                                  tol=1e-11, tied=True)
-    _, untied_val = inner_max_solve(g, xs, anchors, z_eval=z_eval, labels=labels,
-                                    tol=1e-11, tied=False)
+    _, tied_val = inner_max_solve(g, xs, anchors, z_eval=z_eval, labels=labels, tol=1e-11)
+    # the untied reference: the generic game on the symmetric generator
+    _, untied_val = objective._inner_max(
+        BatchGame(anchors, g, SampleMoments(xs), z_eval, labels), 1e-11, 100000)
     assert tied_val.total == pytest.approx(untied_val.total, abs=1e-7)
 
 
@@ -594,8 +594,8 @@ def test_group_log_ratio_at_extreme_logits():
     anchors = Anchors(d_vecs=np.array([[0.6, 0.3], [-0.6, -0.3]]),
                       e_consts=np.array([800.0, -800.0]), lam=lam)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        dd, val = inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tol=1e-10,
-                                  tied=False)
+        dd, val = objective._inner_max(BatchGame(anchors, g, SampleMoments(xs), z, labels),
+                                       1e-10, 100000)
     assert np.all(np.isfinite(dd.logits)) and np.isfinite(val.total)
     gap = (np.mean(_log_ratio_ref(dd.logits, dd.consts, xs))
            - np.mean(_log_ratio_ref(dd.logits, dd.consts, gen_apply(g, z, labels))))
@@ -624,7 +624,10 @@ def test_label_length_mismatch_is_invalid_input(mode, tied):
     with pytest.raises(InvalidInput):
         gen_apply(g, z, labels)
     with pytest.raises(InvalidInput):
-        inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tied=tied)
+        if mode == SYMMETRIC2 and not tied:  # the untied game, reached only directly
+            BatchGame(anchors, g, SampleMoments(xs), z, labels)
+        else:
+            inner_max_solve(g, xs, anchors, z_eval=z, labels=labels)
 
 
 _MISMATCHES = ["x batch", "x batch, latent side", "x batch, untied", "anchors", "z_eval",
@@ -644,8 +647,7 @@ def test_dimension_mismatch_is_invalid_input(case):
     calls = {
         "x batch": lambda: inner_max_solve(g, wide, anchors),
         "x batch, latent side": lambda: inner_max_solve(g, wide, anchors, z_eval=z, labels=labels),
-        "x batch, untied": lambda: inner_max_solve(g, wide, anchors, z_eval=z, labels=labels,
-                                                   tied=False),
+        "x batch, untied": lambda: BatchGame(anchors, g, SampleMoments(wide), z, labels),
         "anchors": lambda: inner_max_solve(g, xs, Anchors.symmetric(np.ones(d + 1), lam=10.0)),
         "z_eval": lambda: inner_max_solve(g, xs, anchors, z_eval=rng.standard_normal((8, d + 1)),
                                           labels=labels),
@@ -656,9 +658,9 @@ def test_dimension_mismatch_is_invalid_input(case):
             g, MixtureMoments(np.ones(d + 1), cov2), anchors),
         "anchor count": lambda: inner_max_solve(
             g, xs, Anchors(d_vecs=np.ones((3, d)), e_consts=np.zeros(3), lam=10.0)),
-        "anchor count, untied": lambda: inner_max_solve(
-            g, xs, Anchors(d_vecs=np.ones((3, d)), e_consts=np.zeros(3), lam=10.0), z_eval=z,
-            labels=labels, tied=False),
+        "anchor count, untied": lambda: BatchGame(
+            Anchors(d_vecs=np.ones((3, d)), e_consts=np.zeros(3), lam=10.0), g,
+            SampleMoments(xs), z, labels),
     }
     with pytest.raises(InvalidInput):
         calls[case]()
@@ -702,9 +704,10 @@ def test_inner_max_solution_maximizes_F(side):
         rows = dd.free_rows
         value = game.value(dd.quad, rows)
         grads = game.disc_grads(dd.quad, rows)[:2]
-    else:
-        dd, val = inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tol=1e-12,
-                                  tied=side == "tied latent")
+    else:  # "untied" is the reference: the generic game on the symmetric generator
+        dd, val = (inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tol=1e-12)
+                   if side == "tied latent" else objective._inner_max(
+                       BatchGame(anchors, g, SampleMoments(xs), z, labels), 1e-12, 100000))
         value, *grads, const_grads = disc_block_value_and_grads(
             dd, anchors, xs, gen_apply(g, z, labels), train_consts=False)
         assert const_grads is None

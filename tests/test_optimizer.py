@@ -190,6 +190,15 @@ def test_stationarity_at_truth_and_perturbed():
     assert off >= 10 * max(at_truth, 1e-5)
 
 
+def test_stationarity_refuses_an_unmirrored_truth():
+    # the population side is (1/2) N(mu, S) + (1/2) N(-mu, S): any other truth is refused
+    truth = GmmParams(weights=np.array([0.5, 0.5]), means=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                      covs=np.stack([0.05 * np.eye(2)] * 2))
+    g = GeneratorParams(mode=SYMMETRIC2, cov_factor=0.2 * np.eye(2), means=np.array([[1.0, 0.0]]))
+    with pytest.raises(InvalidInput):
+        stationarity_grad_norm(g, truth, Anchors.symmetric(np.array([1.0, 0.0]), lam=8.0))
+
+
 def test_stationarity_rotation_equivariance():
     mu_x = np.array([1.0, 0.3, -0.2])
     cov_x = np.diag([0.05, 0.08, 0.03])
