@@ -167,10 +167,10 @@ def save_csv(ds: Dataset, path) -> None:
     path = Path(path)
     d = ds.d
     header = ",".join(f"x{i}" for i in range(d))
+    row_fmt = ",".join(["%.17g"] * d) + "\n"  # one % per row, not one per value
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in ds.samples:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        fh.write("".join([row_fmt % tuple(row) for row in ds.samples.tolist()]))
     if ds.meta is not None:
         with open(_meta_path(path), "w") as fh:
             json.dump(ds.meta.to_json(), fh, sort_keys=True, indent=1)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import InvalidInput, SingularCovariance
 from .gausscore import (
@@ -137,6 +136,7 @@ def _component_log_dens(xs: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.n
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"component covariance is singular: {exc}") from exc
     diff = xs - mu
+    from scipy.linalg import solve_triangular
     y = solve_triangular(chol, diff.T, lower=True).T
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + np.sum(y ** 2, axis=1))
@@ -165,6 +165,7 @@ def _symmetric_loglik(xs: np.ndarray, second: np.ndarray, mu: np.ndarray,
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"component covariance is singular: {exc}") from exc
+    from scipy.linalg import cho_solve
     sol = cho_solve((chol, True), np.column_stack([second, mu]))
     a = sol[:, d]
     t = xs @ a

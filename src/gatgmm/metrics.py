@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .em import GmmParams
 from .errors import InsufficientSamples, InvalidInput
@@ -91,6 +90,7 @@ def gmm_objective_matched(truth: GmmParams, fit: GmmParams) -> float:
         raise InvalidInput(f"truth is {truth.k} x d={truth.d}, fit is {fit.k} x d={fit.d}")
     cost = np.array([[bures_w2(truth.means[i], truth.covs[i], fit.means[j], fit.covs[j])
                       for j in range(fit.k)] for i in range(truth.k)])
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
 

@@ -302,15 +302,16 @@ class GeneratorMoments(MixtureMoments):
 
 
 class LatentMoments:
-    """Sampled expectations of G = y (C z + mu) over a latent batch (z, labels),
-    never forming the m x d batch G: with sz = z^T z / m and the latent mean
-    zbar, cross = C sz + mu zbar^T, gbar = C zbar + mu, E[G G^T] = cross C^T +
-    gbar mu^T, E[G t] = C z^T (y t) / m + mu mean(y t), G^T B = y (z C^T + mu^T) B."""
+    """Sampled expectations of G = y (C z + mu) over a latent batch z, never
+    forming the m x d batch G: with sz = z^T z / m and the latent mean zbar,
+    cross = C sz + mu zbar^T, gbar = C zbar + mu, E[G G^T] = cross C^T +
+    gbar mu^T.  The labels y = +-1 cancel from every expectation taken (tanh is
+    odd, log cosh even), so with p = (z C^T + mu^T) B the moments are
+    E[y z tanh(G^T B)] = z^T tanh(p) / m and E[y tanh(G^T B)] = mean(tanh(p))."""
 
-    def __init__(self, cov: np.ndarray, mu: np.ndarray, z: np.ndarray, labels: np.ndarray):
+    def __init__(self, cov: np.ndarray, mu: np.ndarray, z: np.ndarray):
         m = z.shape[0]
         self.cov, self.mu, self.z = cov, mu, z
-        self.y = np.asarray(labels, dtype=np.float64)[:, None]
         zbar = np.sum(z, axis=0) / m
         self.cross = cov @ (z.T @ z / m) + np.outer(mu, zbar)
         self.gbar = cov @ zbar + mu
@@ -320,18 +321,16 @@ class LatentMoments:
     def mean_sq(self) -> float:  # a property: GDA rounds never read it
         return float(np.trace(self.second))
 
-    def _proj(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = self.y if b.ndim == 2 else self.y[:, 0]
-        return y, y * (self.z @ (b.T @ self.cov).T + b.T @ self.mu)
+    def _proj(self, b: np.ndarray) -> np.ndarray:
+        return self.z @ (b.T @ self.cov).T + b.T @ self.mu
 
     def logcosh_expect(self, b: np.ndarray) -> np.ndarray:
-        return np.mean(logcosh(self._proj(b)[1]), axis=0)
+        return np.mean(logcosh(self._proj(b)), axis=0)
 
     def tanh_moments(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y, proj = self._proj(b)
-        yt = y * np.tanh(proj)
-        m = yt.shape[0]
-        return self.z.T @ yt / m, np.sum(yt, axis=0) / m
+        t = np.tanh(self._proj(b))
+        m = t.shape[0]
+        return self.z.T @ t / m, np.sum(t, axis=0) / m
 
     def logcosh_grad(self, b: np.ndarray) -> np.ndarray:
         zt, yt_mean = self.tanh_moments(b)
@@ -643,7 +642,7 @@ def inner_max_solve(
             raise InvalidInput("a shared_cov inner solve requires a latent batch")
         return _inner_max(BatchGame(anchors, g, xm, z_eval, labels), tol, max_iters)
     gm = (GeneratorMoments(g) if z_eval is None
-          else LatentMoments(g.cov_factor, g.means[0], *check_latents(g, z_eval, labels)))
+          else LatentMoments(g.cov_factor, g.means[0], check_latents(g, z_eval, labels)[0]))
     return _inner_max(TiedGame(anchors, xm, gm), tol, max_iters)
 
 

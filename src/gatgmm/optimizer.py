@@ -324,7 +324,7 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
             if it < cfg.max_iters:
                 nxt = pool.submit(draw, it + 1)
             if cfg.tied:
-                rnd = TiedGame(anchors, xm, LatentMoments(cov, means[0], z, labels))
+                rnd = TiedGame(anchors, xm, LatentMoments(cov, means[0], z))
             else:
                 rnd = BatchGame(anchors,
                                 GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means),

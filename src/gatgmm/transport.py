@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import linear_sum_assignment
 
 from .em import GmmParams, _log_joint
 from .errors import InvalidInput, TooLarge
@@ -177,6 +175,7 @@ def w2_assignment_exact(a: np.ndarray, b: np.ndarray) -> float:
         raise TooLarge(f"assignment oracle limited to n <= {_ASSIGN_MAX}, got {n}")
     diff = a[:, None, :] - b[None, :, :]
     cost = 0.5 * np.sum(diff ** 2, axis=2)
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
 
@@ -264,7 +263,8 @@ def duality_gap_1d(mu_src: float, sigma_src: float, mu_tgt: float, sigma_tgt: fl
     lim = max(abs(mu_src), abs(mu_tgt)) + _DUALITY_PAD * max(sigma_src, sigma_tgt)
     grid = np.linspace(-lim, lim, _DUALITY_GRID)
     psi_vals = psi_map_batch(tp, grid[:, None])[:, 0]
-    phi = cumulative_trapezoid(psi_vals, grid, initial=0.0)
+    # scipy's cumulative_trapezoid(psi_vals, grid, initial=0.0), term for term
+    phi = np.concatenate([[0.0], np.cumsum(np.diff(grid) * (psi_vals[1:] + psi_vals[:-1]) / 2.0)])
     dtilde = 0.5 * grid ** 2 - phi
     dtilde_c = _grid_c_transform(grid, dtilde)
 

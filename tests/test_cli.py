@@ -62,8 +62,12 @@ def test_train_gatgmm_outputs(tmp_path):
     assert (out / "scatter_xy.svg").exists()
     assert (out / "scatter_pca.svg").exists()
     assert (out / "timing.json").exists()
-    header = (out / "metrics.csv").read_text().splitlines()[0]
-    assert header == "iter,objective,grad_norm,gmm_objective,seconds"
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert rows[0] == "iter,objective,grad_norm,gmm_objective"
+    timing = json.loads((out / "timing.json").read_text())
+    evals = timing["eval_seconds"]  # one per metrics.csv row, in order
+    assert len(evals) == len(rows) - 1 and evals == sorted(evals)
+    assert 0.0 < evals[-1] <= timing["wall_clock_seconds"]
 
 
 def test_train_em_outputs(tmp_path):
@@ -87,12 +91,7 @@ def test_train_deterministic_files(tmp_path):
         outs.append(out)
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
     assert (outs[0] / "params.json").read_bytes() == (outs[1] / "params.json").read_bytes()
-
-    def strip_seconds(path):
-        rows = path.read_text().splitlines()
-        return [",".join(r.split(",")[:-1]) for r in rows]
-
-    assert strip_seconds(outs[0] / "metrics.csv") == strip_seconds(outs[1] / "metrics.csv")
+    assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
 
 
 def test_eval_subcommand(tmp_path):
@@ -260,6 +259,9 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
      ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
     ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16, "seed": 3}}'},
      ["gen-data", "--config", "@c.json", "--out", "@run"], {}),
+    ({"c.json": '{"dataset_params": {"scal": 9}}', "d.csv": "x0,x1\n1,2\n-1,-2\n"},
+     ["train", "--config", "@c.json", "--dataset", "file:@d.csv", "--method", "em",
+      "--out", "@run"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
         "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory",
@@ -268,7 +270,8 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
         "kmix-k-not-integer", "scale-bool", "scale-string", "spread-bool", "scale-negative",
         "scale-zero", "scale-nan", "holdout-meta-scale-string", "kmix-cov-not-psd",
         "kmix-cov-string", "kmix-means-string", "sweep-unknown-key", "isotropic-param-typo",
-        "rotated-param-scale", "kmix-param-typo", "kmix-spread-and-means", "dataset-param-seed"])
+        "rotated-param-scale", "kmix-param-typo", "kmix-spread-and-means", "dataset-param-seed",
+        "file-dataset-params"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():  # a name ending in "/" is a directory
         if name.endswith("/"):

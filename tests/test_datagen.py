@@ -74,15 +74,32 @@ def test_k_mixture_label_frequencies():
     assert np.all(np.abs(counts - 0.25) <= 5 * np.sqrt(0.25 * 0.75 / ds.n) + 0.01)
 
 
+_EDGE_ROWS = np.array([[-0.0, 5e-324, 1e308],
+                       [-1e308, -5e-324, 0.0],
+                       [-0.1, 2.0 / 3.0, -123456789.125],
+                       [np.nextafter(1.0, 2.0), -np.pi, 1e-300]])
+
+
 def test_csv_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(6)
-    for d, n in ((3, 17), (100, 50)):
-        ds = Dataset(samples=rng.standard_normal((n, d)) * 10 ** rng.integers(-8, 8))
-        path = tmp_path / f"case_{d}.csv"
-        save_csv(ds, path)
+    cases = [rng.standard_normal((n, d)) * 10 ** rng.integers(-8, 8)
+             for d, n in ((3, 17), (100, 50))]
+    for i, samples in enumerate(cases + [_EDGE_ROWS]):
+        path = tmp_path / f"case_{i}.csv"
+        save_csv(Dataset(samples=samples), path)
         back = load_csv(path)
-        assert np.array_equal(back.samples, ds.samples)
+        assert np.array_equal(back.samples.view(np.uint64), samples.view(np.uint64))  # -0.0 too
         assert back.meta is None
+
+
+def test_csv_bytes_match_per_value_format(tmp_path):
+    # the row format holds one "%.17g" per value: the file is what formatting
+    # each value on its own writes
+    path = tmp_path / "edge.csv"
+    save_csv(Dataset(samples=_EDGE_ROWS), path)
+    want = "x0,x1,x2\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                   for row in _EDGE_ROWS)
+    assert path.read_bytes() == want.encode()
 
 
 def test_csv_meta_roundtrip(tmp_path):

@@ -137,7 +137,7 @@ def test_latent_moments_match_formed_batch(d, r):
     m = 57
     g = sym2(0.4 * rng.standard_normal((d, d)), 0.8 * rng.standard_normal(d))
     z, labels = rng.standard_normal((m, d)), rng.integers(0, 2, m) * 2 - 1
-    lm = LatentMoments(g.cov_factor, g.means[0], z, labels)
+    lm = LatentMoments(g.cov_factor, g.means[0], z)
     gx = gen_apply(g, z, labels)  # the reference: the formed generated batch
     ref = SampleMoments(gx)
     y = labels[:, None].astype(float)
@@ -170,7 +170,7 @@ def test_generator_moments_match_large_latent_batch():
     z = np.concatenate([half, -half])
     labels = rng.integers(0, 2, m) * 2 - 1
     b = 0.7 * rng.standard_normal((d, 2))
-    lm = LatentMoments(g.cov_factor, g.means[0], z, labels)
+    lm = LatentMoments(g.cov_factor, g.means[0], z)
     gm = GeneratorMoments(g)
 
     gx = gen_apply(g, z, labels)
@@ -947,7 +947,7 @@ def test_tied_inner_max_matches_fixed_step_reference(side, excess):
     else:
         xs = rng.standard_normal((40, d)) + 1.5
         z, labels = rng.standard_normal((30, d)), rng.integers(0, 2, 30) * 2 - 1
-        xm, gm = SampleMoments(xs), LatentMoments(g.cov_factor, g.means[0], z, labels)
+        xm, gm = SampleMoments(xs), LatentMoments(g.cov_factor, g.means[0], z)
         anchors = Anchors.symmetric(d_vec, lam=(xm.mean_sq + gm.mean_sq) * (1.0 + excess))
         _, val = inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tol=1e-10)
     assert abs(val.l2 - reference_tied_l2(TiedGame(anchors, xm, gm), 1e-10)) <= 1e-12

@@ -292,7 +292,7 @@ def _replay(xs, cfg, anchors):
         gx = gen_apply(g, z, labels)
         if dd.tied:
             rnd = TiedGame(anchors, SampleMoments(xb),
-                           LatentMoments(g.cov_factor, g.means[0], z, labels))
+                           LatentMoments(g.cov_factor, g.means[0], z))
         for _ in range(cfg.disc_steps_per_gen_step):
             _, quad_grad, logit_grads, const_grads = disc_block_value_and_grads(
                 dd, anchors, xb, gx, cfg.mode == SHARED_COV)

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,15 @@ def test_module_all_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists {missing}"
+
+
+def test_import_loads_no_scipy():
+    """``import gatgmm, gatgmm.cli`` in a fresh interpreter loads numpy and
+    the standard library only: scipy is imported by the calls that use it."""
+    code = ("import sys, gatgmm, gatgmm.cli; "
+            "print('\\n'.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
