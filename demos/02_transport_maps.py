@@ -9,8 +9,8 @@ exact empirical transport cost, with a gap controlled by the Bayes error.
 
 import numpy as np
 
-from gatgmm import GmmParams, SeededRng, TransportPair, bayes_error, psi_map, w2_1d_exact
-from gatgmm.transport import duality_gap_1d, psi_map_batch, sample_mixture
+from gatgmm import GmmParams, SeededRng, TransportPair, bayes_error, psi_map_batch, w2_1d_exact
+from gatgmm.transport import duality_gap_1d, sample_mixture
 
 # a well-separated source and a shifted, tighter target (1-D)
 source = GmmParams.symmetric2(np.array([3.0]), np.array([[1.0]]))
@@ -20,7 +20,7 @@ print("conversion factors per component:", [float(g[0, 0]) for g in tp.gammas])
 
 print("\nthe deterministic map sends source means near target means:")
 for x in (-3.0, 0.0, 3.0):
-    print(f"  psi({x:+.1f}) = {psi_map(tp, np.array([x]))[0]:+.4f}")
+    print(f"  psi({x:+.1f}) = {psi_map_batch(tp, [[x]])[0, 0]:+.4f}")
 
 n = 50000
 xs, labels = sample_mixture(source, n, SeededRng(0))

@@ -12,9 +12,9 @@ compared against its regularized upper bound.
 
 import numpy as np
 
-from gatgmm import Anchors, GeneratorParams, c_transform, inner_max_solve, c_transform_upper_bound
+from gatgmm import (Anchors, GeneratorParams, c_transform_batch, c_transform_upper_bound,
+                    inner_max_solve)
 from gatgmm.model import DiscriminatorParams, gen_apply, gen_second_moment
-from gatgmm.objective import c_transform_batch
 
 rng = np.random.default_rng(0)
 d = 2
@@ -44,7 +44,7 @@ dd_1d = DiscriminatorParams(quad=np.array([[a]]), logits=np.zeros((4, 1)),
                             consts=np.zeros(4))
 x = 1.3
 print(f"\nc-transform check (1-D quadratic, slope {a}): "
-      f"ascent {c_transform(dd_1d, np.array([x])):.6f} vs closed form "
+      f"ascent {c_transform_batch(dd_1d, [[x]])[0]:.6f} vs closed form "
       f"{a * x**2 / (2 * (1 - a)):.6f}")
 
 # the regularized upper bound dominates the mean c-transform

@@ -74,6 +74,8 @@ def _check_fields(cfg: dict) -> dict:
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise InvalidInput(f"seed must be an integer, got {seed!r}")
+    if not isinstance(cfg.get("holdout", False), bool):
+        raise InvalidInput(f"holdout must be true or false, got {cfg['holdout']!r}")
     return cfg
 
 
@@ -105,6 +107,9 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
         d = as_count(params.setdefault("d", 20), "d")
         k = as_count(params.setdefault("k", 4), "k", 2)
         if "means" not in params:
+            if k > 2 * d:
+                raise InvalidInput(f"kmix with k={k} and d={d} needs means: the default means "
+                                   f"+-e_i give at most 2d = {2 * d} rows")
             base = np.eye(d)[:k] * as_real(params.pop("spread", 4.0), "spread")
             params["means"] = np.concatenate([base[: (k + 1) // 2], -base[: k // 2]])
         elif "spread" in params:

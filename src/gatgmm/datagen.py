@@ -27,7 +27,7 @@ from .gausscore import (
     sqrtm_psd,
     symmetrize,
 )
-from .model import SHARED_COV, SYMMETRIC2, GeneratorParams, draw_latents, gen_apply
+from .model import SHARED_COV, SYMMETRIC2, GeneratorParams, gen_sample_batch
 
 __all__ = [
     "DatasetMeta",
@@ -86,13 +86,6 @@ class Dataset:
         return self.samples.shape[1]
 
 
-def _symmetric_draw(truth: GmmParams, factor: np.ndarray, n: int,
-                    rng: SeededRng) -> np.ndarray:
-    g = GeneratorParams(mode=SYMMETRIC2, cov_factor=factor, means=truth.means[0][None, :])
-    z, labels = draw_latents(g, n, rng)
-    return gen_apply(g, z, labels)
-
-
 def make_isotropic(d: int = 20, n: int = 640, scale: float = 0.03,
                    seed: int = 0) -> Dataset:
     """Symmetric two-component mixture with all-ones mean and scale * I
@@ -100,10 +93,9 @@ def make_isotropic(d: int = 20, n: int = 640, scale: float = 0.03,
     d, n = as_count(d, "d"), as_count(n, "n")
     scale = as_real(scale, "scale", positive=True)
     mu = np.ones(d)
-    cov = scale * np.eye(d)
-    truth = GmmParams.symmetric2(mu, cov)
-    rng = SeededRng(seed)
-    xs = _symmetric_draw(truth, np.sqrt(scale) * np.eye(d), n, rng)
+    truth = GmmParams.symmetric2(mu, scale * np.eye(d))
+    g = GeneratorParams(mode=SYMMETRIC2, cov_factor=np.sqrt(scale) * np.eye(d), means=mu)
+    xs = gen_sample_batch(g, n, SeededRng(seed))
     meta = DatasetMeta(kind="isotropic", d=d, n=n, seed=seed, truth=truth,
                        params={"scale": scale})
     return Dataset(samples=xs, meta=meta)
@@ -119,7 +111,8 @@ def make_rotated(d: int = 100, n: int = 640, seed: int = 0) -> Dataset:
     cov = symmetrize((q * eigs) @ q.T)
     factor = symmetrize((q * np.sqrt(eigs)) @ q.T)
     truth = GmmParams.symmetric2(np.ones(d), cov)
-    xs = _symmetric_draw(truth, factor, n, rng.split(3))
+    g = GeneratorParams(mode=SYMMETRIC2, cov_factor=factor, means=np.ones(d))
+    xs = gen_sample_batch(g, n, rng.split(3))
     meta = DatasetMeta(kind="rotated", d=d, n=n, seed=seed, truth=truth)
     return Dataset(samples=xs, meta=meta)
 
@@ -140,9 +133,8 @@ def make_k_mixture(d: int, k: int, means: np.ndarray, cov: np.ndarray,
     truth = GmmParams(weights=np.full(k, 1.0 / k), means=means,
                       covs=np.repeat(cov[None], k, axis=0), shared_cov=True)
     g = GeneratorParams(mode=SHARED_COV, cov_factor=factor, means=means)
-    z, labels = draw_latents(g, n, SeededRng(seed))
     meta = DatasetMeta(kind="kmix", d=d, n=n, seed=seed, truth=truth, params={"k": k})
-    return Dataset(samples=gen_apply(g, z, labels), meta=meta)
+    return Dataset(samples=gen_sample_batch(g, n, SeededRng(seed)), meta=meta)
 
 
 def redraw(meta: DatasetMeta, seed: int) -> Dataset:

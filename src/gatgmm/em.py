@@ -129,16 +129,21 @@ class GmmParams:
                          shared_cov=bool(obj.get("shared_cov", False)))
 
 
-def _component_log_dens(xs: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = xs.shape[1]
+def _cholesky_logdet(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """The lower Cholesky factor L of cov and log det cov = 2 sum log diag L."""
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"component covariance is singular: {exc}") from exc
+    return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def _component_log_dens(xs: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    d = xs.shape[1]
+    chol, logdet = _cholesky_logdet(cov)
     diff = xs - mu
     from scipy.linalg import solve_triangular
     y = solve_triangular(chol, diff.T, lower=True).T
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + np.sum(y ** 2, axis=1))
 
 
@@ -161,15 +166,11 @@ def _symmetric_loglik(xs: np.ndarray, second: np.ndarray, mu: np.ndarray,
     """Mean log-likelihood of (1/2) N(mu, cov) + (1/2) N(-mu, cov) on xs, whose
     second moment is ``second``, and the projections t = xs cov^{-1} mu."""
     d = xs.shape[1]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"component covariance is singular: {exc}") from exc
+    chol, logdet = _cholesky_logdet(cov)
     from scipy.linalg import cho_solve
     sol = cho_solve((chol, True), np.column_stack([second, mu]))
     a = sol[:, d]
     t = xs @ a
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     quad = float(np.trace(sol[:, :d])) + float(mu @ a)
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad) + float(np.mean(logcosh(t))), t
 

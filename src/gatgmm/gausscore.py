@@ -48,6 +48,7 @@ __all__ = [
 _MIX64 = 0x9E3779B97F4A7C15  # golden-ratio constant for stream derivation
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FLOAT_MAX = float(np.finfo(np.float64).max)  # a larger int has no float
+_RCOND = 1e-12  # inv_sqrtm_psd: an eigenvalue <= _RCOND * max |eigenvalue| is rank deficient
 
 
 class SeededRng:
@@ -210,12 +211,12 @@ def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     return symmetrize(root)
 
 
-def inv_sqrtm_psd(m: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
+def inv_sqrtm_psd(m: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root; raises NotPsd on rank deficiency."""
     dec = sym_eigen(m)
     w = dec.values
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale == 0.0 or np.any(w <= rcond * scale):
+    if scale == 0.0 or np.any(w <= _RCOND * scale):
         raise NotPsd("matrix is singular to working precision; cannot invert square root")
     root = (dec.vectors / np.sqrt(w)) @ dec.vectors.T
     return symmetrize(root)

@@ -37,15 +37,12 @@ __all__ = [
     "GeneratorParams",
     "DiscriminatorParams",
     "GradPack",
-    "gen_forward",
     "gen_apply",
     "draw_latents",
     "check_latents",
     "gen_sample_batch",
     "gen_second_moment",
-    "disc_value",
     "disc_value_batch",
-    "disc_grad_x",
     "disc_grad_x_batch",
     "disc_smoothness_bound",
     "group_log_ratio",
@@ -215,11 +212,6 @@ def _gen_apply(g: GeneratorParams, z: np.ndarray, labels: np.ndarray) -> np.ndar
     return base + g.means[labels]
 
 
-def gen_forward(g: GeneratorParams, z: np.ndarray, y) -> np.ndarray:
-    """Single-sample generator output for latent z and component label y."""
-    return gen_apply(g, np.asarray(z, dtype=np.float64)[None, :], np.array([y]))[0]
-
-
 def gen_sample_batch(g: GeneratorParams, n: int, rng: SeededRng) -> np.ndarray:
     z, labels = draw_latents(g, n, rng)
     return gen_apply(g, z, labels)
@@ -259,10 +251,6 @@ def disc_value_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
     return quad_term + group_log_ratio(dd.logits, dd.consts, xs)[0]
 
 
-def disc_value(dd: DiscriminatorParams, x: np.ndarray) -> float:
-    return float(disc_value_batch(dd, [x])[0])
-
-
 def _grad_x(quad: np.ndarray, rows: np.ndarray, consts: np.ndarray,
             xs: np.ndarray) -> np.ndarray:
     """``disc_grad_x_batch`` at the unchecked arrays (quad, 2k rows, consts)."""
@@ -274,10 +262,6 @@ def _grad_x(quad: np.ndarray, rows: np.ndarray, consts: np.ndarray,
 def disc_grad_x_batch(dd: DiscriminatorParams, xs: np.ndarray) -> np.ndarray:
     """Row-wise gradient A x + sum_num q_i b_i - sum_den q_i b_i."""
     return _grad_x(dd.quad, dd.logits, dd.consts, as_points(xs, dd.d, "discriminator input"))
-
-
-def disc_grad_x(dd: DiscriminatorParams, x: np.ndarray) -> np.ndarray:
-    return disc_grad_x_batch(dd, [x])[0]
 
 
 def disc_smoothness_bound(dd: DiscriminatorParams) -> float:

@@ -100,7 +100,6 @@ __all__ = [
     "inner_max_solve",
     "inner_max_solve_population",
     "envelope_generator_grad",
-    "c_transform",
     "c_transform_batch",
     "c_transform_upper_bound",
     "penalty_value",
@@ -701,10 +700,6 @@ def c_transform_batch(dd: DiscriminatorParams, xs: np.ndarray,
     u, _ = _ascend(lambda u: _grad_x(dd.quad, dd.logits, dd.consts, xs + u) - u,
                    np.zeros_like(xs), step, tol, max_iters, "c-transform")
     return disc_value_batch(dd, xs + u) - 0.5 * np.sum(u ** 2, axis=1)
-
-
-def c_transform(dd: DiscriminatorParams, x: np.ndarray, tol: float = 1e-8) -> float:
-    return float(c_transform_batch(dd, [x], tol)[0])
 
 
 def c_transform_upper_bound(dd: DiscriminatorParams, anchors: Anchors,

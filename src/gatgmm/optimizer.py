@@ -316,7 +316,9 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     # It runs its tasks in order and is z_rng's only user, so the draws are
     # the serial sequence; numpy fills the normals with the GIL released.  The
     # with block joins the worker on every exit, with at most one draw pending.
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    # Each step is checked for finiteness, so a diverging run raises Diverged
+    # without numpy's overflow and invalid-value warnings.
+    with ThreadPoolExecutor(max_workers=1) as pool, np.errstate(over="ignore", invalid="ignore"):
         nxt = pool.submit(draw, 1)
         for it in range(1, cfg.max_iters + 1):
             xm = full_xm or SampleMoments(xs[batch_rng.gen.integers(0, n, size=batch)])

@@ -25,9 +25,7 @@ from .gausscore import (SeededRng, as_count, as_points, as_real, inv_sqrtm_psd,
 
 __all__ = [
     "TransportPair",
-    "posterior",
     "posterior_batch",
-    "psi_map",
     "psi_map_batch",
     "psi_randomized",
     "bayes_error",
@@ -81,10 +79,6 @@ def posterior_batch(p: GmmParams, xs: np.ndarray) -> np.ndarray:
     return np.exp(lj - lse_softmax(lj)[0]).T
 
 
-def posterior(p: GmmParams, x: np.ndarray) -> np.ndarray:
-    return posterior_batch(p, [x])[0]
-
-
 def psi_randomized(tp: TransportPair, x: np.ndarray, y: int) -> np.ndarray:
     """Label-indexed affine map Gamma_y (x - mu_y) + mu~_y."""
     x = as_points([x], tp.source.d, "point")[0]
@@ -95,6 +89,7 @@ def psi_randomized(tp: TransportPair, x: np.ndarray, y: int) -> np.ndarray:
 
 
 def psi_map_batch(tp: TransportPair, xs: np.ndarray) -> np.ndarray:
+    """Posterior-weighted conditional expectation of the randomized map, per row."""
     xs = as_points(xs, tp.source.d)
     post = posterior_batch(tp.source, xs)
     out = np.zeros_like(xs)
@@ -102,11 +97,6 @@ def psi_map_batch(tp: TransportPair, xs: np.ndarray) -> np.ndarray:
         moved = (xs - tp.source.means[i]) @ tp.gammas[i].T + tp.target.means[i]
         out += post[:, i:i + 1] * moved
     return out
-
-
-def psi_map(tp: TransportPair, x: np.ndarray) -> np.ndarray:
-    """Posterior-weighted conditional expectation of the randomized map."""
-    return psi_map_batch(tp, [x])[0]
 
 
 def sample_mixture(p: GmmParams, n: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:

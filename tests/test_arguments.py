@@ -26,9 +26,7 @@ from gatgmm.model import (
     DiscriminatorParams,
     GeneratorParams,
     check_latents,
-    disc_grad_x,
     disc_grad_x_batch,
-    disc_value,
     disc_value_batch,
     draw_latents,
     gen_apply,
@@ -38,7 +36,6 @@ from gatgmm.objective import (
     Anchors,
     BatchGame,
     SampleMoments,
-    c_transform,
     c_transform_batch,
     c_transform_upper_bound,
     gh_expect,
@@ -59,9 +56,7 @@ from gatgmm.transport import (
     bayes_error,
     duality_gap_1d,
     duality_gap_bound_terms,
-    posterior,
     posterior_batch,
-    psi_map,
     psi_map_batch,
     psi_randomized,
     sample_mixture,
@@ -83,7 +78,7 @@ LABELS = np.array([1, -1, 1, -1, 1, -1])
 NAN_Z = np.where(np.eye(6, D, dtype=bool), np.nan, Z)
 XS = np.random.default_rng(1).standard_normal((40, D)) + 1.0
 
-# every public entry that takes a sample batch or one point, with it as the argument
+# every public entry that takes a sample batch, with it as the argument
 ENTRIES = {
     "Dataset": lambda xs: Dataset(xs),
     "gmm_loglik": lambda xs: gmm_loglik(TRUTH, xs),
@@ -102,11 +97,6 @@ ENTRIES = {
     "posterior_batch": lambda xs: posterior_batch(TRUTH, xs),
     "psi_map_batch": lambda xs: psi_map_batch(PAIR, xs),
     "w2_assignment_exact": lambda xs: w2_assignment_exact(xs, xs),
-    "disc_value": lambda x: disc_value(CRITIC, x),
-    "disc_grad_x": lambda x: disc_grad_x(CRITIC, x),
-    "c_transform": lambda x: c_transform(CRITIC, x),
-    "posterior": lambda x: posterior(TRUTH, x),
-    "psi_map": lambda x: psi_map(PAIR, x),
 }
 
 _BATCHES = arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
@@ -156,8 +146,8 @@ CASES = {
     "condition1 direction": lambda: condition1_check(np.ones(2), np.eye(2), np.ones(3)),
     "w2_1d_exact nan": lambda: w2_1d_exact([0.0, np.nan], [0.0, 1.0]),
     "bayes_error n_mc": lambda: bayes_error(TRUTH, 10.5, SeededRng(0)),
-    "disc_value scalar": lambda: disc_value(CRITIC, 0.5),
-    "posterior scalar": lambda: posterior(TRUTH, 0.5),
+    "disc_value scalar": lambda: disc_value_batch(CRITIC, 0.5),
+    "posterior scalar": lambda: posterior_batch(TRUTH, 0.5),
     "GmmParams nan weight": lambda: GmmParams([np.nan, 0.5], np.eye(D), np.eye(D)),
     "GmmParams nan mean": lambda: GmmParams([0.5, 0.5], [[np.nan, 0.0], [0.0, 1.0]], np.eye(D)),
     "GmmParams string covariance": lambda: GmmParams([0.5, 0.5], np.eye(D), "abc"),

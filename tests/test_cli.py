@@ -262,6 +262,8 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
     ({"c.json": '{"dataset_params": {"scal": 9}}', "d.csv": "x0,x1\n1,2\n-1,-2\n"},
      ["train", "--config", "@c.json", "--dataset", "file:@d.csv", "--method", "em",
       "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}, "holdout": "no"}'},
+     ["train", "--config", "@c.json", "--method", "em", "--out", "@run"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
         "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory",
@@ -271,7 +273,7 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
         "scale-zero", "scale-nan", "holdout-meta-scale-string", "kmix-cov-not-psd",
         "kmix-cov-string", "kmix-means-string", "sweep-unknown-key", "isotropic-param-typo",
         "rotated-param-scale", "kmix-param-typo", "kmix-spread-and-means", "dataset-param-seed",
-        "file-dataset-params"])
+        "file-dataset-params", "holdout-string"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():  # a name ending in "/" is a directory
         if name.endswith("/"):
@@ -282,6 +284,17 @@ def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, e
         monkeypatch.setenv(key, val)
     assert run([a.replace("@", f"{tmp_path}/") for a in argv]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_kmix_default_means_need_k_at_most_2d(tmp_path, capsys):
+    # the default means are +-e_i: at d = 2 they give 4 rows, so k = 5 needs given means
+    cfg = _cfg(tmp_path, {"dataset": "kmix", "dataset_params": {"d": 2, "k": 5, "n": 16}})
+    assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "k=5 and d=2 needs means" in err and "at most 2d = 4 rows" in err
+    assert not (tmp_path / "run").exists()
+    params = {"d": 2, "k": 4, "n": 16}
+    assert cli._resolve_dataset({"dataset": "kmix", "dataset_params": params}).meta.truth.k == 4
 
 
 def test_compare_kmix_reports_finite_scores(tmp_path, capsys):
@@ -426,7 +439,7 @@ def test_random_train_configs_exit_cleanly(tmp_path, dataset, d, train, iters):
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) in (0, 2, 3)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_is_numerical_failure(tmp_path):
     cfg = _cfg(tmp_path, {
         "dataset": "isotropic",

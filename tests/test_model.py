@@ -8,14 +8,13 @@ from gatgmm.model import (
     SYMMETRIC2,
     DiscriminatorParams,
     GeneratorParams,
-    disc_grad_x,
+    disc_grad_x_batch,
     disc_smoothness_bound,
-    disc_value,
     disc_value_batch,
     disc_vec,
     disc_with_vec,
     draw_latents,
-    gen_forward,
+    gen_apply,
     gen_sample_batch,
     gen_second_moment,
     params_from_json,
@@ -43,28 +42,28 @@ def random_disc(rng, d, tied, k=2, scale=0.5):
 
 def test_gen_forward_identity_map():
     g = sym2(np.eye(2), [0.0, 0.0])
-    assert np.allclose(gen_forward(g, np.array([1.0, 2.0]), 1), [1.0, 2.0])
+    assert np.allclose(gen_apply(g, [[1.0, 2.0]], [1]), [[1.0, 2.0]])
 
 
 def test_gen_forward_sign_flip():
     g = sym2(np.eye(2), [3.0, 0.0])
-    assert np.allclose(gen_forward(g, np.zeros(2), -1), [-3.0, 0.0])
+    assert np.allclose(gen_apply(g, np.zeros((1, 2)), [-1]), [[-3.0, 0.0]])
 
 
 def test_gen_forward_shared_cov_degenerate():
     means = np.array([[1.0, 0.0], [0.0, 2.0], [5.0, 5.0]])
     g = GeneratorParams(mode=SHARED_COV, cov_factor=np.zeros((2, 2)), means=means)
-    assert np.allclose(gen_forward(g, np.ones(2), 1), means[1])
+    assert np.allclose(gen_apply(g, np.ones((1, 2)), [1]), means[1:2])
 
 
 def test_gen_forward_rejects_bad_label():
     g = sym2(np.eye(2), [1.0, 1.0])
     with pytest.raises(InvalidInput):
-        gen_forward(g, np.zeros(2), 2)
+        gen_apply(g, np.zeros((1, 2)), [2])
     gk = GeneratorParams(mode=SHARED_COV, cov_factor=np.eye(2),
                          means=np.zeros((3, 2)))
     with pytest.raises(InvalidInput):
-        gen_forward(gk, np.zeros(2), 3)
+        gen_apply(gk, np.zeros((1, 2)), [3])
 
 
 def test_gen_sample_two_atoms():
@@ -125,13 +124,13 @@ def test_disc_value_zero_params():
     dd = DiscriminatorParams(quad=np.zeros((2, 2)), logits=np.zeros((4, 2)),
                              consts=np.zeros(4))
     for x in (np.zeros(2), np.array([3.0, -1.0])):
-        assert disc_value(dd, x) == pytest.approx(0.0, abs=1e-15)
+        assert disc_value_batch(dd, [x])[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_disc_value_pure_quadratic():
     dd = DiscriminatorParams(quad=np.array([[1.0]]), logits=np.zeros((4, 1)),
                              consts=np.zeros(4))
-    assert disc_value(dd, np.array([2.0])) == pytest.approx(2.0)
+    assert disc_value_batch(dd, [[2.0]])[0] == pytest.approx(2.0)
 
 
 def test_disc_value_scalar_logcosh():
@@ -139,7 +138,7 @@ def test_disc_value_scalar_logcosh():
     dd = DiscriminatorParams(quad=np.zeros((1, 1)),
                              logits=np.array([[1.0], [-1.0], [0.0], [0.0]]),
                              consts=np.zeros(4))
-    assert disc_value(dd, np.array([1.0])) == pytest.approx(np.log(np.cosh(1.0)), abs=1e-12)
+    assert disc_value_batch(dd, [[1.0]])[0] == pytest.approx(np.log(np.cosh(1.0)), abs=1e-12)
 
 
 def test_disc_value_even_in_tied_mode():
@@ -147,17 +146,18 @@ def test_disc_value_even_in_tied_mode():
     dd = random_disc(rng, 3, tied=True)
     for _ in range(20):
         x = rng.standard_normal(3) * 3
-        assert disc_value(dd, x) == pytest.approx(disc_value(dd, -x), abs=1e-12)
+        assert disc_value_batch(dd, [x])[0] == pytest.approx(disc_value_batch(dd, [-x])[0],
+                                                             abs=1e-12)
 
 
 def test_disc_grad_x_simple():
     dd = DiscriminatorParams(quad=np.zeros((2, 2)), logits=np.zeros((4, 2)),
                              consts=np.zeros(4))
-    assert np.allclose(disc_grad_x(dd, np.array([1.0, 2.0])), 0.0)
+    assert np.allclose(disc_grad_x_batch(dd, [[1.0, 2.0]]), 0.0)
     dd2 = DiscriminatorParams(quad=np.eye(2), logits=np.zeros((4, 2)),
                               consts=np.zeros(4))
     x = np.array([0.5, -2.0])
-    assert np.allclose(disc_grad_x(dd2, x), x)
+    assert np.allclose(disc_grad_x_batch(dd2, [x])[0], x)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -168,12 +168,13 @@ def test_disc_grad_x_finite_difference(d, tied):
     for _ in range(25):
         dd = random_disc(rng, d, tied=tied)
         x = rng.standard_normal(d)
-        grad = disc_grad_x(dd, x)
+        grad = disc_grad_x_batch(dd, [x])[0]
         fd = np.zeros(d)
         for i in range(d):
             e = np.zeros(d)
             e[i] = h
-            fd[i] = (disc_value(dd, x + e) - disc_value(dd, x - e)) / (2 * h)
+            fd[i] = (disc_value_batch(dd, [x + e])[0]
+                     - disc_value_batch(dd, [x - e])[0]) / (2 * h)
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
 

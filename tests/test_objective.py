@@ -31,7 +31,6 @@ from gatgmm.objective import (
     MixtureMoments,
     SampleMoments,
     TiedGame,
-    c_transform,
     c_transform_batch,
     disc_block_value_and_grads,
     envelope_generator_grad,
@@ -760,7 +759,7 @@ def test_envelope_gradient_matches_fd_of_inner_max_total():
 def test_c_transform_zero_disc():
     dd = DiscriminatorParams(quad=np.zeros((2, 2)), logits=np.zeros((4, 2)),
                              consts=np.zeros(4))
-    assert c_transform(dd, np.array([1.0, -2.0])) == pytest.approx(0.0, abs=1e-12)
+    assert c_transform_batch(dd, [[1.0, -2.0]])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_c_transform_scalar_quadratic():
@@ -770,7 +769,7 @@ def test_c_transform_scalar_quadratic():
                                  consts=np.zeros(4))
         for x in (0.0, 1.3, -2.0):
             expect = a * x**2 / (2 * (1 - a))
-            assert c_transform(dd, np.array([x]), tol=1e-10) == pytest.approx(expect, abs=1e-7)
+            assert c_transform_batch(dd, [[x]], tol=1e-10)[0] == pytest.approx(expect, abs=1e-7)
 
 
 def test_c_transform_dominates_value_at_zero():
@@ -778,16 +777,15 @@ def test_c_transform_dominates_value_at_zero():
     quad = symmetrize(rng.standard_normal((2, 2)) * 0.1)
     dd = DiscriminatorParams.tied_symmetric(quad, rng.standard_normal(2) * 0.2,
                                             rng.standard_normal(2) * 0.2)
-    from gatgmm.model import disc_value
-    x0 = np.zeros(2)
-    assert c_transform(dd, x0) >= disc_value(dd, x0) - 1e-12
+    x0 = np.zeros((1, 2))
+    assert c_transform_batch(dd, x0)[0] >= disc_value_batch(dd, x0)[0] - 1e-12
 
 
 def test_c_transform_rejects_steep_disc():
     dd = DiscriminatorParams(quad=1.5 * np.eye(2), logits=np.zeros((4, 2)),
                              consts=np.zeros(4))
     with pytest.raises(NotCConcave):
-        c_transform(dd, np.zeros(2))
+        c_transform_batch(dd, np.zeros((1, 2)))
 
 
 # --- proposition-2-style bound ---------------------------------------------------
@@ -997,18 +995,17 @@ def _solve(solver, **controls):
                                                     **controls),
         "stationarity": lambda: stationarity_grad_norm(g, xs, anchors, **controls),
         "c_transform_batch": lambda: c_transform_batch(critic, xs, **controls),
-        "c_transform": lambda: c_transform(critic, xs[0], **controls),
     }
     return calls[solver]()
 
 
 _SOLVERS = ("tied latent", "tied quadrature", "general shared_cov", "population", "envelope",
-            "stationarity", "c_transform_batch", "c_transform")
+            "stationarity", "c_transform_batch")
 _TOL_NAME = {"envelope": "tol_inner", "stationarity": "tol_inner"}
 _BAD_CONTROLS = ([(s, _TOL_NAME.get(s, "tol"), bad) for s in _SOLVERS
                   for bad in (-1.0, 0.0, float("nan"), float("inf"))]
                  + [(s, "max_iters", bad) for s in _SOLVERS
-                    if s not in ("stationarity", "c_transform") for bad in (0, 2.0, True)])
+                    if s != "stationarity" for bad in (0, 2.0, True)])
 
 
 @pytest.mark.parametrize("solver, control, bad", _BAD_CONTROLS)

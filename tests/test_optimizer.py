@@ -396,7 +396,7 @@ def test_train_rejects_nonfinite_data():
         train_gda(xs, TrainConfig(max_iters=5), Anchors.symmetric(np.ones(3), lam=2.0))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lr", [1e7, 1e300])
 @pytest.mark.parametrize("mode", ["symmetric2", "shared_cov"])
 def test_runaway_steps_raise_diverged(lr, mode):
@@ -415,7 +415,7 @@ def test_runaway_steps_raise_diverged(lr, mode):
     assert info.value.cause == cause
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["symmetric2", "shared_cov"])
 def test_overflowing_discriminator_step_raises_diverged(mode):
     # only the discriminator step overflows, and the generator step that
@@ -441,7 +441,7 @@ def _two_sided(d=3, n=32):
     return xs, Anchors.symmetric(np.eye(d)[0], lam=0.5)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("outcome", ["completes", "diverges", "draw_fails"])
 def test_train_joins_its_draw_thread(monkeypatch, outcome):
     # the latents are drawn one round ahead on a worker thread: however the

@@ -14,9 +14,7 @@ from gatgmm.transport import (
     TransportPair,
     bayes_error,
     duality_gap_1d,
-    posterior,
     posterior_batch,
-    psi_map,
     psi_map_batch,
     psi_randomized,
     sample_mixture,
@@ -37,18 +35,18 @@ def sym_pair_1d(mu_s, sig_s, mu_t, sig_t):
 
 def test_posterior_symmetric_origin():
     p = GmmParams.symmetric2(np.array([1.0]), np.array([[1.0]]))
-    assert np.allclose(posterior(p, np.array([0.0])), [0.5, 0.5])
+    assert np.allclose(posterior_batch(p, [[0.0]]), [[0.5, 0.5]])
 
 
 def test_posterior_scalar_logistic():
     p = GmmParams.symmetric2(np.array([1.0]), np.array([[1.0]]))
-    post = posterior(p, np.array([1.0]))
+    post = posterior_batch(p, [[1.0]])[0]
     assert post[0] == pytest.approx(1 / (1 + np.exp(-2.0)), abs=1e-12)
 
 
 def test_posterior_separation_limit():
     p = GmmParams.symmetric2(np.array([1.0, 0.0]), 0.01 * np.eye(2))
-    post = posterior(p, np.array([1.0, 0.0]))
+    post = posterior_batch(p, [[1.0, 0.0]])[0]
     assert post[0] >= 1 - 1e-6
 
 
@@ -70,7 +68,7 @@ def test_psi_identity_transport():
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.standard_normal(2)
-        assert np.allclose(psi_map(tp, x), x, atol=1e-10)
+        assert np.allclose(psi_map_batch(tp, [x])[0], x, atol=1e-10)
         assert np.allclose(psi_randomized(tp, x, 0), x, atol=1e-10)
 
 
@@ -109,13 +107,12 @@ def test_psi_single_component():
     tp = TransportPair.build(src, tgt)
     x = np.array([2.0, 1.0])
     expect = 2.0 * (x - src.means[0]) + tgt.means[0]
-    assert np.allclose(psi_map(tp, x), expect, atol=1e-10)
+    assert np.allclose(psi_map_batch(tp, [x])[0], expect, atol=1e-10)
 
 
 def test_psi_separated_sends_mean_to_mean():
     tp = sym_pair_1d(4.0, 0.5, 6.0, 0.7)
-    out = psi_map(tp, np.array([4.0]))
-    assert abs(out[0] - 6.0) <= 1e-4
+    assert abs(psi_map_batch(tp, [[4.0]])[0, 0] - 6.0) <= 1e-4
 
 
 def test_psi_map_is_posterior_average_of_randomized():
@@ -123,9 +120,9 @@ def test_psi_map_is_posterior_average_of_randomized():
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.standard_normal(1) * 3
-        post = posterior(tp.source, x)
+        post = posterior_batch(tp.source, [x])[0]
         avg = sum(post[i] * psi_randomized(tp, x, i) for i in range(2))
-        assert np.allclose(psi_map(tp, x), avg, atol=1e-12)
+        assert np.allclose(psi_map_batch(tp, [x])[0], avg, atol=1e-12)
 
 
 def test_psi_randomized_label_range():
