@@ -36,7 +36,7 @@ _TRAIN_DEFAULTS = {
     "kmix": dict(max_iters=20000, lr_gen=2e-2, lr_disc=1e-1, lam=0.5,
                  sigma_init=0.1, eval_every=2000, mode=model.SHARED_COV, k=4),
 }
-_TRAIN_DEFAULTS["file"] = _TRAIN_DEFAULTS["rotated"]  # a data file trains as the rotated task
+_TRAIN_DEFAULTS["file"] = _TRAIN_DEFAULTS["rotated"]  # a file of no known kind trains as rotated
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +71,7 @@ def _check_fields(cfg: dict) -> dict:
     for key in ("dataset", "method", "out"):
         if key in cfg and not isinstance(cfg[key], str):
             raise InvalidInput(f"{key} must be a string, got {cfg[key]!r}")
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidInput(f"seed must be an integer, got {seed!r}")
+    SeededRng(cfg.get("seed", 0))  # raises unless the seed is an integer
     if not isinstance(cfg.get("holdout", False), bool):
         raise InvalidInput(f"holdout must be true or false, got {cfg['holdout']!r}")
     return cfg
@@ -124,9 +122,10 @@ def _resolve_dataset(cfg: dict) -> datagen.Dataset:
     return maker(**params, seed=cfg.get("seed", 0))
 
 
-def _dataset_kind(cfg: dict) -> str:
-    selector = cfg.get("dataset", "")
-    return "file" if selector.startswith("file:") else selector
+def _dataset_kind(ds: datagen.Dataset) -> str:
+    """The kind the sidecar records if it has trained defaults, else ``file``."""
+    kind = ds.meta.kind if ds.meta is not None else "file"
+    return kind if kind in _TRAIN_DEFAULTS else "file"
 
 
 def _make_anchors(ds: datagen.Dataset, tcfg: optimizer.TrainConfig) -> objective.Anchors:
@@ -227,7 +226,7 @@ def _cmd_gen_data(args) -> int:
     ds = _resolve_dataset(cfg)
     outdir = Path(cfg.get("out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{_dataset_kind(cfg)}.csv"
+    path = outdir / f"{_dataset_kind(ds)}.csv"
     datagen.save_csv(ds, path)
     print(f"wrote {path} ({ds.n} x {ds.d}) and {path.with_suffix('.meta.json')}")
     return 0
@@ -235,13 +234,15 @@ def _cmd_gen_data(args) -> int:
 
 def _run_experiment(cfg: dict) -> dict:
     ds = _resolve_dataset(cfg)
-    kind = _dataset_kind(cfg)
+    kind = _dataset_kind(ds)
     method = cfg.get("method", "gatgmm")
     seed = cfg.get("seed", 0)
     outdir = Path(cfg.get("out", f"runs/{kind}-{method}-{seed}"))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    train_fields = dict(_TRAIN_DEFAULTS.get(kind, _TRAIN_DEFAULTS["file"]))
+    train_fields = dict(_TRAIN_DEFAULTS[kind])
+    if ds.meta is not None and ds.meta.truth is not None:
+        train_fields["k"] = ds.meta.truth.k
     train_fields.update(_object(cfg.get("train", {}), "train"), seed=seed)
     try:
         tcfg = optimizer.TrainConfig(**train_fields)
@@ -257,7 +258,7 @@ def _run_experiment(cfg: dict) -> dict:
     if method == "em":
         import scipy.linalg  # noqa: F401  em_fit's solves
         t0 = time.perf_counter()
-        fit, trace = em.em_fit(ds.samples, k=max(tcfg.k, 2),
+        fit, trace = em.em_fit(ds.samples, k=tcfg.k,
                                symmetric2=(tcfg.mode == model.SYMMETRIC2),
                                shared_cov=True, seed=seed)
         timing = {"wall_clock_seconds": time.perf_counter() - t0}

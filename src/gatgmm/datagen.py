@@ -62,11 +62,15 @@ class DatasetMeta:
 
     @staticmethod
     def from_json(obj: dict) -> "DatasetMeta":
-        truth = obj.get("truth")
+        kind, seed, params = obj["kind"], obj["seed"], obj.get("params", {})
+        if not (isinstance(kind, str) and isinstance(params, dict)):
+            raise InvalidInput(f"kind must be a string and params must be an object, "
+                               f"got {kind!r} and {params!r}")
+        SeededRng(seed)  # raises unless the seed is an integer
         return DatasetMeta(
-            kind=obj["kind"], d=int(obj["d"]), n=int(obj["n"]), seed=int(obj["seed"]),
-            truth=None if truth is None else GmmParams.from_json(truth),
-            params=obj.get("params", {}))
+            kind=kind, d=as_count(obj["d"], "d"), n=as_count(obj["n"], "n"), seed=seed,
+            truth=None if obj.get("truth") is None else GmmParams.from_json(obj["truth"]),
+            params=params)
 
 
 @dataclass(frozen=True)
@@ -200,6 +204,9 @@ def load_csv(path) -> Dataset:
     if mpath.exists():
         try:
             meta = DatasetMeta.from_json(json.loads(mpath.read_text()))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, InvalidInput) as exc:
             raise ParseError(f"bad metadata {mpath}: {exc}") from exc
+        if (meta.d, meta.n) != (d, len(rows)):
+            raise ParseError(f"metadata {mpath} records d={meta.d}, n={meta.n}; "
+                             f"the CSV holds d={d}, n={len(rows)}")
     return Dataset(samples=np.array(rows, dtype=np.float64), meta=meta)

@@ -123,10 +123,13 @@ class GmmParams:
 
     @staticmethod
     def from_json(obj: dict) -> "GmmParams":
+        shared = obj.get("shared_cov", False)
+        if not isinstance(shared, bool):
+            raise InvalidInput(f"shared_cov must be true or false, got {shared!r}")
         return GmmParams(weights=np.array(obj["weights"], dtype=np.float64),
                          means=np.array(obj["means"], dtype=np.float64),
                          covs=np.array(obj["covs"], dtype=np.float64),
-                         shared_cov=bool(obj.get("shared_cov", False)))
+                         shared_cov=shared)
 
 
 def _cholesky_logdet(cov: np.ndarray) -> tuple[np.ndarray, float]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import GmmParams
-from .errors import InsufficientSamples, InvalidInput
+from .errors import InsufficientSamples, InvalidInput, NotPsd
 from .gausscore import as_gaussian, as_points, second_moment, sqrtm_psd, sym_eigen, symmetrize
 
 __all__ = [
@@ -43,7 +43,7 @@ class MetricsRecord:
 
     def to_json(self) -> dict:
         return {
-            "gmm_objective": self.gmm_objective,
+            "gmm_objective": None if np.isnan(self.gmm_objective) else self.gmm_objective,
             "nll": self.nll,
             "condition1_holds": self.condition1_holds,
             "condition1_margin": self.condition1_margin,
@@ -52,7 +52,11 @@ class MetricsRecord:
 
 def _trace_term(cov1: np.ndarray, cov2: np.ndarray) -> float:
     root = sqrtm_psd(cov1)
-    cross = sqrtm_psd(symmetrize(root @ cov2 @ root))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = root @ cov2 @ root
+    if not np.isfinite(prod).all():  # finite covariances whose product overflows
+        raise NotPsd("S1^(1/2) S2 S1^(1/2) overflows: the covariances are too large to score")
+    cross = sqrtm_psd(symmetrize(prod))
     return float(np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(cross))
 
 

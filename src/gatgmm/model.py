@@ -323,11 +323,13 @@ def params_to_json(g: GeneratorParams, dd: DiscriminatorParams) -> dict:
 
 
 def params_from_json(obj: dict) -> tuple[GeneratorParams, DiscriminatorParams]:
+    if not isinstance(obj["tied"], bool):
+        raise InvalidInput(f"tied must be true or false, got {obj['tied']!r}")
     g = GeneratorParams(mode=obj["mode"],
                         cov_factor=np.array(obj["lambda"], dtype=np.float64),
                         means=np.array(obj["means"], dtype=np.float64))
     dd = DiscriminatorParams(quad=np.array(obj["A"], dtype=np.float64),
                              logits=np.array(obj["b"], dtype=np.float64),
                              consts=np.array(obj["c"], dtype=np.float64),
-                             tied=bool(obj["tied"]))
+                             tied=obj["tied"])
     return g, dd

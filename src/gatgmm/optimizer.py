@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
-from numbers import Integral, Real
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +40,7 @@ from .errors import Diverged, InfeasibleRegime, InvalidInput, NotStronglyConcave
 from .gausscore import SeededRng, as_count, as_points, as_real, symmetrize
 from .metrics import fit_score
 from .model import (
+    SHARED_COV,
     SYMMETRIC2,
     DiscriminatorParams,
     GeneratorParams,
@@ -126,9 +126,6 @@ def init_params(d: int, mode: str, sigma_init: float, rng: SeededRng,
     return g, dd
 
 
-_FIELD_KINDS = {"int": Integral, "float": Real, "str": str}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """A GDA run: the symmetric mode trains the tied discriminator, and an
@@ -145,33 +142,24 @@ class TrainConfig:
     eval_every: int = 200
     mode: str = SYMMETRIC2
     k: int = 2
-    sigma_init: float | None = None  # default 2**(-1/d)
+    sigma_init: float = 0.1
 
     def __post_init__(self):
-        for f in fields(self):  # configs read from JSON reach here unchecked
-            val = getattr(self, f.name)
-            kind, _, optional = f.type.partition(" | ")
-            if optional and val is None:
-                continue
-            # bool is an int subclass, and no field takes one
-            if isinstance(val, (bool, np.bool_)) or not isinstance(val, _FIELD_KINDS[kind]):
-                raise InvalidInput(f"{f.name} must be {f.type}, got {val!r}")
-            if kind == "float":
-                as_real(val, f.name)
-        if self.lr_gen < 0 or self.lr_disc < 0:
+        as_count(self.max_iters, "max_iters", 0)
+        as_count(self.disc_steps_per_gen_step, "disc_steps_per_gen_step")
+        as_count(self.batch_size, "batch_size", 0)
+        as_count(self.eval_every, "eval_every")
+        as_count(self.k, "k", 2)
+        if as_real(self.lr_gen, "lr_gen") < 0 or as_real(self.lr_disc, "lr_disc") < 0:
             raise InvalidInput("learning rates must be >= 0")
-        if min(self.batch_size, self.max_iters) < 0:
-            raise InvalidInput("sizes must be nonnegative")
-        if self.disc_steps_per_gen_step < 1:
-            raise InvalidInput("disc_steps_per_gen_step must be >= 1")
-        if self.k < 2:
-            raise InvalidInput("k must be >= 2")
-        if not self.lam > 0:
-            raise InvalidInput("lam must be > 0")
-        if self.eval_every < 1:
-            raise InvalidInput("eval_every must be >= 1")
-        if self.eta is not None and not self.eta > 1.0:
+        as_real(self.lam, "lam", positive=True)
+        as_real(self.sigma_init, "sigma_init")
+        if self.eta is not None and not as_real(self.eta, "eta") > 1.0:
             raise InvalidInput(f"the feasibility radius eta must exceed 1, got {self.eta}")
+        SeededRng(self.seed)  # raises unless the seed is an integer
+        if self.mode not in (SYMMETRIC2, SHARED_COV) or (self.mode == SYMMETRIC2 and self.k != 2):
+            raise InvalidInput(f"mode must be {SYMMETRIC2!r} (k = 2) or {SHARED_COV!r} "
+                               f"(k >= 2), got mode={self.mode!r} with k={self.k}")
 
     @property
     def tied(self) -> bool:
@@ -261,7 +249,8 @@ def _eval_record(it, value, g, anchors, xs, cfg, truth, t0):
 
 def train_gda(data, cfg: TrainConfig, anchors: Anchors,
               truth: GmmParams | None = None) -> TrainReport:
-    """Alternating GDA on the minimax objective for max_iters rounds.
+    """Alternating GDA on the minimax objective for max_iters rounds; zero
+    rounds return the initial parameters and no eval record.
 
     Raises InvalidInput before the first round on empty or non-finite data,
     on anchors that do not fit it or whose lam is not cfg.lam and on a truth
@@ -279,20 +268,12 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     z_rng = root.split(2)
     batch_rng = root.split(3)
 
-    sigma = cfg.sigma_init if cfg.sigma_init is not None else 2.0 ** (-1.0 / d)
-    g, dd = init_params(d, cfg.mode, sigma, init_rng, k=cfg.k)
+    g, dd = init_params(d, cfg.mode, cfg.sigma_init, init_rng, k=cfg.k)
     if anchors.d != d or anchors.k != g.k:
         raise InvalidInput(f"anchors hold {anchors.k} vectors of dimension {anchors.d}; "
                            f"training needs {g.k} of dimension {d}")
     if anchors.lam != cfg.lam:  # the games read the anchors' lam
         raise InvalidInput(f"anchors have lam={anchors.lam}, the config lam={cfg.lam}")
-
-    if cfg.max_iters == 0:
-        return TrainReport(
-            iterates=[EvalRecord(iteration=0, objective=float("nan"),
-                                 grad_norm=float("nan"), gmm_objective=float("nan"),
-                                 seconds=0.0)],
-            final_gen=g, final_disc=dd, wall_clock_seconds=0.0)
 
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
     # pairing cancels the latent second moment's mean/covariance cross term

@@ -232,6 +232,42 @@ CASES = {
     "make_k_mixture cov string": lambda: make_k_mixture(D, 2, np.eye(D), "abc", 8),
     "make_k_mixture cov nan": lambda: make_k_mixture(D, 2, np.eye(D), np.full((D, D), np.nan), 8),
     "make_k_mixture cov not PSD": lambda: make_k_mixture(D, 2, np.eye(D), -np.eye(D), 8),
+    "GeneratorParams unknown mode": lambda: GeneratorParams(mode="x", cov_factor=np.eye(D),
+                                                            means=np.ones((1, D))),
+    "GeneratorParams cov_factor rows": lambda: GeneratorParams(
+        mode=SYMMETRIC2, cov_factor=np.ones((3, D)), means=np.ones((1, D))),
+    "GeneratorParams symmetric2 two means": lambda: GeneratorParams(
+        mode=SYMMETRIC2, cov_factor=np.eye(D), means=np.ones((2, D))),
+    "GeneratorParams shared_cov one mean": lambda: GeneratorParams(
+        mode=SHARED_COV, cov_factor=np.eye(D), means=np.ones((1, D))),
+    "DiscriminatorParams quad rows": lambda: DiscriminatorParams(
+        quad=np.ones((3, D)), logits=np.ones((4, D)), consts=np.zeros(4)),
+    "DiscriminatorParams odd rows": lambda: DiscriminatorParams(
+        quad=np.eye(D), logits=np.ones((5, D)), consts=np.zeros(5)),
+    "DiscriminatorParams two rows": lambda: DiscriminatorParams(
+        quad=np.eye(D), logits=np.ones((2, D)), consts=np.zeros(2)),
+    "DiscriminatorParams quad not symmetric": lambda: DiscriminatorParams(
+        quad=[[1.0, 0.5], [0.0, 1.0]], logits=np.ones((4, D)), consts=np.zeros(4)),
+    "DiscriminatorParams tied six rows": lambda: DiscriminatorParams(
+        quad=np.eye(D), logits=np.zeros((6, D)), consts=np.zeros(6), tied=True),
+    "DiscriminatorParams tied consts": lambda: DiscriminatorParams(
+        quad=np.eye(D), logits=np.zeros((4, D)), consts=[1.0, 0.0, 0.0, 0.0], tied=True),
+    "DiscriminatorParams tied rows not mirrored": lambda: DiscriminatorParams(
+        quad=np.eye(D), logits=np.ones((4, D)), consts=np.zeros(4), tied=True),
+    "em_fit symmetric2 k 3": lambda: em_fit(XS, 3, symmetric2=True),
+    "GmmParams inconsistent shapes": lambda: GmmParams([0.2, 0.3, 0.5], np.eye(D), np.eye(D)),
+    "TransportPair k mismatch": lambda: TransportPair.build(
+        TRUTH, GmmParams(np.full(3, 1 / 3), np.ones((3, D)), np.eye(D))),
+    "TransportPair weights not uniform": lambda: TransportPair.build(
+        TRUTH, GmmParams([0.3, 0.7], np.eye(D), np.eye(D))),
+    "duality_gap_bound_terms pe above 1": lambda: duality_gap_bound_terms(PAIR, 1.5, 1.0, 1.0),
+    "duality_gap_bound_terms pe negative": lambda: duality_gap_bound_terms(PAIR, -0.1, 1.0,
+                                                                           1.0),
+    "w2_assignment_exact shapes": lambda: w2_assignment_exact(np.ones((3, D)), np.ones((4, D))),
+    "c_transform_upper_bound curvature above eta": lambda: c_transform_upper_bound(
+        CRITIC, ANCHORS, XS, 1e-3),
+    "inner_max_solve shared_cov no latents": lambda: inner_max_solve(KGEN, XS, ANCHORS),
+    "TrainConfig lam 0": lambda: TrainConfig(lam=0),
 }
 
 

@@ -264,6 +264,28 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
       "--out", "@run"], {}),
     ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}, "holdout": "no"}'},
      ["train", "--config", "@c.json", "--method", "em", "--out", "@run"], {}),
+    ({"d.csv": "x0,x1\n1,2\n-1,-2\n", "d.meta.json": '{"kind": "isotropic", "d": 2, "n": 2.7, '
+      '"seed": 0}'},
+     ["train", "--dataset", "file:@d.csv", "--method", "em", "--out", "@run"], {}),
+    ({"d.csv": "x0,x1\n1,2\n-1,-2\n", "d.meta.json": '{"kind": "isotropic", "d": 2, "n": 2, '
+      '"seed": "5"}'},
+     ["train", "--dataset", "file:@d.csv", "--method", "em", "--out", "@run"], {}),
+    ({"d.csv": "x0,x1\n1,2\n-1,-2\n", "d.meta.json": '{"kind": "isotropic", "d": 2, "n": 3, '
+      '"seed": 0}'},
+     ["train", "--dataset", "file:@d.csv", "--method", "em", "--out", "@run"], {}),
+    (_D2 | {"p.json": '{"mode": "symmetric2", "lambda": [[1, 0], [0, 1]], "means": [[1, 0]], '
+                      '"A": [[1, 0], [0, 1]], "b": [[0, 0], [0, 0], [0, 0], [0, 0]], '
+                      '"c": [0, 0, 0, 0], "tied": "false"}'},
+     ["eval", "--config", "@c.json", "--params", "@p.json"], {}),
+    (_D2 | {"p.json": '{"weights": [0.5, 0.5], "means": [[1, 0], [-1, 0]], '
+                      '"covs": [[1, 0], [0, 1]], "shared_cov": "true"}'},
+     ["eval", "--config", "@c.json", "--params", "@p.json"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}, '
+                '"train": {"k": 4}}'},
+     ["train", "--config", "@c.json", "--method", "em", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}, '
+                '"train": {"mode": "x"}}'},
+     ["train", "--config", "@c.json", "--out", "@run"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
         "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory",
@@ -273,7 +295,9 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
         "scale-zero", "scale-nan", "holdout-meta-scale-string", "kmix-cov-not-psd",
         "kmix-cov-string", "kmix-means-string", "sweep-unknown-key", "isotropic-param-typo",
         "rotated-param-scale", "kmix-param-typo", "kmix-spread-and-means", "dataset-param-seed",
-        "file-dataset-params", "holdout-string"])
+        "file-dataset-params", "holdout-string", "sidecar-n-not-integer",
+        "sidecar-seed-string", "sidecar-n-not-the-csv", "params-tied-string",
+        "params-shared-cov-string", "train-symmetric-k4", "train-mode-unknown"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():  # a name ending in "/" is a directory
         if name.endswith("/"):
@@ -449,6 +473,98 @@ def test_divergence_is_numerical_failure(tmp_path):
     })
     assert run(["train", "--config", str(cfg), "--seed", "1",
                 "--out", str(tmp_path / "boom")]) == 3
+
+
+def test_overflowing_score_is_numerical_failure(tmp_path, capsys):
+    # a valid scale of 1e300: the EM fit is finite, its transport score overflows
+    cfg = _cfg(tmp_path, {"dataset": "isotropic",
+                          "dataset_params": {"d": 2, "n": 16, "scale": 1e300}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--config", str(cfg), "--method", "em",
+                    "--out", str(tmp_path / "run")]) == 3
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+def _refuse(token):
+    raise AssertionError(f"{token} written as a JSON number")
+
+
+def _strict_json(path):
+    """The file's JSON, refusing the NaN and Infinity tokens json.dump writes."""
+    return json.loads(path.read_text(), parse_constant=_refuse)
+
+
+def test_written_json_has_no_nan(tmp_path):
+    # zero rounds, and a data file with no sidecar (no truth to score against)
+    assert run(["train", "--config", str(_small_train_cfg(tmp_path)), "--iters", "0",
+                "--out", str(tmp_path / "zero")]) == 0
+    report = _strict_json(tmp_path / "zero" / "report.json")
+    assert report["iterates"] == [] and report["metrics"]["gmm_objective"] is not None
+    assert (tmp_path / "zero" / "metrics.csv").read_text() == \
+        "iter,objective,grad_norm,gmm_objective\n"
+    data = tmp_path / "data.csv"
+    data.write_text("x0,x1\n1,2\n-1,-2.5\n1.5,2\n-1,-1.5\n")
+    for method in ("gatgmm", "em"):
+        out = tmp_path / method
+        assert run(["train", "--dataset", f"file:{data}", "--method", method, "--iters", "4",
+                    "--out", str(out)]) == 0
+        assert _strict_json(out / "report.json")["metrics"]["gmm_objective"] is None
+        for name in ("params.json", "timing.json"):
+            _strict_json(out / name)
+    assert run(["eval", "--dataset", f"file:{data}", "--params", str(tmp_path / "em/params.json"),
+                "--out", str(tmp_path / "ev")]) == 0
+    assert _strict_json(tmp_path / "ev" / "metrics_record.json")["gmm_objective"] is None
+
+
+def _kmix_k3(tmp_path):
+    # the kmix maker at k = 3: the run trains three components, not the default four
+    cfg = _cfg(tmp_path, {"dataset": "kmix", "dataset_params": {"d": 4, "k": 3, "n": 64},
+                          "train": {"max_iters": 40, "eval_every": 20}})
+    return ["--config", str(cfg)]
+
+
+def _kmix_file(tmp_path):
+    # a CSV written by gen-data --dataset kmix: trained as the kmix task its sidecar records
+    cfg = _cfg(tmp_path, {"dataset_params": {"d": 4, "n": 64}}, "gen.json")
+    assert run(["gen-data", "--dataset", "kmix", "--config", str(cfg),
+                "--out", str(tmp_path / "data")]) == 0
+    return ["--dataset", f"file:{tmp_path}/data/kmix.csv", "--iters", "40"]
+
+
+@pytest.mark.parametrize("method", ["gatgmm", "em"])
+@pytest.mark.parametrize("dataset_args, k", [(_kmix_k3, 3), (_kmix_file, 4)], ids=["k3", "file"])
+def test_kmix_run_trains_the_truths_law(tmp_path, dataset_args, k, method):
+    out = tmp_path / "run"
+    assert run(["train", *dataset_args(tmp_path), "--method", method, "--out", str(out)]) == 0
+    params = _strict_json(out / "params.json")
+    assert len(params["means"]) == k
+    assert params.get("mode", "shared_cov") == "shared_cov"
+    score = _strict_json(out / "report.json")["metrics"]["gmm_objective"]
+    assert score is not None and 0.0 < score < float("inf")
+
+
+def test_compare_kmix_file_reports_finite_scores(tmp_path, capsys):
+    argv = ["compare", *_kmix_file(tmp_path), "--out", str(tmp_path / "cmp")]
+    capsys.readouterr()
+    assert run(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["gatgmm", "em"]
+    for row in rows:
+        assert 0.0 < float(row.split(",")[1]) < float("inf")
+
+
+def test_file_run_is_named_after_the_recorded_kind(tmp_path, monkeypatch):
+    argv = ["train", *_kmix_file(tmp_path), "--method", "em", "--seed", "2"]
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert (tmp_path / "runs" / "kmix-em-2" / "report.json").exists()
+    # a kind with no trained defaults is named, and trained, as a file of no known kind
+    (tmp_path / "d.csv").write_text("x0,x1\n1,2\n-1,-2\n")
+    (tmp_path / "d.meta.json").write_text('{"kind": "../up", "d": 2, "n": 2, "seed": 0}')
+    assert run(["train", "--dataset", "file:d.csv", "--method", "em"]) == 0
+    assert (tmp_path / "runs" / "file-em-0" / "report.json").exists()
+    assert not (tmp_path / "up-em-0").exists()
 
 
 def test_holdout_flag(tmp_path):

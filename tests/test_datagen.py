@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,21 @@ def test_csv_meta_roundtrip(tmp_path):
     assert back.meta.kind == "isotropic"
     assert back.meta.seed == 9
     assert np.array_equal(back.meta.truth.means, ds.meta.truth.means)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.7), ("d", True), ("n", "12"), ("seed", "5"), ("seed", 1.5), ("kind", ["kmix"]),
+    ("params", 5), ("n", 11), ("d", 3),
+])
+def test_csv_bad_sidecar_field_raises(tmp_path, field, value):
+    # a field of the wrong type, or a d or n that disagrees with the CSV itself
+    path = tmp_path / "iso.csv"
+    save_csv(make_isotropic(d=4, n=12, seed=9), path)
+    meta_path = tmp_path / "iso.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps(meta | {field: value}))
+    with pytest.raises(ParseError, match=rf"\b{field}( must|=)"):
+        load_csv(path)
 
 
 def test_csv_ragged_row_raises(tmp_path):

@@ -129,6 +129,13 @@ def test_gmm_params_json_roundtrip():
     assert np.array_equal(back.covs, p.covs)
 
 
+@pytest.mark.parametrize("shared", ["true", 0, None])
+def test_gmm_params_json_shared_cov_must_be_a_bool(shared):
+    obj = GmmParams.symmetric2(np.ones(2), np.eye(2)).to_json()
+    with pytest.raises(InvalidInput, match="shared_cov"):
+        GmmParams.from_json(obj | {"shared_cov": shared})
+
+
 def test_em_deterministic():
     rng = np.random.default_rng(5)
     xs = rng.standard_normal((100, 2))

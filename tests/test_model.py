@@ -221,3 +221,12 @@ def test_params_json_roundtrip():
     assert np.array_equal(g.means, g2.means)
     assert np.array_equal(dd.logits, dd2.logits)
     assert dd2.tied
+
+
+@pytest.mark.parametrize("tied", ["false", 1, None])
+def test_params_json_tied_must_be_a_bool(tied):
+    rng = np.random.default_rng(5)
+    obj = params_to_json(sym2(rng.standard_normal((3, 3)), rng.standard_normal(3)),
+                         random_disc(rng, 3, tied=True))
+    with pytest.raises(InvalidInput, match="tied"):
+        params_from_json(obj | {"tied": tied})

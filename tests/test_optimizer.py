@@ -377,6 +377,9 @@ def test_moment_round_matches_block_gradients(d, n, overrides):
     dict(lam=float("inf")),
     dict(batch_size=-3),
     dict(max_iters=-5),
+    dict(mode="x"),
+    dict(k=4),
+    dict(seed="5"),
 ])
 def test_train_config_rejects_bad_fields(fields):
     with pytest.raises(InvalidInput):
