@@ -27,14 +27,13 @@ from . import datagen, em, metrics, model, objective, optimizer, transport
 from .errors import GatgmmError, InvalidInput, ParseError
 from .gausscore import SeededRng, as_count, as_real, second_moment, sym_eigen, symmetrize
 
-# per-dataset trained defaults (validated to reproduce the reference scores)
+# per-dataset trained defaults (validated to reproduce the reference scores): the
+# fields that differ from TrainConfig's own defaults
 _TRAIN_DEFAULTS = {
-    "isotropic": dict(max_iters=56000, lr_gen=1e-2, lr_disc=1e-1, lam=2.0,
-                      sigma_init=0.1, eval_every=4000),
-    "rotated": dict(max_iters=32000, lr_gen=1e-2, lr_disc=1e-1, lam=2.0,
-                    sigma_init=0.1, eval_every=4000),
-    "kmix": dict(max_iters=20000, lr_gen=2e-2, lr_disc=1e-1, lam=0.5,
-                 sigma_init=0.1, eval_every=2000, mode=model.SHARED_COV, k=4),
+    "isotropic": dict(max_iters=56000, eval_every=4000),
+    "rotated": dict(max_iters=32000, eval_every=4000),
+    "kmix": dict(max_iters=20000, lr_gen=2e-2, lam=0.5, eval_every=2000,
+                 mode=model.SHARED_COV, k=4),
 }
 _TRAIN_DEFAULTS["file"] = _TRAIN_DEFAULTS["rotated"]  # a file of no known kind trains as rotated
 
@@ -208,12 +207,12 @@ def _metrics_record(ds: datagen.Dataset, fit: em.GmmParams,
 
 
 def _nll_samples(cfg: dict, ds: datagen.Dataset) -> np.ndarray:
-    """Training samples by default; with --holdout, a fresh draw of the
-    dataset's own recipe at the seed shifted by 104729."""
+    """Training samples by default; with --holdout, a fresh draw from the
+    dataset's recorded truth at the seed shifted by 104729."""
     if not cfg.get("holdout"):
         return ds.samples
     if ds.meta is None:
-        raise InvalidInput("--holdout needs a dataset with a recorded recipe")
+        raise InvalidInput("--holdout needs a dataset with a recorded truth")
     return datagen.redraw(ds.meta, ds.meta.seed + 104729).samples
 
 

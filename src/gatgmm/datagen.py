@@ -1,16 +1,16 @@
 """Synthetic dataset generation and CSV/sidecar-JSON file I/O.
 
-A dataset is an (n, d) sample matrix plus provenance metadata: the
-generating configuration, seed, and (when synthetic) the ground-truth
-mixture, stored next to the CSV in ``<stem>.meta.json``.  CSV floats are
-written with 17 significant digits so a save/load round trip is
-bit-exact.
+A dataset is an (n, d) sample matrix plus provenance metadata: its kind,
+size, seed and (when synthetic) the ground-truth mixture, stored next to
+the CSV in ``<stem>.meta.json``.  The truth is the one record of the law a
+dataset was drawn from: :func:`redraw` samples it afresh.  CSV floats are
+written with 17 significant digits so a save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .gausscore import (
     symmetrize,
 )
 from .model import SHARED_COV, SYMMETRIC2, GeneratorParams, gen_sample_batch
+from .transport import sample_mixture
 
 __all__ = [
     "DatasetMeta",
@@ -48,7 +49,6 @@ class DatasetMeta:
     n: int
     seed: int
     truth: GmmParams | None = None
-    params: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -57,20 +57,17 @@ class DatasetMeta:
             "n": self.n,
             "seed": self.seed,
             "truth": None if self.truth is None else self.truth.to_json(),
-            "params": self.params,
         }
 
     @staticmethod
     def from_json(obj: dict) -> "DatasetMeta":
-        kind, seed, params = obj["kind"], obj["seed"], obj.get("params", {})
-        if not (isinstance(kind, str) and isinstance(params, dict)):
-            raise InvalidInput(f"kind must be a string and params must be an object, "
-                               f"got {kind!r} and {params!r}")
+        kind, seed = obj["kind"], obj["seed"]
+        if not isinstance(kind, str):
+            raise InvalidInput(f"kind must be a string, got {kind!r}")
         SeededRng(seed)  # raises unless the seed is an integer
         return DatasetMeta(
             kind=kind, d=as_count(obj["d"], "d"), n=as_count(obj["n"], "n"), seed=seed,
-            truth=None if obj.get("truth") is None else GmmParams.from_json(obj["truth"]),
-            params=params)
+            truth=None if obj.get("truth") is None else GmmParams.from_json(obj["truth"]))
 
 
 @dataclass(frozen=True)
@@ -100,8 +97,7 @@ def make_isotropic(d: int = 20, n: int = 640, scale: float = 0.03,
     truth = GmmParams.symmetric2(mu, scale * np.eye(d))
     g = GeneratorParams(mode=SYMMETRIC2, cov_factor=np.sqrt(scale) * np.eye(d), means=mu)
     xs = gen_sample_batch(g, n, SeededRng(seed))
-    meta = DatasetMeta(kind="isotropic", d=d, n=n, seed=seed, truth=truth,
-                       params={"scale": scale})
+    meta = DatasetMeta(kind="isotropic", d=d, n=n, seed=seed, truth=truth)
     return Dataset(samples=xs, meta=meta)
 
 
@@ -135,23 +131,19 @@ def make_k_mixture(d: int, k: int, means: np.ndarray, cov: np.ndarray,
     except NotPsd as exc:
         raise InvalidInput(f"cov must be positive semidefinite: {exc}") from exc
     truth = GmmParams(weights=np.full(k, 1.0 / k), means=means,
-                      covs=np.repeat(cov[None], k, axis=0), shared_cov=True)
+                      covs=np.repeat(cov[None], k, axis=0))
     g = GeneratorParams(mode=SHARED_COV, cov_factor=factor, means=means)
-    meta = DatasetMeta(kind="kmix", d=d, n=n, seed=seed, truth=truth, params={"k": k})
+    meta = DatasetMeta(kind="kmix", d=d, n=n, seed=seed, truth=truth)
     return Dataset(samples=gen_sample_batch(g, n, SeededRng(seed)), meta=meta)
 
 
 def redraw(meta: DatasetMeta, seed: int) -> Dataset:
-    """A fresh draw of the recipe ``meta`` records (kind, d, n, params,
-    truth) at another seed."""
-    if meta.kind == "isotropic" and "scale" in meta.params:
-        return make_isotropic(meta.d, meta.n, meta.params["scale"], seed)
-    if meta.kind == "rotated":
-        return make_rotated(meta.d, meta.n, seed)
-    if meta.kind == "kmix" and meta.truth is not None:
-        t = meta.truth
-        return make_k_mixture(meta.d, t.k, t.means, t.covs[0], meta.n, seed)
-    raise InvalidInput(f"dataset kind {meta.kind!r} records no recipe to draw from")
+    """A fresh draw of ``meta.n`` points from the truth ``meta`` records, at
+    another seed; InvalidInput when it records no truth."""
+    if meta.truth is None:
+        raise InvalidInput(f"dataset kind {meta.kind!r} records no truth to draw from")
+    xs = sample_mixture(meta.truth, meta.n, SeededRng(seed))[0]
+    return Dataset(samples=xs, meta=replace(meta, seed=seed))
 
 
 def _meta_path(path) -> Path:

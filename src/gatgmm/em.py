@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, SingularCovariance
+from .errors import InvalidInput, NotPsd, SingularCovariance
 from .gausscore import (
     SeededRng,
     as_count,
@@ -58,7 +58,6 @@ class GmmParams:
     weights: np.ndarray  # (k,)
     means: np.ndarray    # (k, d)
     covs: np.ndarray     # (k, d, d)
-    shared_cov: bool = False
 
     def __post_init__(self):
         mu = as_points(self.means, what="mixture means")
@@ -101,7 +100,7 @@ class GmmParams:
     def symmetric2(mu: np.ndarray, cov: np.ndarray) -> "GmmParams":
         mu, cov = as_gaussian(mu, cov)
         return GmmParams(weights=np.array([0.5, 0.5]), means=np.stack([mu, -mu]),
-                         covs=np.stack([cov, cov]), shared_cov=True)
+                         covs=np.stack([cov, cov]))
 
     @staticmethod
     def from_generator(g) -> "GmmParams":
@@ -110,26 +109,20 @@ class GmmParams:
         cov = g.cov_factor @ g.cov_factor.T
         if g.mode == SYMMETRIC2:
             return GmmParams.symmetric2(g.means[0], cov)
-        return GmmParams(weights=np.full(g.k, 1.0 / g.k), means=g.means, covs=cov,
-                         shared_cov=True)
+        return GmmParams(weights=np.full(g.k, 1.0 / g.k), means=g.means, covs=cov)
 
     def to_json(self) -> dict:
         return {
             "weights": self.weights.tolist(),
             "means": self.means.tolist(),
             "covs": self.covs.tolist(),
-            "shared_cov": bool(self.shared_cov),
         }
 
     @staticmethod
     def from_json(obj: dict) -> "GmmParams":
-        shared = obj.get("shared_cov", False)
-        if not isinstance(shared, bool):
-            raise InvalidInput(f"shared_cov must be true or false, got {shared!r}")
         return GmmParams(weights=np.array(obj["weights"], dtype=np.float64),
                          means=np.array(obj["means"], dtype=np.float64),
-                         covs=np.array(obj["covs"], dtype=np.float64),
-                         shared_cov=shared)
+                         covs=np.array(obj["covs"], dtype=np.float64))
 
 
 def _cholesky_logdet(cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -224,7 +217,7 @@ def em_fit(
     log-likelihood of the returned parameters (``gmm_loglik`` within 1e-9;
     the symmetric mode computes it in its own closed form).  Empty
     components (posterior mass below 1e-12) are reseeded from a random data
-    point, not an error.
+    point, not an error; data whose covariance overflows raises NotPsd.
     """
     xs = as_points(data, what="data")
     n, d = xs.shape
@@ -236,20 +229,23 @@ def em_fit(
     if symmetric2 and k != 2:
         raise InvalidInput("symmetric2 mode is a 2-component constraint")
 
-    total_cov = symmetrize(np.cov(xs, rowvar=False, bias=True).reshape(d, d))
-    ridge = 1e-8 * float(np.trace(total_cov)) / d * np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_cov = symmetrize(np.cov(xs, rowvar=False, bias=True).reshape(d, d))
+        total_var = float(np.trace(total_cov))
+    if not (np.isfinite(total_cov).all() and np.isfinite(total_var)):
+        raise NotPsd("the data's covariance overflows: the samples are too large to fit")
+    ridge = 1e-8 * total_var / d * np.eye(d)
     rng = SeededRng(seed, stream=17)
 
     # spherical covariance init: a full-covariance start makes the first
     # posterior noise-dominated when n is small relative to d
-    sphere = (float(np.trace(total_cov)) / d) * np.eye(d) + ridge
+    sphere = (total_var / d) * np.eye(d) + ridge
     if symmetric2:  # from the largest-norm point
         mu = xs[int(np.argmax(np.sum(xs ** 2, axis=1)))]
         return _symmetric_fit(xs, mu, sphere, ridge, max_iters, tol)
     means = _kmeanspp_means(xs, k, rng)
     covs = np.repeat(sphere[None], k, axis=0)
-    params = GmmParams(weights=np.full(k, 1.0 / k), means=means, covs=covs,
-                       shared_cov=shared_cov)
+    params = GmmParams(weights=np.full(k, 1.0 / k), means=means, covs=covs)
 
     trace: list[float] = []
     for _ in range(max_iters):
@@ -286,8 +282,7 @@ def em_fit(
         if shared_cov:
             shared = symmetrize(pooled / n) + ridge
             new_covs = np.repeat(shared[None], k, axis=0)
-        params = GmmParams(weights=new_w, means=new_means, covs=new_covs,
-                           shared_cov=shared_cov)
+        params = GmmParams(weights=new_w, means=new_means, covs=new_covs)
 
     trace.append(gmm_loglik(params, xs))
     return params, trace

@@ -108,9 +108,11 @@ def as_gaussian(mu, cov, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     if mu.size != d or cov.shape != (d, d):
         raise InvalidInput(f"need a mean of length {d} and a {d} x {d} covariance, got shapes "
                            f"{mu.shape} and {cov.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # entries above ~9e307 overflow
+        cov = symmetrize(cov)
     if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
         raise InvalidInput("mean and covariance must be finite")
-    return mu, symmetrize(cov)
+    return mu, cov
 
 
 def as_count(n, what: str, least: int = 1) -> int:

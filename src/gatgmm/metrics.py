@@ -50,40 +50,34 @@ class MetricsRecord:
         }
 
 
-def _trace_term(cov1: np.ndarray, cov2: np.ndarray) -> float:
+def bures_w2(mu1, cov1, mu2, cov2) -> float:
+    """Squared 2-Wasserstein distance between two Gaussians."""
+    mu1, cov1 = as_gaussian(mu1, cov1)
+    mu2, cov2 = as_gaussian(mu2, cov2, mu1.size)
     root = sqrtm_psd(cov1)
     with np.errstate(over="ignore", invalid="ignore"):
         prod = root @ cov2 @ root
     if not np.isfinite(prod).all():  # finite covariances whose product overflows
         raise NotPsd("S1^(1/2) S2 S1^(1/2) overflows: the covariances are too large to score")
     cross = sqrtm_psd(symmetrize(prod))
-    return float(np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(cross))
-
-
-def bures_w2(mu1, cov1, mu2, cov2) -> float:
-    """Squared 2-Wasserstein distance between two Gaussians."""
-    mu1, cov1 = as_gaussian(mu1, cov1)
-    mu2, cov2 = as_gaussian(mu2, cov2, mu1.size)
-    val = _trace_term(cov1, cov2) + float(np.sum((mu1 - mu2) ** 2))
+    val = (float(np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(cross))
+           + float(np.sum((mu1 - mu2) ** 2)))
     if -1e-8 < val < 0.0:
         return 0.0
     return val
-
-
-def _sign_min_mean_term(mu: np.ndarray, fitted_mu: np.ndarray) -> float:
-    return float(min(np.sum((mu - fitted_mu) ** 2), np.sum((mu + fitted_mu) ** 2)))
 
 
 def gmm_objective(truth: GmmParams, fitted_mu, fitted_cov) -> float:
     """Sign-minimized Gaussian transport distance of a fitted component pair
-    against a symmetric two-component truth."""
+    against a symmetric two-component truth: ``bures_w2`` at whichever sign
+    of the fitted mean is nearer the truth's."""
     if not truth.is_symmetric2:
         raise InvalidInput("truth must be a symmetric two-component mixture")
     fitted_mu, fitted_cov = as_gaussian(fitted_mu, fitted_cov, truth.d)
-    val = _trace_term(truth.covs[0], fitted_cov) + _sign_min_mean_term(truth.means[0], fitted_mu)
-    if -1e-8 < val < 0.0:
-        return 0.0
-    return val
+    mu = truth.means[0]
+    if np.sum((mu + fitted_mu) ** 2) < np.sum((mu - fitted_mu) ** 2):
+        fitted_mu = -fitted_mu
+    return bures_w2(mu, truth.covs[0], fitted_mu, fitted_cov)
 
 
 def gmm_objective_matched(truth: GmmParams, fit: GmmParams) -> float:

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from gatgmm.datagen import Dataset, make_isotropic, make_k_mixture
 from gatgmm.em import GmmParams, em_fit, gmm_loglik
 from gatgmm.errors import GatgmmError, InvalidInput
-from gatgmm.gausscore import SeededRng, random_orthogonal
+from gatgmm.gausscore import SeededRng, as_gaussian, random_orthogonal
 from gatgmm.metrics import (
     bures_w2,
     condition1_check,
@@ -268,6 +268,9 @@ CASES = {
         CRITIC, ANCHORS, XS, 1e-3),
     "inner_max_solve shared_cov no latents": lambda: inner_max_solve(KGEN, XS, ANCHORS),
     "TrainConfig lam 0": lambda: TrainConfig(lam=0),
+    "as_gaussian covariance overflows when symmetrized": lambda: as_gaussian([0.0], [[1e308]]),
+    "condition1 covariance overflows when symmetrized": lambda: condition1_check(
+        [1.0], [[1e308]], [1.0]),
 }
 
 

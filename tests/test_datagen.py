@@ -5,13 +5,17 @@ import pytest
 
 from gatgmm.datagen import (
     Dataset,
+    DatasetMeta,
     load_csv,
     make_isotropic,
     make_k_mixture,
     make_rotated,
+    redraw,
     save_csv,
 )
 from gatgmm.errors import InvalidInput, ParseError
+from gatgmm.gausscore import SeededRng
+from gatgmm.transport import sample_mixture
 
 
 @pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan")])
@@ -117,7 +121,7 @@ def test_csv_meta_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("n", 2.7), ("d", True), ("n", "12"), ("seed", "5"), ("seed", 1.5), ("kind", ["kmix"]),
-    ("params", 5), ("n", 11), ("d", 3),
+    ("n", 11), ("d", 3),
 ])
 def test_csv_bad_sidecar_field_raises(tmp_path, field, value):
     # a field of the wrong type, or a d or n that disagrees with the CSV itself
@@ -128,6 +132,39 @@ def test_csv_bad_sidecar_field_raises(tmp_path, field, value):
     meta_path.write_text(json.dumps(meta | {field: value}))
     with pytest.raises(ParseError, match=rf"\b{field}( must|=)"):
         load_csv(path)
+
+
+def test_redraw_of_rotated_comes_from_its_truth():
+    # the holdout is the recorded law's draw; a rerun of make_rotated at the
+    # holdout seed would also draw a new rotation
+    ds = make_rotated(d=3, n=20000, seed=3)
+    truth, seed = ds.meta.truth, 3 + 104729
+    held = redraw(ds.meta, seed)
+    assert held.samples.tobytes() == sample_mixture(truth, ds.n, SeededRng(seed))[0].tobytes()
+    assert held.meta.seed == seed and held.meta.truth is truth
+    law = truth.covs[0] + np.outer(truth.means[0], truth.means[0])  # mean 0 by symmetry
+    assert np.abs(np.cov(held.samples, rowvar=False, bias=True) - law).max() < 0.05
+
+
+def test_redraw_needs_a_truth():
+    with pytest.raises(InvalidInput, match="no truth"):
+        redraw(DatasetMeta(kind="isotropic", d=2, n=4, seed=0), 1)
+
+
+def test_sidecar_params_disagreeing_with_the_truth_are_ignored(tmp_path):
+    # the sidecar's truth is the one record of the law: a stale params object
+    # loads and the holdout still follows the truth
+    path = tmp_path / "iso.csv"
+    ds = make_isotropic(d=3, n=40, scale=0.03, seed=9)
+    save_csv(ds, path)
+    meta_path = tmp_path / "iso.meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert "params" not in meta
+    meta_path.write_text(json.dumps(meta | {"params": {"scale": 5}}))
+    back = load_csv(path)
+    assert np.array_equal(back.meta.truth.covs, ds.meta.truth.covs)
+    assert np.array_equal(redraw(back.meta, 5).samples,
+                          sample_mixture(ds.meta.truth, 40, SeededRng(5))[0])
 
 
 def test_csv_ragged_row_raises(tmp_path):

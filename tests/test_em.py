@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gatgmm import em
 from gatgmm.em import GmmParams, em_fit, gmm_loglik
-from gatgmm.errors import InvalidInput, SingularCovariance
+from gatgmm.errors import InvalidInput, NotPsd, SingularCovariance
 from gatgmm.gausscore import SeededRng, lse_softmax, symmetrize
 
 
@@ -129,11 +131,23 @@ def test_gmm_params_json_roundtrip():
     assert np.array_equal(back.covs, p.covs)
 
 
-@pytest.mark.parametrize("shared", ["true", 0, None])
-def test_gmm_params_json_shared_cov_must_be_a_bool(shared):
-    obj = GmmParams.symmetric2(np.ones(2), np.eye(2)).to_json()
-    with pytest.raises(InvalidInput, match="shared_cov"):
-        GmmParams.from_json(obj | {"shared_cov": shared})
+def test_gmm_params_json_ignores_an_old_shared_cov_key():
+    # mixture files once carried a shared_cov flag that no code read
+    p = GmmParams.symmetric2(np.ones(2), np.eye(2))
+    assert "shared_cov" not in p.to_json()
+    back = GmmParams.from_json(p.to_json() | {"shared_cov": "true"})
+    assert np.array_equal(back.covs, p.covs) and np.array_equal(back.means, p.means)
+
+
+@pytest.mark.parametrize("symmetric2", [True, False])
+def test_em_on_overflowing_data_is_a_numerical_failure(symmetric2):
+    # the data's covariance overflows: a typed error, not a ValueError from
+    # scipy's solve or from the k-means++ draw, and no numpy warning
+    xs = np.array([[1e300], [-1e300], [1.0], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPsd, match="overflows"):  # exit 3 from the CLI
+            em_fit(xs, 2, symmetric2=symmetric2)
 
 
 def test_em_deterministic():
