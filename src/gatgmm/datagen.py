@@ -50,6 +50,10 @@ class DatasetMeta:
     seed: int
     truth: GmmParams | None = None
 
+    def __post_init__(self):
+        if self.truth is not None and self.truth.d != self.d:
+            raise InvalidInput(f"the truth has dimension {self.truth.d}, the dataset d={self.d}")
+
     def to_json(self) -> dict:
         return {
             "kind": self.kind,

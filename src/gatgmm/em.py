@@ -171,11 +171,17 @@ def _symmetric_loglik(xs: np.ndarray, second: np.ndarray, mu: np.ndarray,
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad) + float(np.mean(logcosh(t))), t
 
 
-def _symmetric_fit(xs: np.ndarray, mu: np.ndarray, cov: np.ndarray, ridge: np.ndarray,
+def _symmetric_fit(xs: np.ndarray, cov: np.ndarray, ridge: np.ndarray,
                    max_iters: int, tol: float) -> tuple[GmmParams, list[float]]:
-    """Symmetric EM from (mu, cov) as the tanh fixed point on S = X^T X / n."""
+    """Symmetric EM from the largest-norm point and ``cov`` as the tanh fixed
+    point on S = X^T X / n; raises NotPsd when S overflows."""
     n = xs.shape[0]
-    second = second_moment(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = second_moment(xs)
+        norms = np.sum(xs ** 2, axis=1)
+    if not (np.isfinite(second).all() and np.isfinite(norms).all()):
+        raise NotPsd("the data's second moment overflows: the samples are too large to fit")
+    mu = xs[int(np.argmax(norms))]
     trace: list[float] = []
     for it in range(max_iters + 1):
         ll, t = _symmetric_loglik(xs, second, mu, cov)
@@ -217,7 +223,8 @@ def em_fit(
     log-likelihood of the returned parameters (``gmm_loglik`` within 1e-9;
     the symmetric mode computes it in its own closed form).  Empty
     components (posterior mass below 1e-12) are reseeded from a random data
-    point, not an error; data whose covariance overflows raises NotPsd.
+    point, not an error; data whose covariance overflows (in the symmetric
+    mode, whose second moment overflows) raises NotPsd.
     """
     xs = as_points(data, what="data")
     n, d = xs.shape
@@ -240,9 +247,8 @@ def em_fit(
     # spherical covariance init: a full-covariance start makes the first
     # posterior noise-dominated when n is small relative to d
     sphere = (total_var / d) * np.eye(d) + ridge
-    if symmetric2:  # from the largest-norm point
-        mu = xs[int(np.argmax(np.sum(xs ** 2, axis=1)))]
-        return _symmetric_fit(xs, mu, sphere, ridge, max_iters, tol)
+    if symmetric2:
+        return _symmetric_fit(xs, sphere, ridge, max_iters, tol)
     means = _kmeanspp_means(xs, k, rng)
     covs = np.repeat(sphere[None], k, axis=0)
     params = GmmParams(weights=np.full(k, 1.0 / k), means=means, covs=covs)

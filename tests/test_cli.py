@@ -309,6 +309,22 @@ def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, e
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["em", "gatgmm"])
+def test_sidecar_truth_of_another_dimension_is_a_config_error(tmp_path, capsys, method):
+    # a 2-column CSV whose sidecar records a 3-dimensional truth is refused on load
+    (tmp_path / "d.csv").write_text("x0,x1\n1,2\n-1,-2\n")
+    truth = {"weights": [0.5, 0.5], "means": [[1, 1, 1], [-1, -1, -1]],
+             "covs": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    (tmp_path / "d.meta.json").write_text(
+        json.dumps({"kind": "isotropic", "d": 2, "n": 2, "seed": 0, "truth": truth}))
+    argv = ["train", "--dataset", f"file:{tmp_path}/d.csv", "--method", method,
+            "--out", str(tmp_path / "run")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "truth has dimension 3, the dataset d=2" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_kmix_default_means_need_k_at_most_2d(tmp_path, capsys):
     # the default means are +-e_i: at d = 2 they give 4 rows, so k = 5 needs given means
     cfg = _cfg(tmp_path, {"dataset": "kmix", "dataset_params": {"d": 2, "k": 5, "n": 16}})

@@ -134,6 +134,16 @@ def test_csv_bad_sidecar_field_raises(tmp_path, field, value):
         load_csv(path)
 
 
+def test_csv_sidecar_truth_of_another_dimension_raises(tmp_path):
+    path = tmp_path / "iso.csv"
+    save_csv(make_isotropic(d=2, n=12, seed=9), path)
+    meta_path = tmp_path / "iso.meta.json"
+    truth = make_isotropic(d=3, n=1).meta.truth.to_json()
+    meta_path.write_text(json.dumps(json.loads(meta_path.read_text()) | {"truth": truth}))
+    with pytest.raises(ParseError, match=r"truth has dimension 3, the dataset d=2"):
+        load_csv(path)
+
+
 def test_redraw_of_rotated_comes_from_its_truth():
     # the holdout is the recorded law's draw; a rerun of make_rotated at the
     # holdout seed would also draw a new rotation

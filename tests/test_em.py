@@ -139,11 +139,16 @@ def test_gmm_params_json_ignores_an_old_shared_cov_key():
     assert np.array_equal(back.covs, p.covs) and np.array_equal(back.means, p.means)
 
 
-@pytest.mark.parametrize("symmetric2", [True, False])
-def test_em_on_overflowing_data_is_a_numerical_failure(symmetric2):
-    # the data's covariance overflows: a typed error, not a ValueError from
-    # scipy's solve or from the k-means++ draw, and no numpy warning
-    xs = np.array([[1e300], [-1e300], [1.0], [2.0]])
+@pytest.mark.parametrize("xs, symmetric2", [
+    ([[1e300], [-1e300], [1.0], [2.0]], True),
+    ([[1e300], [-1e300], [1.0], [2.0]], False),
+    # a finite covariance (spread 1e150) whose second moment (1e320) overflows
+    ([[1e160], [1e160 + 1e150], [1e160 - 1e150], [1e160 + 2e150]], True),
+], ids=["True", "False", "True-second-moment"])
+def test_em_on_overflowing_data_is_a_numerical_failure(xs, symmetric2):
+    # the data's covariance or the symmetric fit's second moment overflows: a
+    # typed error, not a ValueError from scipy's solve or from the k-means++
+    # draw, and no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotPsd, match="overflows"):  # exit 3 from the CLI

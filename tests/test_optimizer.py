@@ -446,38 +446,45 @@ def _two_sided(d=3, n=32):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("outcome", ["completes", "diverges", "draw_fails"])
-def test_train_joins_its_draw_thread(monkeypatch, outcome):
-    # the latents are drawn one round ahead on a worker thread: however the
-    # run ends, the worker is gone afterwards, and a failing draw raises in
-    # the caller without a further draw being started
+def test_train_draws_in_line_on_the_callers_thread(monkeypatch, outcome):
+    # each round draws its own latents on the caller's thread, after the
+    # previous round and before its own game, and no draw follows a failure
     xs, anchors = _two_sided()
     lr = 1e300 if outcome == "diverges" else 1e-2
     cfg = TrainConfig(max_iters=20, eval_every=5, lr_gen=lr, lr_disc=lr, lam=0.5,
                       sigma_init=0.1)
-    calls = []
+    caller, before = threading.get_ident(), threading.active_count()
+    events, threads = [], set()
 
     def draw(*args):
-        calls.append(args)
-        if outcome == "draw_fails" and len(calls) == 3:
+        threads.add((threading.get_ident(), threading.active_count()))
+        events.append("draw")
+        if outcome == "draw_fails" and events.count("draw") == 3:
             raise _DrawFailed("third draw")
         return draw_latents(*args)
 
+    def latent_moments(*args):
+        events.append("round")
+        return LatentMoments(*args)
+
     monkeypatch.setattr(optimizer, "draw_latents", draw)
+    monkeypatch.setattr(optimizer, "LatentMoments", latent_moments)
     expected = {"completes": None, "diverges": Diverged, "draw_fails": _DrawFailed}[outcome]
-    before = threading.active_count()
     if expected is None:
         assert len(train_gda(xs, cfg, anchors).iterates) == 4
     else:
         with pytest.raises(expected):
             train_gda(xs, cfg, anchors)
-    assert threading.active_count() == before
+    assert threads == {(caller, before)}
     # the second half of the run draws antithetic pairs, without draw_latents
-    assert len(calls) == {"completes": 10, "diverges": 2, "draw_fails": 3}[outcome]
+    assert events == {"completes": ["draw", "round"] * 10 + ["round"] * 10,
+                      "diverges": ["draw", "round"],
+                      "draw_fails": ["draw", "round"] * 2 + ["draw"]}[outcome]
 
 
 def test_concurrent_trainings_match_a_single_run():
-    # three runs on two cores, switching threads often: each run's draw
-    # worker feeds only its own loop, so every run gives the serial bytes
+    # three runs on two cores, switching threads often: each run draws from
+    # its own latent stream, so every run gives the serial bytes
     xs, anchors = _two_sided(d=8, n=48)
     cfg = TrainConfig(max_iters=60, eval_every=20, lr_gen=1e-2, lr_disc=1e-1, lam=0.5,
                       sigma_init=0.1, seed=3, batch_size=33)
