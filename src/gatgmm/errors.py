@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all gatgmm modules."""
+"""Exception hierarchy shared by all gatgmm modules.  Every error pickles with
+its fields, so it crosses a process pool whole."""
 
 
 class GatgmmError(Exception):
@@ -23,6 +24,9 @@ class NotStronglyConcave(GatgmmError):
         self.margin = float(margin)
         super().__init__(f"strong concavity margin {self.margin:.6g} <= 0")
 
+    def __reduce__(self):
+        return NotStronglyConcave, (self.margin,)
+
 
 class NotCConcave(GatgmmError):
     """Discriminator curvature bound >= 1, so the c-transform problem is not concave."""
@@ -46,6 +50,9 @@ class Diverged(GatgmmError):
         self.iteration = int(iteration)
         self.cause = cause
         super().__init__(f"{self.CAUSES[cause]} in iteration {self.iteration}")
+
+    def __reduce__(self):
+        return Diverged, (self.iteration, self.cause)
 
 
 class SingularCovariance(GatgmmError):

@@ -36,9 +36,9 @@ checks the margin lam > E||X||^2 + E||G||^2, has the game ascend its logit
 block from the anchors, reads l2 as the game's F at quad = 0 and joins A*.
 The logit blocks and the per-point c-transform share ``_ascend``: ascent with
 a fixed step, a scalar or a d x d matrix, that rejects a tol that is not a
-finite real > 0 or a max_iters that is not an integer >= 1, stops once every
-independent problem's gradient norm is <= tol, returns the number of steps it
-took, and warns when it reaches max_iters.  The steps:
+finite real > 0, stops once every independent problem's gradient norm is
+<= tol, returns the number of steps it took, and warns when it reaches the
+one iteration cap, ``_MAX_STEPS`` = 100,000 steps.  The steps:
 
 * c-transform, (I - A)^{-1}.  With D(v) = v^T A v / 2 + LR(v), a step is the
   fixed-point map v <- (I - A)^{-1} (x + grad LR(v)), which contracts at
@@ -66,8 +66,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidInput, NotCConcave, NotStronglyConcave
-from .gausscore import (as_count, as_gaussian, as_points, as_real, logcosh, second_moment,
-                        symmetrize)
+from .gausscore import as_gaussian, as_points, as_real, logcosh, second_moment, symmetrize
 from .model import (
     SHARED_COV,
     SYMMETRIC2,
@@ -414,13 +413,12 @@ class TiedGame:
         pen = float(np.sum(quad ** 2)) + 2.0 * float(np.sum((rows - self.anchors.d_vecs[0]) ** 2))
         return float(np.sum(quad * self.half_gap) + lc[0] - lc[1]) - 0.5 * self.anchors.lam * pen
 
-    def ascend(self, tol: float, max_iters: int):
+    def ascend(self, tol: float):
         """The logit block's maximizer (rows, 0): (b1, b3) as two decoupled
         problems from (d, d) with the step 1/(2 lam), a contraction."""
         rows, _ = _ascend(lambda r: self.disc_grads(0.0, r)[1],
                           np.repeat(self.anchors.d_vecs[:1], 2, axis=0),
-                          1.0 / (2.0 * self.anchors.lam), tol, max_iters,
-                          "tied inner maximization")
+                          1.0 / (2.0 * self.anchors.lam), tol, "tied inner maximization")
         return rows, np.zeros(4)
 
 
@@ -546,7 +544,7 @@ class BatchGame:
     def gm(self) -> SampleMoments:  # read on demand: GDA rounds never read it
         return SampleMoments(self.gx)
 
-    def ascend(self, tol: float, max_iters: int):
+    def ascend(self, tol: float):
         """The logit block's maximizer (rows, consts): [rows | consts] as one
         problem from the slot anchors with the step 1/(lam + E||X||^2 + E||G||^2 (+ 2))."""
         sv, se = self.anchors.slot_vectors(), self.anchors.slot_consts()
@@ -560,7 +558,7 @@ class BatchGame:
             return np.concatenate([row_grads.ravel(), np.zeros_like(se)
                                    if const_grads is None else const_grads])[None]
 
-        x, _ = _ascend(grad, np.concatenate([sv.ravel(), se])[None], step, tol, max_iters,
+        x, _ = _ascend(grad, np.concatenate([sv.ravel(), se])[None], step, tol,
                        "general inner maximization")
         return x[0, :split].reshape(sv.shape), x[0, split:]
 
@@ -579,28 +577,30 @@ def l1_value(g: GeneratorParams, data_second_moment: np.ndarray, lam: float) -> 
     return float(np.sum((sx - gen_second_moment(g)) ** 2)) / (8.0 * lam)
 
 
-def _ascend(grad, x: np.ndarray, step, tol: float, max_iters: int,
-            what: str) -> tuple[np.ndarray, int]:
+# the one iteration cap of every ascent (inner maxima and c-transform alike)
+_MAX_STEPS = 100_000
+
+
+def _ascend(grad, x: np.ndarray, step, tol: float, what: str) -> tuple[np.ndarray, int]:
     """Fixed-step ascent over independent problems, one per slice along the
     first axis of x, until every slice's gradient norm is <= tol: each slice
     moves by step * grad for a scalar step, or by S grad for a d x d step
-    matrix S.  Returns x and the number of steps taken; warns when max_iters
+    matrix S.  Returns x and the number of steps taken; warns when _MAX_STEPS
     steps do not get there."""
     as_real(tol, "tol", positive=True)
-    as_count(max_iters, "max_iters")
     matrix = np.ndim(step) == 2
-    for it in range(max_iters):
+    for it in range(_MAX_STEPS):
         g = grad(x)
         norm = np.max(np.linalg.norm(g.reshape(len(g), -1), axis=1))
         if norm <= tol:
             return x, it
         x = x + (g @ step.T if matrix else step * g)
-    warnings.warn(f"{what} hit the iteration cap of {max_iters} steps (last max gradient "
+    warnings.warn(f"{what} hit the iteration cap of {_MAX_STEPS} steps (last max gradient "
                   f"norm {norm:.3g})", RuntimeWarning)
-    return x, max_iters
+    return x, _MAX_STEPS
 
 
-def _inner_max(game, tol: float, max_iters: int):
+def _inner_max(game, tol: float):
     """Exact inner maximum of a TiedGame or a BatchGame, the maximizer and its
     decomposed value F(gen, D*): check the margin lam > E||X||^2 + E||G||^2,
     have the game ascend its logit block from the anchors, read l2 as the
@@ -610,7 +610,7 @@ def _inner_max(game, tol: float, max_iters: int):
     margin = lam - (xm.mean_sq + gm.mean_sq)
     if margin <= 0:
         raise NotStronglyConcave(margin)
-    rows, consts = game.ascend(tol, max_iters)
+    rows, consts = game.ascend(tol)
     l2 = game.value(np.zeros_like(xm.second), rows, consts)
     half_gap = game.half_gap
     dd = DiscriminatorParams.from_free(symmetrize(half_gap / lam), rows, consts, game.tied)
@@ -624,25 +624,27 @@ def inner_max_solve(
     z_eval: np.ndarray | None = None,
     labels: np.ndarray | None = None,
     tol: float = 1e-8,
-    max_iters: int = 100000,
 ) -> tuple[DiscriminatorParams, ObjectiveValue]:
     """Exact inner maximization over the discriminator for a fixed generator.
 
     The generator's mode picks the game: ``TiedGame`` for symmetric2,
     ``BatchGame`` for shared_cov.  The quadratic block is closed-form, the
-    logit block is ascended to gradient norm <= tol.  With ``z_eval`` the
-    generator side is the empirical latent batch; without it (symmetric2
-    only) analytic second moments and quadrature.  The value returned is F
-    at the maximizer, split as ``ObjectiveValue``.
+    logit block is ascended to gradient norm <= tol.  With ``z_eval`` (and
+    ``labels``, its rows' labels, given only with it) the generator side is
+    the empirical latent batch; without it (symmetric2 only) analytic second
+    moments and quadrature.  The value returned is F at the maximizer, split
+    as ``ObjectiveValue``.
     """
+    if z_eval is None and labels is not None:
+        raise InvalidInput("labels were given without the latent batch z_eval they label")
     xm = SampleMoments(x_batch)
     if g.mode != SYMMETRIC2:
         if z_eval is None:
             raise InvalidInput("a shared_cov inner solve requires a latent batch")
-        return _inner_max(BatchGame(anchors, g, xm, z_eval, labels), tol, max_iters)
+        return _inner_max(BatchGame(anchors, g, xm, z_eval, labels), tol)
     gm = (GeneratorMoments(g) if z_eval is None
           else LatentMoments(g.cov_factor, g.means[0], check_latents(g, z_eval, labels)[0]))
-    return _inner_max(TiedGame(anchors, xm, gm), tol, max_iters)
+    return _inner_max(TiedGame(anchors, xm, gm), tol)
 
 
 def inner_max_solve_population(
@@ -651,12 +653,11 @@ def inner_max_solve_population(
     cov_x: np.ndarray,
     anchors: Anchors,
     tol: float = 1e-8,
-    max_iters: int = 100000,
 ) -> tuple[DiscriminatorParams, ObjectiveValue]:
     """Inner maximization against the population symmetric mixture
     (1/2) N(mu_x, cov_x) + (1/2) N(-mu_x, cov_x), fully quadrature-based."""
     game = TiedGame(anchors, MixtureMoments(mu_x, cov_x), GeneratorMoments(g))
-    return _inner_max(game, tol, max_iters)
+    return _inner_max(game, tol)
 
 
 def envelope_generator_grad(
@@ -664,7 +665,6 @@ def envelope_generator_grad(
     x_moments,
     anchors: Anchors,
     tol_inner: float = 1e-8,
-    max_iters: int = 100000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Danskin gradient of Phi(gen) = F(gen, D*), the inner-maximum total,
     with respect to (mu, C), as (grad_mu, grad_cov_factor), for a
@@ -672,7 +672,7 @@ def envelope_generator_grad(
     side: the tied game's generator gradient at the maximizer D*.
     """
     game = TiedGame(anchors, x_moments, GeneratorMoments(g))
-    dd, _ = _inner_max(game, tol_inner, max_iters)
+    dd, _ = _inner_max(game, tol_inner)
     cov_grad, means_grad = game.gen_grads(dd.quad, dd.free_rows)
     return means_grad[0], cov_grad
 
@@ -681,8 +681,7 @@ def envelope_generator_grad(
 # c-transform and its regularized upper bound
 
 
-def c_transform_batch(dd: DiscriminatorParams, xs: np.ndarray,
-                      tol: float = 1e-8, max_iters: int = 10000) -> np.ndarray:
+def c_transform_batch(dd: DiscriminatorParams, xs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """max_u D(x + u) - ||u||^2 / 2 per row, by preconditioned ascent from u = 0.
 
     With D(v) = v^T A v / 2 + LR(v) and v = x + u, the step (I - A)^{-1}
@@ -698,7 +697,7 @@ def c_transform_batch(dd: DiscriminatorParams, xs: np.ndarray,
         raise NotCConcave(f"curvature bound {eta:.6g} >= 1")
     step = np.linalg.inv(np.eye(dd.d) - dd.quad)
     u, _ = _ascend(lambda u: _grad_x(dd.quad, dd.logits, dd.consts, xs + u) - u,
-                   np.zeros_like(xs), step, tol, max_iters, "c-transform")
+                   np.zeros_like(xs), step, tol, "c-transform")
     return disc_value_batch(dd, xs + u) - 0.5 * np.sum(u ** 2, axis=1)
 
 

@@ -121,7 +121,7 @@ def inner_run(seed: int) -> dict:
         "tied_latent": objective.inner_max_solve(g, xs, anchors, z_eval=z, labels=labels),
         "tied_quadrature": objective.inner_max_solve(g, xs, anchors),
         "untied_latent": objective._inner_max(  # the generic game on the symmetric generator
-            objective.BatchGame(anchors, g, objective.SampleMoments(xs), z, labels), 1e-8, 100000),
+            objective.BatchGame(anchors, g, objective.SampleMoments(xs), z, labels), 1e-8),
         "population": objective.inner_max_solve_population(g, mu, cov, anchors),
     }
     out = {}

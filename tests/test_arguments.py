@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from gatgmm.datagen import Dataset, make_isotropic, make_k_mixture
 from gatgmm.em import GmmParams, em_fit, gmm_loglik
 from gatgmm.errors import GatgmmError, InvalidInput
-from gatgmm.gausscore import SeededRng, as_gaussian, random_orthogonal
+from gatgmm.gausscore import SeededRng, as_gaussian, random_orthogonal, sym_eigen
 from gatgmm.metrics import (
     bures_w2,
     condition1_check,
@@ -35,6 +35,7 @@ from gatgmm.model import (
 from gatgmm.objective import (
     Anchors,
     BatchGame,
+    GeneratorMoments,
     SampleMoments,
     c_transform_batch,
     c_transform_upper_bound,
@@ -42,6 +43,7 @@ from gatgmm.objective import (
     inner_max_solve,
     l1_value,
     minimax_value_and_grads,
+    penalty_value,
 )
 from gatgmm.optimizer import (
     TrainConfig,
@@ -267,6 +269,17 @@ CASES = {
     "c_transform_upper_bound curvature above eta": lambda: c_transform_upper_bound(
         CRITIC, ANCHORS, XS, 1e-3),
     "inner_max_solve shared_cov no latents": lambda: inner_max_solve(KGEN, XS, ANCHORS),
+    "inner_max_solve labels without z_eval": lambda: inner_max_solve(
+        GEN, XS, ANCHORS, labels=np.array(["junk"])),
+    "make_k_mixture means rows": lambda: make_k_mixture(D, 3, np.eye(D), np.eye(D), 8),
+    "sym_eigen not square": lambda: sym_eigen(np.ones((2, 3))),
+    "gmm_objective_orthant zero direction": lambda: gmm_objective_orthant(TRUTH, XS,
+                                                                          np.zeros(D)),
+    "penalty_value anchor count": lambda: penalty_value(CRITIC, Anchors(
+        d_vecs=np.ones((3, D)), e_consts=np.zeros(3), lam=1.0)),
+    "GeneratorMoments shared_cov": lambda: GeneratorMoments(KGEN),
+    "minimax_value_and_grads anchors of another d": lambda: minimax_value_and_grads(
+        GEN, CRITIC, Anchors.symmetric(np.ones(3), lam=50.0), XS, Z, LABELS),
     "TrainConfig lam 0": lambda: TrainConfig(lam=0),
     "as_gaussian covariance overflows when symmetrized": lambda: as_gaussian([0.0], [[1e308]]),
     "condition1 covariance overflows when symmetrized": lambda: condition1_check(

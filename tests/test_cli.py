@@ -285,6 +285,17 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
     ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}, '
                 '"train": {"mode": "x"}}'},
      ["train", "--config", "@c.json", "--out", "@run"], {}),
+    ({"c.json": "{"}, ["train", "--config", "@c.json", "--out", "@run"], {}),
+    ({}, ["train", "--method", "em", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "kmix", "dataset_params": {"d": 1, "k": 3, "n": 16, '
+                '"means": [[1], [0], [-1]]}}'},
+     ["train", "--config", "@c.json", "--out", "@run"], {}),
+    ({"d.csv": "x0,x1\n1,2\n-1,-2\n"},
+     ["train", "--dataset", "file:@d.csv", "--method", "em", "--holdout", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}, "method": "x"}'},
+     ["train", "--config", "@c.json", "--out", "@run"], {}),
+    ({"s.json": "["}, ["sweep", "--configs", "@s.json"], {}),
+    ({"s.json": "{}"}, ["sweep", "--configs", "@s.json"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
         "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory",
@@ -296,7 +307,9 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
         "rotated-param-scale", "kmix-param-typo", "kmix-spread-and-means", "dataset-param-seed",
         "file-dataset-params", "holdout-string", "sidecar-n-not-integer",
         "sidecar-seed-string", "sidecar-n-not-the-csv", "params-tied-string",
-        "train-symmetric-k4", "train-mode-unknown"])
+        "train-symmetric-k4", "train-mode-unknown", "config-not-json", "no-dataset",
+        "kmix-anchors-above-d", "holdout-without-sidecar", "method-unknown",
+        "sweep-not-json", "sweep-not-a-list"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():  # a name ending in "/" is a directory
         if name.endswith("/"):
@@ -609,6 +622,19 @@ def test_verify_battery(capsys):
     assert "all 7 verification checks passed" in out
 
 
+def test_unknown_flag_exits_2(capsys):
+    assert run(["train", "--no-such-flag"]) == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
+def test_verify_exits_3_when_a_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli.transport, "w2_assignment_exact", lambda a, b: -1.0)
+    assert run(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] assignment oracle equals permutation brute force" in out
+    assert "1 verification check(s) failed" in out
+
+
 def test_sweep_runs_configs(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GATGMM_THREADS", "1")
     cfgs = []
@@ -652,3 +678,16 @@ def test_sweep_pool_never_exceeds_run_count(tmp_path, capsys, monkeypatch):
     assert run(["sweep", "--configs", str(path)]) == 0
     assert RecordingPool.sizes == [2]
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+
+def test_sweep_pool_reports_a_diverged_run_as_numerical_failure(tmp_path, capsys, monkeypatch):
+    # the real process pool: a worker's Diverged comes back whole, and exits 3
+    monkeypatch.setenv("GATGMM_THREADS", "2")
+    cfgs = [{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 32, "scale": 0.02},
+             "seed": 1, "out": str(tmp_path / f"sweep{lr}"),
+             "train": {"max_iters": 20, "eval_every": 10, "sigma_init": 0.1, "lr_gen": lr}}
+            for lr in (1e-2, 1e300)]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfgs))
+    assert run(["sweep", "--configs", str(path)]) == 3
+    assert "numerical failure:" in capsys.readouterr().err

@@ -185,6 +185,22 @@ def test_csv_ragged_row_raises(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("text, line", [("", 1), ("x0,x1\n", 2), ("x0,x1\n\n \n", 2)],
+                         ids=["empty", "header-only", "blank-rows-only"])
+def test_csv_without_data_rows_raises(tmp_path, text, line):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert err.value.line == line
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("x0,x1\n1.0,2.0\n\n  \n3.0,4.0\n")
+    assert np.array_equal(load_csv(path).samples, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_csv_bad_header_raises(tmp_path):
     path = tmp_path / "bad2.csv"
     path.write_text("a,b\n1.0,2.0\n")

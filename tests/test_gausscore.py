@@ -5,6 +5,7 @@ from scipy.special import logsumexp, softmax
 from gatgmm.errors import InvalidInput, NotPsd
 from gatgmm.gausscore import (
     SeededRng,
+    inv_sqrtm_psd,
     lse_softmax,
     random_orthogonal,
     sqrtm_psd,
@@ -80,6 +81,11 @@ def test_sqrtm_scaling():
 def test_sqrtm_rejects_indefinite():
     with pytest.raises(NotPsd):
         sqrtm_psd(np.diag([1.0, -0.5]))
+
+
+def test_inv_sqrtm_rejects_singular():
+    with pytest.raises(NotPsd):
+        inv_sqrtm_psd(np.diag([1.0, 0.0]))
 
 
 def test_sqrtm_clamps_tiny_negative():

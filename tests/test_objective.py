@@ -417,7 +417,7 @@ def test_inner_max_tied_equals_untied_on_symmetric_data():
     _, tied_val = inner_max_solve(g, xs, anchors, z_eval=z_eval, labels=labels, tol=1e-11)
     # the untied reference: the generic game on the symmetric generator
     _, untied_val = objective._inner_max(
-        BatchGame(anchors, g, SampleMoments(xs), z_eval, labels), 1e-11, 100000)
+        BatchGame(anchors, g, SampleMoments(xs), z_eval, labels), 1e-11)
     assert tied_val.total == pytest.approx(untied_val.total, abs=1e-7)
 
 
@@ -594,7 +594,7 @@ def test_group_log_ratio_at_extreme_logits():
                       e_consts=np.array([800.0, -800.0]), lam=lam)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         dd, val = objective._inner_max(BatchGame(anchors, g, SampleMoments(xs), z, labels),
-                                       1e-10, 100000)
+                                       1e-10)
     assert np.all(np.isfinite(dd.logits)) and np.isfinite(val.total)
     gap = (np.mean(_log_ratio_ref(dd.logits, dd.consts, xs))
            - np.mean(_log_ratio_ref(dd.logits, dd.consts, gen_apply(g, z, labels))))
@@ -706,7 +706,7 @@ def test_inner_max_solution_maximizes_F(side):
     else:  # "untied" is the reference: the generic game on the symmetric generator
         dd, val = (inner_max_solve(g, xs, anchors, z_eval=z, labels=labels, tol=1e-12)
                    if side == "tied latent" else objective._inner_max(
-                       BatchGame(anchors, g, SampleMoments(xs), z, labels), 1e-12, 100000))
+                       BatchGame(anchors, g, SampleMoments(xs), z, labels), 1e-12))
         value, *grads, const_grads = disc_block_value_and_grads(
             dd, anchors, xs, gen_apply(g, z, labels), train_consts=False)
         assert const_grads is None
@@ -1002,10 +1002,8 @@ def _solve(solver, **controls):
 _SOLVERS = ("tied latent", "tied quadrature", "general shared_cov", "population", "envelope",
             "stationarity", "c_transform_batch")
 _TOL_NAME = {"envelope": "tol_inner", "stationarity": "tol_inner"}
-_BAD_CONTROLS = ([(s, _TOL_NAME.get(s, "tol"), bad) for s in _SOLVERS
-                  for bad in (-1.0, 0.0, float("nan"), float("inf"))]
-                 + [(s, "max_iters", bad) for s in _SOLVERS
-                    if s != "stationarity" for bad in (0, 2.0, True)])
+_BAD_CONTROLS = [(s, _TOL_NAME.get(s, "tol"), bad) for s in _SOLVERS
+                 for bad in (-1.0, 0.0, float("nan"), float("inf"))]
 
 
 @pytest.mark.parametrize("solver, control, bad", _BAD_CONTROLS)
@@ -1017,7 +1015,8 @@ def test_bad_solver_control_is_invalid_input(solver, control, bad):
 
 @pytest.mark.parametrize("solver", ["tied latent", "tied quadrature", "general shared_cov",
                                     "c_transform_batch"])
-def test_solver_cap_warning_names_the_iteration_cap(solver):
+def test_solver_cap_warning_names_the_iteration_cap(solver, monkeypatch):
+    monkeypatch.setattr(objective, "_MAX_STEPS", 1)  # the one cap of every ascent
     with pytest.warns(RuntimeWarning, match=r"inner maximization|c-transform") as caught:
-        _solve(solver, tol=1e-12, max_iters=1)
+        _solve(solver, tol=1e-12)
     assert "hit the iteration cap of 1 steps (last max gradient norm" in str(caught[0].message)

@@ -1,12 +1,15 @@
 import ast
 import importlib
 import os
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from gatgmm import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,3 +61,18 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+# constructor arguments of the errors that take fields; the others take a message
+_ERROR_ARGS = {"Diverged": (3, "gen_step"), "NotStronglyConcave": (-1.0,),
+               "ParseError": ("bad row", 4)}
+
+
+@pytest.mark.parametrize("name", sorted(c.__name__ for c in errors.GatgmmError.__subclasses__()))
+def test_error_pickles_with_its_fields(name):
+    """Every error survives pickling, as across a process pool, with its
+    type, message and fields."""
+    cls = getattr(errors, name)
+    err = cls(*_ERROR_ARGS.get(name, ("a message",)))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls and str(back) == str(err) and vars(back) == vars(err)
