@@ -235,9 +235,10 @@ def _run_experiment(cfg: dict) -> dict:
     ds = _resolve_dataset(cfg)
     kind = _dataset_kind(ds)
     method = cfg.get("method", "gatgmm")
+    if method not in ("em", "gatgmm"):
+        raise InvalidInput(f"unknown method {method!r}")
     seed = cfg.get("seed", 0)
     outdir = Path(cfg.get("out", f"runs/{kind}-{method}-{seed}"))
-    outdir.mkdir(parents=True, exist_ok=True)
 
     train_fields = dict(_TRAIN_DEFAULTS[kind])
     if ds.meta is not None and ds.meta.truth is not None:
@@ -248,6 +249,8 @@ def _run_experiment(cfg: dict) -> dict:
     except TypeError as exc:  # a field name TrainConfig does not have
         raise InvalidInput(f"bad train config: {exc}") from exc
     nll_xs = _nll_samples(cfg, ds)
+    anchors = _make_anchors(ds, tcfg) if method == "gatgmm" else None
+    outdir.mkdir(parents=True, exist_ok=True)  # only once every check has passed
     n_shown, shown_rng = min(500, ds.n), SeededRng(seed, 7)
 
     # each method makes its fit, report body, params, metrics.csv text,
@@ -265,11 +268,11 @@ def _run_experiment(cfg: dict) -> dict:
         report = {"loglik_trace": trace, "final_params": params}
         rows = ["iter,loglik"] + ["%d,%.17g" % (i, v) for i, v in enumerate(trace)]
         model_samples = transport.sample_mixture(fit, n_shown, shown_rng)[0]
-    elif method == "gatgmm":
+    else:
         truth = ds.meta.truth if ds.meta is not None else None
         if truth is not None and not truth.is_symmetric2:
             import scipy.optimize  # noqa: F401  the matched score's assignment, at each eval
-        run = optimizer.train_gda(ds, tcfg, _make_anchors(ds, tcfg), truth=truth)
+        run = optimizer.train_gda(ds, tcfg, anchors, truth=truth)
         g = run.final_gen
         fit = em.GmmParams.from_generator(g)
         report = run.to_json()
@@ -280,8 +283,6 @@ def _run_experiment(cfg: dict) -> dict:
             "%d,%.17g,%.17g,%.17g" % (r.iteration, r.objective, r.grad_norm, r.gmm_objective)
             for r in run.iterates]
         model_samples = model.gen_sample_batch(g, n_shown, shown_rng)
-    else:
-        raise InvalidInput(f"unknown method {method!r}")
 
     rec = _metrics_record(ds, fit, nll_xs)
     _write_json(outdir / "report.json", report | {"method": method, "metrics": rec.to_json()})
@@ -319,8 +320,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _merged_config(args)
-    outdir = Path(cfg.get("out", "runs/compare"))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(cfg.get("out", "runs/compare"))  # made by the first run
     rows = ["method,gmm_objective,nll"]
     for method in ("gatgmm", "em"):
         rec = _run_experiment(cfg | {"method": method, "out": str(outdir / method)})["metrics"]

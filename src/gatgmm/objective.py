@@ -305,22 +305,27 @@ class LatentMoments:
     cross = C sz + mu zbar^T, gbar = C zbar + mu, E[G G^T] = cross C^T +
     gbar mu^T.  The labels y = +-1 cancel from every expectation taken (tanh is
     odd, log cosh even), so with p = (z C^T + mu^T) B the moments are
-    E[y z tanh(G^T B)] = z^T tanh(p) / m and E[y tanh(G^T B)] = mean(tanh(p))."""
+    E[y z tanh(G^T B)] = z^T tanh(p) / m and E[y tanh(G^T B)] = mean(tanh(p)).
+
+    Layout: each product takes C-contiguous operands (z (C^T B), not z (B^T C)^T,
+    whose F-ordered right factor costs twice as much at m = 640), and each mean
+    over the sample axis is the product ones @ . / m (at m = 640, a tenth of the
+    time of np.sum(., axis=0))."""
 
     def __init__(self, cov: np.ndarray, mu: np.ndarray, z: np.ndarray):
         m = z.shape[0]
-        self.cov, self.mu, self.z = cov, mu, z
-        zbar = np.sum(z, axis=0) / m
-        self.cross = cov @ (z.T @ z / m) + np.outer(mu, zbar)
+        self.cov, self.mu, self.z, self.ones = cov, mu, z, np.ones(m)
+        zbar = self.ones @ z / m
+        self.cross = cov @ (z.T @ z / m) + mu[:, None] * zbar
         self.gbar = cov @ zbar + mu
-        self.second = symmetrize(self.cross @ cov.T + np.outer(self.gbar, mu))
+        self.second = symmetrize(self.cross @ cov.T + self.gbar[:, None] * mu)
 
     @property
     def mean_sq(self) -> float:  # a property: GDA rounds never read it
         return float(np.trace(self.second))
 
     def _proj(self, b: np.ndarray) -> np.ndarray:
-        return self.z @ (b.T @ self.cov).T + b.T @ self.mu
+        return self.z @ (self.cov.T @ b) + b.T @ self.mu
 
     def logcosh_expect(self, b: np.ndarray) -> np.ndarray:
         return np.mean(logcosh(self._proj(b)), axis=0)
@@ -328,7 +333,7 @@ class LatentMoments:
     def tanh_moments(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = np.tanh(self._proj(b))
         m = t.shape[0]
-        return self.z.T @ t / m, np.sum(t, axis=0) / m
+        return self.z.T @ t / m, self.ones @ t / m
 
     def logcosh_grad(self, b: np.ndarray) -> np.ndarray:
         zt, yt_mean = self.tanh_moments(b)
@@ -395,7 +400,8 @@ class TiedGame:
     def disc_grads(self, quad, rows, consts=None):
         """Ascent gradients (quad_grad, row_grads, None) of F."""
         lam = self.anchors.lam
-        mom = self.xm.logcosh_grad(rows.T) - self.gm.logcosh_grad(rows.T)
+        b = np.ascontiguousarray(rows.T)  # a C-ordered d x 2 stack: see LatentMoments
+        mom = self.xm.logcosh_grad(b) - self.gm.logcosh_grad(b)
         row_grads = _GROUP_SIGNS * mom.T - 2.0 * lam * (rows - self.anchors.d_vecs[0])
         return self.half_gap - lam * quad, row_grads, None
 

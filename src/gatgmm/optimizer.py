@@ -12,9 +12,10 @@ generic block, ``objective.BatchGame``, otherwise.  Every mode's eval records
 report F at the round's generator and its discriminator after the round's last
 ascent step.  All randomness flows through split streams of a single Philox
 seed, so a (config, seed) pair replays bit-identically.  Each round draws its
-latents in line, on the caller's thread.  A draw-ahead worker thread lost at
-d = 20, where the round holds the GIL (CPU/wall 0.99): 402-427 us per round
-against 369-381 us in line.  At d = 100 it won only at 1 BLAS thread.
+latents in line, on the caller's thread: a draw-ahead worker thread lost at
+d = 20, where the round holds the GIL (CPU/wall 0.99), and won at d = 100 only
+at 1 BLAS thread.  At 1 BLAS thread on a 2-core Xeon a round takes 292-329 us
+at d = 20 (isotropic, n = 640) and 1,355-1,586 us at d = 100 (rotated).
 
 The stationarity measure is the Danskin envelope gradient: solve the inner
 maximization to tolerance, then take F's generator gradient at the
@@ -289,8 +290,9 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
             xm = full_xm or SampleMoments(xs[batch_rng.gen.integers(0, n, size=batch)])
             # the round's latents: i.i.d., then antithetic pairs (z, -z) after pair_from
             if pair_from is not None and it > pair_from:
-                half = z_rng.gen.standard_normal(((batch + 1) // 2, d))
-                z = np.concatenate([half, -half])[:batch]
+                z, h = np.empty((batch, d)), (batch + 1) // 2
+                z_rng.gen.standard_normal(out=z[:h])
+                np.negative(z[:batch - h], out=z[h:])
                 labels = z_rng.gen.integers(0, 2, size=batch) * 2 - 1
             else:
                 z, labels = draw_latents(g, batch, z_rng)
@@ -308,12 +310,12 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
                 if const_grads is not None:
                     consts = consts + cfg.lr_disc * const_grads
                 # a non-finite gradient, or a step that overflows
-                if not np.isfinite(np.sum(quad) + np.sum(rows) + np.sum(consts)):
+                if not np.isfinite(quad.sum() + rows.sum() + consts.sum()):
                     raise Diverged(it, "disc_step")
             cov_grad, means_grad = rnd.gen_grads(quad, rows, consts)
             cov = cov - cfg.lr_gen * cov_grad
             means = means - cfg.lr_gen * means_grad
-            if not np.isfinite(np.sum(cov) + np.sum(means)):  # also catches an overflowing step
+            if not np.isfinite(cov.sum() + means.sum()):  # also catches an overflowing step
                 raise Diverged(it, "gen_step")
             if cfg.eta is not None:
                 t = _feasible_scale(cov, means, cfg.eta)

@@ -2,6 +2,12 @@
 made for speed alone must not move.
 
     PYTHONPATH=src python tests/data/make_trajectories.py
+    PYTHONPATH=src python tests/data/make_trajectories.py --drift
+
+The second form writes nothing: it reruns every run and prints, per run
+family (``gda/isotropic``, ``em/kmix``, ``inner``, ...), the largest relative
+move of any scalar against the committed file.  A change made for speed
+reports these numbers.
 
 Each run is a name and a function returning a flat dict of float scalars:
 
@@ -27,6 +33,7 @@ reruns this script and commits the new file.
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -144,7 +151,35 @@ def run(name: str) -> dict:
     return fn(*args)
 
 
+def relative_move(got: float, want: float) -> float:
+    """|got - want| / |want|, or |got| where the pinned value is 0."""
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+def drift(names=None) -> dict:
+    """The largest relative move of each run family's scalars against the
+    committed file, over ``names`` (every run by default)."""
+    pinned = json.loads(OUT.read_text())
+    worst: dict[str, float] = {}
+    for name in names or RUNS:
+        got, want = run(name), pinned[name]
+        if sorted(got) != sorted(want):
+            raise SystemExit(f"{name}: the run's scalars are not the pinned ones")
+        family = name.rsplit("/", 1)[0]
+        worst[family] = max([worst.get(family, 0.0)]
+                            + [relative_move(got[key], want[key]) for key in want])
+    return worst
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--drift", action="store_true",
+                        help="print each run family's largest relative move against the "
+                             "committed file and write nothing")
+    if parser.parse_args().drift:
+        for family, move in drift().items():
+            print(f"{family}: {move:.3g}")
+        return
     OUT.write_text(json.dumps({name: run(name) for name in RUNS}, indent=1, sort_keys=True)
                    + "\n")
 

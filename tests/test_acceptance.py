@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines; the whole suite takes roughly 15-20 minutes on one core (it trains
+lines; the whole suite takes about 6 minutes on a 2-core host (it trains
 the two reproduction tasks over five seeds each, at full length).  Every
 test here carries the ``acceptance`` marker, so ``pytest -m "not acceptance"``
 runs the rest of the suite alone.

@@ -167,6 +167,13 @@ def test_missing_file_is_config_error(tmp_path):
 def test_bad_train_config_is_config_error(tmp_path, extra):
     cfg = _small_train_cfg(tmp_path, **extra)
     assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()  # refused before the output directory is made
+
+
+def test_refused_compare_leaves_no_output_directory(tmp_path):
+    cfg = _small_train_cfg(tmp_path, train={"no_such_field": 1})
+    assert run(["compare", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()
 
 
 def test_shortened_run_pairs_its_second_half(tmp_path, monkeypatch):
@@ -320,6 +327,8 @@ def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, e
         monkeypatch.setenv(key, val)
     assert run([a.replace("@", f"{tmp_path}/") for a in argv]) == 2
     assert "config error:" in capsys.readouterr().err
+    # a refused command leaves nothing behind: no output directory, no file
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(n.rstrip("/") for n in files)
 
 
 @pytest.mark.parametrize("method", ["em", "gatgmm"])

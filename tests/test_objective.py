@@ -157,6 +157,35 @@ def test_latent_moments_match_formed_batch(d, r):
     assert isinstance(lm.logcosh_expect(b[:, 0]), float)
 
 
+@pytest.mark.parametrize("d, r", [(3, 2), (20, 2), (100, 2), (20, 5)])
+def test_moment_oracles_take_either_layout_of_the_direction_stack(d, r):
+    # the oracles run their products on C-ordered operands; an F-ordered
+    # stack (the view rows.T) gives the same values, and a (d,) vector still
+    # gives (d,) arrays and a float
+    rng = np.random.default_rng(40 + d)
+    m = 640
+    g = sym2(0.4 * rng.standard_normal((d, d)), 0.8 * rng.standard_normal(d))
+    z = rng.standard_normal((m, d))
+    lm = LatentMoments(g.cov_factor, g.means[0], z)
+    xm = SampleMoments(gen_apply(g, z, rng.integers(0, 2, m) * 2 - 1))
+    b_c = 0.5 * rng.standard_normal((d, r))
+    b_f = np.asfortranarray(b_c)
+    assert b_c.flags.c_contiguous and b_f.flags.f_contiguous and not b_f.flags.c_contiguous
+
+    def rel(a, b):
+        return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
+
+    for oracle in (lm, xm):
+        assert rel(oracle.logcosh_grad(b_f), oracle.logcosh_grad(b_c)) <= 1e-15
+        assert rel(oracle.logcosh_expect(b_f), oracle.logcosh_expect(b_c)) <= 1e-15
+        assert np.shape(oracle.logcosh_grad(b_c[:, 0])) == (d,)
+        assert isinstance(oracle.logcosh_expect(b_c[:, 0]), float)
+    for got, want in zip(lm.tanh_moments(b_f), lm.tanh_moments(b_c)):
+        assert rel(got, want) <= 1e-15
+    zt, yt_mean = lm.tanh_moments(b_c[:, 0])
+    assert np.shape(zt) == (d,) and np.ndim(yt_mean) == 0
+
+
 def test_generator_moments_match_large_latent_batch():
     # quadrature against a sampled oracle: m = 400 000 antithetic latents
     # (z, -z) with independent labels.  Each quantity is the mean of m

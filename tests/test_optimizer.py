@@ -482,6 +482,33 @@ def test_train_draws_in_line_on_the_callers_thread(monkeypatch, outcome):
                       "draw_fails": ["draw", "round"] * 2 + ["draw"]}[outcome]
 
 
+@pytest.mark.parametrize("batch", [10, 11], ids=["even", "odd"])
+def test_pairs_phase_batch_is_the_next_half_draw_and_its_negation(monkeypatch, batch):
+    # the pairs phase fills its batch in place; the bytes are those of
+    # concatenate([h, -h])[:m] over the next (m + 1) // 2 x d draw
+    xs, anchors = _two_sided()
+    d, rounds = xs.shape[1], 12
+    cfg = TrainConfig(max_iters=rounds, eval_every=rounds, batch_size=batch, lam=0.5, seed=4)
+    seen = []
+
+    def latent_moments(cov, mu, z):
+        seen.append(z.copy())
+        return LatentMoments(cov, mu, z)
+
+    monkeypatch.setattr(optimizer, "LatentMoments", latent_moments)
+    train_gda(xs, cfg, anchors)
+    stream = SeededRng(cfg.seed).split(2).gen
+    assert len(seen) == rounds
+    for it, z in enumerate(seen, start=1):
+        if it <= rounds // 2:
+            want = stream.standard_normal((batch, d))
+        else:
+            h = stream.standard_normal(((batch + 1) // 2, d))
+            want = np.concatenate([h, -h])[:batch]
+        stream.integers(0, 2, size=batch)
+        assert z.shape == want.shape and z.tobytes() == want.tobytes(), it
+
+
 def test_concurrent_trainings_match_a_single_run():
     # three runs on two cores, switching threads often: each run draws from
     # its own latent stream, so every run gives the serial bytes

@@ -40,3 +40,12 @@ def test_run_matches_pinned_scalars(name):
     moved = {key: (got[key], want[key]) for key in want
              if not math.isclose(got[key], want[key], rel_tol=RTOL, abs_tol=0.0)}
     assert not moved, f"{name}: scalars moved beyond rel {RTOL}: {moved}"
+
+
+def test_drift_reports_each_family_and_writes_nothing():
+    before = (DATA / "trajectories.json").read_bytes()
+    moves = make_trajectories.drift(["inner/1", "inner/2"])
+    assert list(moves) == ["inner"] and 0.0 <= moves["inner"] <= RTOL
+    assert (DATA / "trajectories.json").read_bytes() == before
+    assert make_trajectories.relative_move(3.0, 2.0) == 0.5
+    assert make_trajectories.relative_move(1e-3, 0.0) == 1e-3
