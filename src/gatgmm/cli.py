@@ -87,10 +87,15 @@ def _merged_config(args) -> dict:
     return cfg
 
 
-def _resolve_dataset(cfg: dict) -> datagen.Dataset:
+def _selector(cfg: dict) -> str:
     selector = cfg.get("dataset")
     if not selector:
         raise InvalidInput("no dataset specified (--dataset or config)")
+    return selector
+
+
+def _resolve_dataset(cfg: dict) -> datagen.Dataset:
+    selector = _selector(cfg)
     params = dict(_object(cfg.get("dataset_params", {}), "dataset_params"))
     if selector.startswith("file:"):
         if params:  # a file's samples are fixed: a key meant for a maker would be dropped
@@ -125,6 +130,11 @@ def _dataset_kind(ds: datagen.Dataset) -> str:
     """The kind the sidecar records if it has trained defaults, else ``file``."""
     kind = ds.meta.kind if ds.meta is not None else "file"
     return kind if kind in _TRAIN_DEFAULTS else "file"
+
+
+def _out_dir(cfg: dict, kind: str) -> Path:
+    """The run's ``out``, else runs/<kind>-<method>-<seed>."""
+    return Path(cfg.get("out", f"runs/{kind}-{cfg.get('method', 'gatgmm')}-{cfg.get('seed', 0)}"))
 
 
 def _make_anchors(ds: datagen.Dataset, tcfg: optimizer.TrainConfig) -> objective.Anchors:
@@ -238,7 +248,7 @@ def _run_experiment(cfg: dict) -> dict:
     if method not in ("em", "gatgmm"):
         raise InvalidInput(f"unknown method {method!r}")
     seed = cfg.get("seed", 0)
-    outdir = Path(cfg.get("out", f"runs/{kind}-{method}-{seed}"))
+    outdir = _out_dir(cfg, kind)
 
     train_fields = dict(_TRAIN_DEFAULTS[kind])
     if ds.meta is not None and ds.meta.truth is not None:
@@ -489,6 +499,16 @@ def _cmd_sweep(args) -> int:
         workers = int(os.environ.get("GATGMM_THREADS", "1") or "1")
     except ValueError as exc:
         raise InvalidInput(f"GATGMM_THREADS must be an integer: {exc}") from exc
+    # runs that write one directory would overwrite each other: refuse them before any starts
+    written = {}
+    for i, cfg in enumerate(configs, start=1):
+        kind = _selector(cfg)  # a maker's selector is its kind
+        if "out" not in cfg and kind.startswith("file:"):
+            kind = _dataset_kind(datagen.load_csv(kind[len("file:"):]))
+        out = _out_dir(cfg, kind).resolve()
+        if out in written:
+            raise InvalidInput(f"sweep runs {written[out]} and {i} both write {out}")
+        written[out] = i
     # the pool forks all its workers at the first submit: never more than there are runs
     workers = min(workers, len(configs))
     if workers <= 1:

@@ -38,7 +38,6 @@ __all__ = [
     "EigenDecomp",
     "symmetrize",
     "second_moment",
-    "check_symmetric",
     "sym_eigen",
     "sqrtm_psd",
     "inv_sqrtm_psd",
@@ -173,24 +172,20 @@ def second_moment(xs: np.ndarray) -> np.ndarray:
     return symmetrize(xs.T @ xs / xs.shape[0])
 
 
-def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInput(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInput(f"{name} has non-finite entries")
-    if not np.array_equal(m, m.T):
-        raise InvalidInput(f"{name} is not exactly symmetric; use symmetrize() first")
-    return m
-
-
 def sym_eigen(m: np.ndarray) -> EigenDecomp:
     """Eigendecomposition of a symmetric matrix with descending eigenvalues.
 
     Satisfies ``V diag(w) V.T == m`` to within 1e-8 * (1 + max|m|) and
-    ``V.T V == I`` to within 1e-10.
+    ``V.T V == I`` to within 1e-10.  A matrix that is not square, finite
+    and exactly symmetric raises InvalidInput.
     """
-    m = check_symmetric(m)
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidInput(f"matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInput("matrix has non-finite entries")
+    if not np.array_equal(m, m.T):
+        raise InvalidInput("matrix is not exactly symmetric; use symmetrize() first")
     w, v = np.linalg.eigh(m)
     order = np.argsort(w)[::-1]
     return EigenDecomp(values=w[order].copy(), vectors=v[:, order].copy())

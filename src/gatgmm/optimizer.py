@@ -3,19 +3,19 @@
 One round = ``disc_steps_per_gen_step`` ascent steps on the discriminator
 block followed by one descent step on the generator, each evaluated on the
 current minibatch with a fresh latent batch per round.  One loop in
-``train_gda`` serves every mode and a per-mode round supplies the gradients:
-in the symmetric mode, always tied, ``objective.TiedGame`` over the
+``train_gda`` serves every mode: before it, the run picks its round's game
+maker once, and each round calls it on the round's data side.  In the
+symmetric mode, always tied, that is ``objective.TiedGame`` over the
 minibatch's ``SampleMoments`` and the latent batch's ``LatentMoments``, which
 never forms the generated batch and agrees to rounding with the generic block
-(the tied ``disc_block_value_and_grads`` + ``gen_block_grads``), and the
-generic block, ``objective.BatchGame``, otherwise.  Every mode's eval records
-report F at the round's generator and its discriminator after the round's last
-ascent step.  All randomness flows through split streams of a single Philox
-seed, so a (config, seed) pair replays bit-identically.  Each round draws its
-latents in line, on the caller's thread: a draw-ahead worker thread lost at
-d = 20, where the round holds the GIL (CPU/wall 0.99), and won at d = 100 only
-at 1 BLAS thread.  At 1 BLAS thread on a 2-core Xeon a round takes 292-329 us
-at d = 20 (isotropic, n = 640) and 1,355-1,586 us at d = 100 (rotated).
+(the tied ``disc_block_value_and_grads`` + ``gen_block_grads``); otherwise it
+is the generic block, ``objective.BatchGame``, over ``model.draw_latents``.
+The symmetric mode draws every latent batch through one path, in place and
+on the caller's thread: h fresh rows, then the first m - h negated, with
+h = m up to round ``max_iters // 2`` and (m + 1) // 2 after it.  Every mode's
+eval records report F at the round's generator and its discriminator after
+the round's last ascent step.  All randomness flows through split streams of
+a single Philox seed, so a (config, seed) pair replays bit-identically.
 
 The stationarity measure is the Danskin envelope gradient: solve the inner
 maximization to tolerance, then take F's generator gradient at the
@@ -275,12 +275,27 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
         raise InvalidInput(f"anchors have lam={anchors.lam}, the config lam={cfg.lam}")
 
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
-    # pairing cancels the latent second moment's mean/covariance cross term
-    pair_from = cfg.max_iters // 2 if cfg.mode == SYMMETRIC2 else None
     full_xm = SampleMoments(xs) if batch == n else None
     cov, means, quad, consts = g.cov_factor, g.means, dd.quad, dd.consts
     rows = dd.free_rows
     records: list[EvalRecord] = []
+
+    # the round's game, picked once: its latent side is drawn per round
+    def tied_game(it, xm, cov, means):
+        # i.i.d. latents, then antithetic pairs (z, -z) after max_iters // 2:
+        # pairing cancels the latent second moment's mean/covariance cross term
+        z = np.empty((batch, d))
+        h = batch if it <= cfg.max_iters // 2 else (batch + 1) // 2
+        z_rng.gen.standard_normal(out=z[:h])
+        np.negative(z[:batch - h], out=z[h:])
+        z_rng.gen.integers(0, 2, size=batch)  # unread labels: keeps the seeded stream
+        return TiedGame(anchors, xm, LatentMoments(cov, means[0], z))
+
+    def batch_game(it, xm, cov, means):
+        gen = GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means)
+        return BatchGame(anchors, gen, xm, *draw_latents(gen, batch, z_rng))
+
+    game = tied_game if cfg.tied else batch_game
 
     t0 = time.perf_counter()
     # Each step is checked for finiteness, so a diverging run raises Diverged
@@ -288,20 +303,7 @@ def train_gda(data, cfg: TrainConfig, anchors: Anchors,
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
             xm = full_xm or SampleMoments(xs[batch_rng.gen.integers(0, n, size=batch)])
-            # the round's latents: i.i.d., then antithetic pairs (z, -z) after pair_from
-            if pair_from is not None and it > pair_from:
-                z, h = np.empty((batch, d)), (batch + 1) // 2
-                z_rng.gen.standard_normal(out=z[:h])
-                np.negative(z[:batch - h], out=z[h:])
-                labels = z_rng.gen.integers(0, 2, size=batch) * 2 - 1
-            else:
-                z, labels = draw_latents(g, batch, z_rng)
-            if cfg.tied:
-                rnd = TiedGame(anchors, xm, LatentMoments(cov, means[0], z))
-            else:
-                rnd = BatchGame(anchors,
-                                GeneratorParams(mode=cfg.mode, cov_factor=cov, means=means),
-                                xm, z, labels)
+            rnd = game(it, xm, cov, means)
 
             for _ in range(cfg.disc_steps_per_gen_step):
                 quad_grad, row_grads, const_grads = rnd.disc_grads(quad, rows, consts)

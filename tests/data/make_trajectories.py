@@ -3,17 +3,23 @@ made for speed alone must not move.
 
     PYTHONPATH=src python tests/data/make_trajectories.py
     PYTHONPATH=src python tests/data/make_trajectories.py --drift
+    PYTHONPATH=src python tests/data/make_trajectories.py --add
 
-The second form writes nothing: it reruns every run and prints, per run
-family (``gda/isotropic``, ``em/kmix``, ``inner``, ...), the largest relative
-move of any scalar against the committed file.  A change made for speed
-reports these numbers.
+``--drift`` writes nothing: it reruns every run and prints, per run family
+(``gda/isotropic``, ``em/kmix``, ``inner``, ...), the largest relative move
+of any scalar against the committed file.  A change made for speed reports
+these numbers.  ``--add`` writes only the runs the file lacks and leaves
+every pinned scalar as it is, so a new family does not re-pin the others at
+the host's BLAS rounding.
 
 Each run is a name and a function returning a flat dict of float scalars:
 
 * ``gda/<kind>/<seed>``: ``train_gda`` on the benchmark's datasets, anchors
   and shortened configs (the CLI's trained defaults cut to 700, 160 and 300
-  rounds, two eval points), seeds 41-43.  Every eval record's objective,
+  rounds, two eval points), seeds 41-43.  ``gda/isotropic-batch`` and
+  ``gda/kmix-batch`` take the odd minibatch ``BATCH_SIZE`` (the pairs phase
+  truncates its negated half), isotropic also two ascent steps per round.
+  Every eval record's objective,
   grad_norm and gmm_objective, then ||mu||^2, tr C C^T and the final mu and C
   contracted with a seeded probe.
 * ``em/<kind>/<seed>``: ``em_fit`` on the same datasets, symmetric for the
@@ -46,12 +52,19 @@ OUT = Path(__file__).with_name("trajectories.json")
 SEEDS = (41, 42, 43)
 ROUNDS = {"isotropic": 700, "rotated": 160, "kmix": 300}
 EM_ITERS = {"isotropic": 10, "rotated": 10, "kmix": 30}
+# minibatch families: name -> (dataset kind, config fields over the shortened ones)
+BATCH_SIZE = 101
+VARIANTS = {
+    "isotropic-batch": ("isotropic", {"batch_size": BATCH_SIZE, "disc_steps_per_gen_step": 2}),
+    "kmix-batch": ("kmix", {"batch_size": BATCH_SIZE}),
+}
 PROBE_SEED = 7919  # the probe matrices' Philox seed; the stream names the quantity
 
 
-def shortened_config(kind: str, seed: int) -> optimizer.TrainConfig:
+def shortened_config(kind: str, seed: int, changes=None) -> optimizer.TrainConfig:
     fields = dict(cli._TRAIN_DEFAULTS[kind])
-    fields.update(max_iters=ROUNDS[kind], eval_every=ROUNDS[kind] // 2, seed=seed)
+    fields.update(max_iters=ROUNDS[kind], eval_every=ROUNDS[kind] // 2, seed=seed,
+                  **(changes or {}))
     return optimizer.TrainConfig(**fields)
 
 
@@ -80,9 +93,9 @@ def contract(a: np.ndarray, stream: int) -> float:
     return float(np.sum(a * SeededRng(PROBE_SEED, stream).gen.uniform(1.0, 2.0, a.shape)))
 
 
-def gda_run(kind: str, seed: int) -> dict:
+def gda_run(kind: str, seed: int, changes=None) -> dict:
     ds = dataset(kind, seed)
-    cfg = shortened_config(kind, seed)
+    cfg = shortened_config(kind, seed, changes)
     rep = optimizer.train_gda(ds, cfg, make_anchors(kind, ds.samples, cfg.lam),
                               truth=ds.meta.truth)
     out = {}
@@ -141,6 +154,8 @@ def inner_run(seed: int) -> dict:
 
 RUNS = {
     **{f"gda/{kind}/{seed}": (gda_run, kind, seed) for kind in ROUNDS for seed in SEEDS},
+    **{f"gda/{name}/{seed}": (gda_run, kind, seed, changes)
+       for name, (kind, changes) in VARIANTS.items() for seed in SEEDS},
     **{f"em/{kind}/{seed}": (em_run, kind, seed) for kind in EM_ITERS for seed in SEEDS},
     **{f"inner/{seed}": (inner_run, seed) for seed in (1, 2)},
 }
@@ -171,17 +186,35 @@ def drift(names=None) -> dict:
     return worst
 
 
+def write(runs: dict) -> None:
+    OUT.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
+
+
+def add() -> list[str]:
+    """Run and write the runs the committed file lacks, keeping every pinned
+    scalar as it is; returns the names added."""
+    pinned = json.loads(OUT.read_text())
+    names = [name for name in RUNS if name not in pinned]
+    write({**pinned, **{name: run(name) for name in names}})
+    return names
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--drift", action="store_true",
-                        help="print each run family's largest relative move against the "
-                             "committed file and write nothing")
-    if parser.parse_args().drift:
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--drift", action="store_true",
+                      help="print each run family's largest relative move against the "
+                           "committed file and write nothing")
+    mode.add_argument("--add", action="store_true",
+                      help="write only the runs the committed file lacks")
+    args = parser.parse_args()
+    if args.drift:
         for family, move in drift().items():
             print(f"{family}: {move:.3g}")
-        return
-    OUT.write_text(json.dumps({name: run(name) for name in RUNS}, indent=1, sort_keys=True)
-                   + "\n")
+    elif args.add:
+        print("added:", " ".join(add()) or "nothing")
+    else:
+        write({name: run(name) for name in RUNS})
 
 
 if __name__ == "__main__":

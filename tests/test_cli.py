@@ -2,16 +2,17 @@ import dataclasses
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gatgmm import cli, optimizer
 from gatgmm.cli import main
-from gatgmm.datagen import make_isotropic
+from gatgmm.datagen import make_isotropic, save_csv
 from gatgmm.em import GmmParams, gmm_loglik
 from gatgmm.gausscore import SeededRng
-from gatgmm.model import draw_latents
+from gatgmm.objective import LatentMoments
 from gatgmm.optimizer import TrainConfig
 from gatgmm.transport import sample_mixture
 
@@ -177,19 +178,20 @@ def test_refused_compare_leaves_no_output_directory(tmp_path):
 
 
 def test_shortened_run_pairs_its_second_half(tmp_path, monkeypatch):
-    # `--iters 40` on the isotropic defaults: rounds 1-20 draw i.i.d. latents
-    # through draw_latents, rounds 21-40 antithetic pairs (z, -z)
-    calls = []
+    # `--iters 40` on the isotropic defaults: rounds 1-20 draw i.i.d. latents,
+    # rounds 21-40 antithetic pairs (z, -z)
+    paired = []
 
-    def draw(*args):
-        calls.append(args)
-        return draw_latents(*args)
+    def latent_moments(cov, mu, z):
+        h = (len(z) + 1) // 2
+        paired.append(np.array_equal(z[h:], -z[:len(z) - h]))
+        return LatentMoments(cov, mu, z)
 
-    monkeypatch.setattr(optimizer, "draw_latents", draw)
+    monkeypatch.setattr(optimizer, "LatentMoments", latent_moments)
     cfg = _cfg(tmp_path, {"dataset_params": {"d": 3, "n": 64, "scale": 0.02}})
     assert run(["train", "--dataset", "isotropic", "--iters", "40", "--config", str(cfg),
                 "--out", str(tmp_path / "run")]) == 0
-    assert len(calls) == 20
+    assert paired == [False] * 20 + [True] * 20
 
 
 # a config file for a small d = 2 isotropic dataset
@@ -700,3 +702,22 @@ def test_sweep_pool_reports_a_diverged_run_as_numerical_failure(tmp_path, capsys
     path.write_text(json.dumps(cfgs))
     assert run(["sweep", "--configs", str(path)]) == 3
     assert "numerical failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["train-only", "file-same-kind"])
+def test_sweep_refuses_runs_that_write_one_directory(tmp_path, capsys, monkeypatch, case):
+    # both runs default to runs/isotropic-gatgmm-0: the sweep exits 2 before either starts
+    monkeypatch.chdir(tmp_path)
+    if case == "train-only":
+        cfgs = [{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 32},
+                 "train": {"max_iters": 20, "lr_gen": lr}} for lr in (0.01, 0.02)]
+    else:
+        for seed, name in enumerate("ab"):
+            save_csv(make_isotropic(d=2, n=32, seed=seed), tmp_path / f"{name}.csv")
+        cfgs = [{"dataset": f"file:{name}.csv", "train": {"max_iters": 20}} for name in "ab"]
+    (tmp_path / "sweep.json").write_text(json.dumps(cfgs))
+    before = sorted(tmp_path.iterdir())
+    assert run(["sweep", "--configs", "sweep.json"]) == 2
+    err = capsys.readouterr().err
+    assert "sweep runs 1 and 2 both write" in err and "isotropic-gatgmm-0" in err
+    assert sorted(tmp_path.iterdir()) == before

@@ -22,6 +22,7 @@ from gatgmm.model import (
 )
 from gatgmm.objective import (
     Anchors,
+    BatchGame,
     LatentMoments,
     SampleMoments,
     TiedGame,
@@ -448,11 +449,12 @@ def _two_sided(d=3, n=32):
 @pytest.mark.parametrize("outcome", ["completes", "diverges", "draw_fails"])
 def test_train_draws_in_line_on_the_callers_thread(monkeypatch, outcome):
     # each round draws its own latents on the caller's thread, after the
-    # previous round and before its own game, and no draw follows a failure
+    # previous round and before its own game, and no draw follows a failure;
+    # the generic game draws through draw_latents in every round
     xs, anchors = _two_sided()
     lr = 1e300 if outcome == "diverges" else 1e-2
     cfg = TrainConfig(max_iters=20, eval_every=5, lr_gen=lr, lr_disc=lr, lam=0.5,
-                      sigma_init=0.1)
+                      sigma_init=0.1, mode=SHARED_COV)
     caller, before = threading.get_ident(), threading.active_count()
     events, threads = [], set()
 
@@ -463,12 +465,12 @@ def test_train_draws_in_line_on_the_callers_thread(monkeypatch, outcome):
             raise _DrawFailed("third draw")
         return draw_latents(*args)
 
-    def latent_moments(*args):
+    def batch_game(*args):
         events.append("round")
-        return LatentMoments(*args)
+        return BatchGame(*args)
 
     monkeypatch.setattr(optimizer, "draw_latents", draw)
-    monkeypatch.setattr(optimizer, "LatentMoments", latent_moments)
+    monkeypatch.setattr(optimizer, "BatchGame", batch_game)
     expected = {"completes": None, "diverges": Diverged, "draw_fails": _DrawFailed}[outcome]
     if expected is None:
         assert len(train_gda(xs, cfg, anchors).iterates) == 4
@@ -476,27 +478,30 @@ def test_train_draws_in_line_on_the_callers_thread(monkeypatch, outcome):
         with pytest.raises(expected):
             train_gda(xs, cfg, anchors)
     assert threads == {(caller, before)}
-    # the second half of the run draws antithetic pairs, without draw_latents
-    assert events == {"completes": ["draw", "round"] * 10 + ["round"] * 10,
+    assert events == {"completes": ["draw", "round"] * 20,
                       "diverges": ["draw", "round"],
                       "draw_fails": ["draw", "round"] * 2 + ["draw"]}[outcome]
 
 
 @pytest.mark.parametrize("batch", [10, 11], ids=["even", "odd"])
 def test_pairs_phase_batch_is_the_next_half_draw_and_its_negation(monkeypatch, batch):
-    # the pairs phase fills its batch in place; the bytes are those of
-    # concatenate([h, -h])[:m] over the next (m + 1) // 2 x d draw
+    # the symmetric mode fills its batch in place on the caller's thread; the
+    # bytes are those of the next m x d draw, then of concatenate([h, -h])[:m]
+    # over the next (m + 1) // 2 x d draw, each followed by the m labels
     xs, anchors = _two_sided()
     d, rounds = xs.shape[1], 12
     cfg = TrainConfig(max_iters=rounds, eval_every=rounds, batch_size=batch, lam=0.5, seed=4)
-    seen = []
+    seen, threads = [], set()
 
     def latent_moments(cov, mu, z):
+        threads.add((threading.get_ident(), threading.active_count()))
         seen.append(z.copy())
         return LatentMoments(cov, mu, z)
 
     monkeypatch.setattr(optimizer, "LatentMoments", latent_moments)
+    caller, before = threading.get_ident(), threading.active_count()
     train_gda(xs, cfg, anchors)
+    assert threads == {(caller, before)}
     stream = SeededRng(cfg.seed).split(2).gen
     assert len(seen) == rounds
     for it, z in enumerate(seen, start=1):

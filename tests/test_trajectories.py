@@ -49,3 +49,17 @@ def test_drift_reports_each_family_and_writes_nothing():
     assert (DATA / "trajectories.json").read_bytes() == before
     assert make_trajectories.relative_move(3.0, 2.0) == 0.5
     assert make_trajectories.relative_move(1e-3, 0.0) == 1e-3
+
+
+def test_add_writes_only_the_missing_runs(tmp_path, monkeypatch):
+    fixture = tmp_path / "trajectories.json"
+    kept = {name: PINNED[name] for name in PINNED if name != "inner/1"}
+    kept["inner/2"] = {key: 1.0 for key in kept["inner/2"]}  # a pinned run it must not touch
+    fixture.write_text(json.dumps(kept))
+    monkeypatch.setattr(make_trajectories, "OUT", fixture)
+    assert make_trajectories.add() == ["inner/1"]
+    written = json.loads(fixture.read_text())
+    assert sorted(written) == sorted(PINNED)
+    assert {name: written[name] for name in kept} == kept
+    assert all(math.isclose(written["inner/1"][key], want, rel_tol=RTOL, abs_tol=0.0)
+               for key, want in PINNED["inner/1"].items())
