@@ -17,7 +17,6 @@ from gatgmm import (
     gmm_loglik,
     gmm_objective,
     make_isotropic,
-    principal_direction,
     train_gda,
 )
 
@@ -27,8 +26,7 @@ ds = make_isotropic(d=20, n=640, scale=0.03, seed=1)
 truth = ds.meta.truth
 print(f"dataset: {ds.n} samples in {ds.d} dimensions")
 
-direction = principal_direction(ds.samples)
-anchors = Anchors.symmetric(direction, lam=2.0)
+anchors = Anchors.from_data(ds.samples, 2, lam=2.0)  # +- the principal direction
 cfg = TrainConfig(max_iters=ITERS, lr_gen=1e-2, lr_disc=1e-1, lam=2.0,
                   seed=1, eval_every=2000, sigma_init=0.1)
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from gatgmm import Anchors, SeededRng, TrainConfig, train_gda, w2_assignment_exact
 from gatgmm.datagen import make_k_mixture
-from gatgmm.gausscore import sym_eigen, symmetrize
 from gatgmm.model import gen_sample_batch
 
 d, k = 6, 4
@@ -21,13 +20,10 @@ means = np.array([
     [0.0, 4.0, 0, 0, 0, 0],
     [0.0, -4.0, 0, 0, 0, 0],
 ])
-ds = make_k_mixture(d=d, k=k, means=means, cov=0.05 * np.eye(d), n=640, seed=2)
+ds = make_k_mixture(d=d, k=k, means=means, seed=2)  # the kmix cov 0.05 I, n = 640
 print(f"dataset: {ds.n} samples, {k} components in {d} dimensions")
 
-second = symmetrize(ds.samples.T @ ds.samples / ds.n)
-vecs = sym_eigen(second).vectors
-anchor_rows = np.stack([vecs[:, 0], -vecs[:, 0], vecs[:, 1], -vecs[:, 1]])
-anchors = Anchors(d_vecs=anchor_rows, e_consts=np.zeros(k), lam=0.5)
+anchors = Anchors.from_data(ds.samples, k, lam=0.5)
 
 cfg = TrainConfig(max_iters=20000, lr_gen=2e-2, lr_disc=1e-1, lam=0.5, seed=2,
                   eval_every=5000, sigma_init=0.1, mode="shared_cov", k=k)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import datagen, em, metrics, model, objective, optimizer, transport
 from .errors import GatgmmError, InvalidInput, ParseError
-from .gausscore import SeededRng, as_count, as_real, second_moment, sym_eigen, symmetrize
+from .gausscore import SeededRng, second_moment, sym_eigen, symmetrize
 
 # per-dataset trained defaults (validated to reproduce the reference scores): the
 # fields that differ from TrainConfig's own defaults
@@ -36,6 +36,9 @@ _TRAIN_DEFAULTS = {
                  mode=model.SHARED_COV, k=4),
 }
 _TRAIN_DEFAULTS["file"] = _TRAIN_DEFAULTS["rotated"]  # a file of no known kind trains as rotated
+# each selector's task is its maker's defaults, overridden by dataset_params
+_MAKERS = {"isotropic": datagen.make_isotropic, "rotated": datagen.make_rotated,
+           "kmix": datagen.make_k_mixture}
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +66,8 @@ _TRAIN_KEYS = ("lam", "lr_gen", "lr_disc", "disc_steps_per_gen_step", "max_iters
 
 
 def _check_fields(cfg: dict) -> dict:
-    """Reject a top-level key no run reads and type-check the run fields."""
+    """Reject a top-level key no run reads and a train seed (the run's seed
+    is the top-level key), and type-check the run fields."""
     unknown = sorted(set(cfg) - set(_RUN_KEYS + ("train", "dataset_params")))
     if unknown:
         raise InvalidInput(f"unknown config keys {unknown}; see the README for the keys")
@@ -73,6 +77,8 @@ def _check_fields(cfg: dict) -> dict:
     SeededRng(cfg.get("seed", 0))  # raises unless the seed is an integer
     if not isinstance(cfg.get("holdout", False), bool):
         raise InvalidInput(f"holdout must be true or false, got {cfg['holdout']!r}")
+    if "seed" in _object(cfg.get("train", {}), "train"):
+        raise InvalidInput("train takes no seed: set the top-level seed (or --seed)")
     return cfg
 
 
@@ -82,7 +88,7 @@ def _merged_config(args) -> dict:
     cfg = _load_config(args.config)
     cfg.update((key, flags[key]) for key in _RUN_KEYS if key in flags)
     _check_fields(cfg)
-    cfg["train"] = dict(_object(cfg.get("train", {}), "train"))
+    cfg["train"] = dict(cfg.get("train", {}))
     cfg["train"].update((key, flags[key]) for key in _TRAIN_KEYS if key in flags)
     return cfg
 
@@ -96,27 +102,14 @@ def _selector(cfg: dict) -> str:
 
 def _resolve_dataset(cfg: dict) -> datagen.Dataset:
     selector = _selector(cfg)
-    params = dict(_object(cfg.get("dataset_params", {}), "dataset_params"))
+    params = _object(cfg.get("dataset_params", {}), "dataset_params")
     if selector.startswith("file:"):
         if params:  # a file's samples are fixed: a key meant for a maker would be dropped
             raise InvalidInput(f"a file: dataset takes no dataset_params, got {sorted(params)}")
         return datagen.load_csv(selector[len("file:"):])
-    maker = {"isotropic": datagen.make_isotropic, "rotated": datagen.make_rotated,
-             "kmix": datagen.make_k_mixture}.get(selector)
+    maker = _MAKERS.get(selector)
     if maker is None:
         raise InvalidInput(f"unknown dataset selector {selector!r}")
-    if selector == "kmix":  # the CLI sizes kmix's means (from its own key spread) and cov
-        d = as_count(params.setdefault("d", 20), "d")
-        k = as_count(params.setdefault("k", 4), "k", 2)
-        if "means" not in params:
-            if k > 2 * d:
-                raise InvalidInput(f"kmix with k={k} and d={d} needs means: the default means "
-                                   f"+-e_i give at most 2d = {2 * d} rows")
-            base = np.eye(d)[:k] * as_real(params.pop("spread", 4.0), "spread")
-            params["means"] = np.concatenate([base[: (k + 1) // 2], -base[: k // 2]])
-        elif "spread" in params:
-            raise InvalidInput("kmix takes means or spread, not both")
-        params = {"cov": 0.05 * np.eye(d), "n": 640} | params
     # the other keys are the maker's arguments, the seed (a top-level key) excepted; their
     # values reach it unconverted, so its checks reject a count of 2.7 or a scale of 0
     takes = set(inspect.signature(maker).parameters) - {"seed"}
@@ -135,20 +128,6 @@ def _dataset_kind(ds: datagen.Dataset) -> str:
 def _out_dir(cfg: dict, kind: str) -> Path:
     """The run's ``out``, else runs/<kind>-<method>-<seed>."""
     return Path(cfg.get("out", f"runs/{kind}-{cfg.get('method', 'gatgmm')}-{cfg.get('seed', 0)}"))
-
-
-def _make_anchors(ds: datagen.Dataset, tcfg: optimizer.TrainConfig) -> objective.Anchors:
-    """The principal direction for k = 2, else +- the top (k + 1) // 2
-    eigenvectors of the data's second moment, k rows in all."""
-    k, lam = tcfg.k, tcfg.lam
-    if k == 2:
-        return objective.Anchors.symmetric(metrics.principal_direction(ds.samples), lam)
-    half = (k + 1) // 2
-    if half > ds.d:
-        raise InvalidInput(f"k={k} anchors need {half} eigenvectors; the data has d={ds.d}")
-    vecs = sym_eigen(second_moment(ds.samples)).vectors[:, :half].T
-    rows = np.stack([vecs, -vecs], axis=1).reshape(2 * half, ds.d)[:k]  # v1, -v1, v2, ...
-    return objective.Anchors(d_vecs=rows, e_consts=np.zeros(k), lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +232,13 @@ def _run_experiment(cfg: dict) -> dict:
     train_fields = dict(_TRAIN_DEFAULTS[kind])
     if ds.meta is not None and ds.meta.truth is not None:
         train_fields["k"] = ds.meta.truth.k
-    train_fields.update(_object(cfg.get("train", {}), "train"), seed=seed)
+    train_fields.update(cfg.get("train", {}), seed=seed)
     try:
         tcfg = optimizer.TrainConfig(**train_fields)
     except TypeError as exc:  # a field name TrainConfig does not have
         raise InvalidInput(f"bad train config: {exc}") from exc
     nll_xs = _nll_samples(cfg, ds)
-    anchors = _make_anchors(ds, tcfg) if method == "gatgmm" else None
+    anchors = objective.Anchors.from_data(ds, tcfg.k, tcfg.lam) if method == "gatgmm" else None
     outdir.mkdir(parents=True, exist_ok=True)  # only once every check has passed
     n_shown, shown_rng = min(500, ds.n), SeededRng(seed, 7)
 

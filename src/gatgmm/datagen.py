@@ -121,15 +121,24 @@ def make_rotated(d: int = 100, n: int = 640, seed: int = 0) -> Dataset:
     return Dataset(samples=xs, meta=meta)
 
 
-def make_k_mixture(d: int, k: int, means: np.ndarray, cov: np.ndarray,
-                   n: int, seed: int = 0) -> Dataset:
+def make_k_mixture(d: int = 20, k: int = 4, means: np.ndarray | None = None,
+                   cov: np.ndarray | None = None, n: int = 640, seed: int = 0) -> Dataset:
     """Uniform-weight shared-covariance k-component mixture: k finite mean
-    rows of width d and a finite PSD d x d covariance, else InvalidInput."""
+    rows of width d and a finite PSD d x d covariance, else InvalidInput.
+
+    The defaults are the kmix task: means 4 e_1, ..., 4 e_h, -4 e_1, ...
+    (h = (k + 1) // 2, k rows in all, so k <= 2d) and cov 0.05 I."""
     d, n, k = as_count(d, "d"), as_count(n, "n"), as_count(k, "k", 2)
+    if means is None:
+        if k > 2 * d:
+            raise InvalidInput(f"kmix with k={k} and d={d} needs means: the default means "
+                               f"+-e_i give at most 2d = {2 * d} rows")
+        axes = 4.0 * np.eye(d)[:k]
+        means = np.concatenate([axes[: (k + 1) // 2], -axes[: k // 2]])
     means = as_points(means, d, "means")
     if means.shape[0] != k:
         raise InvalidInput(f"means must be ({k}, {d}), got {means.shape}")
-    cov = as_gaussian(means[0], cov)[1]
+    cov = as_gaussian(means[0], 0.05 * np.eye(d) if cov is None else cov)[1]
     try:
         factor = sqrtm_psd(cov)
     except NotPsd as exc:

@@ -254,12 +254,12 @@ def em_fit(
     params = GmmParams(weights=np.full(k, 1.0 / k), means=means, covs=covs)
 
     trace: list[float] = []
-    for _ in range(max_iters):
+    for it in range(max_iters + 1):
         lj = _log_joint(params, xs)
         row_lse = lse_softmax(lj)[0]
         trace.append(float(np.mean(row_lse)))
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
-            return params, trace
+        if it == max_iters or (len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol):
+            break
 
         # sample-major, so each component's mass sums in sample order
         resp = np.ascontiguousarray(np.exp(lj - row_lse).T)
@@ -289,6 +289,4 @@ def em_fit(
             shared = symmetrize(pooled / n) + ridge
             new_covs = np.repeat(shared[None], k, axis=0)
         params = GmmParams(weights=new_w, means=new_means, covs=new_covs)
-
-    trace.append(gmm_loglik(params, xs))
     return params, trace

@@ -66,7 +66,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidInput, NotCConcave, NotStronglyConcave
-from .gausscore import as_gaussian, as_points, as_real, logcosh, second_moment, symmetrize
+from .gausscore import (as_count, as_gaussian, as_points, as_real, logcosh, second_moment,
+                        sym_eigen, symmetrize)
+from .metrics import principal_direction
 from .model import (
     SHARED_COV,
     SYMMETRIC2,
@@ -194,6 +196,22 @@ class Anchors:
         """Symmetric-mode anchors: pattern (d, -d, d, -d) over the four slots."""
         d_vec = np.asarray(d_vec, dtype=np.float64)
         return Anchors(d_vecs=np.stack([d_vec, -d_vec]), e_consts=np.zeros(2), lam=lam)
+
+    @staticmethod
+    def from_data(xs: np.ndarray, k: int, lam: float) -> "Anchors":
+        """The anchors a run on ``xs`` (a batch or a Dataset) trains against: for
+        k = 2 the principal direction's symmetric pair, else +- the top
+        (k + 1) // 2 eigenvectors of the second moment, k rows v1, -v1, v2, ...;
+        InvalidInput when (k + 1) // 2 > d."""
+        xs, k = as_points(xs), as_count(k, "anchor count k", 2)
+        if k == 2:
+            return Anchors.symmetric(principal_direction(xs), lam)
+        half, d = (k + 1) // 2, xs.shape[1]
+        if half > d:
+            raise InvalidInput(f"k={k} anchors need {half} eigenvectors; the data has d={d}")
+        vecs = sym_eigen(second_moment(xs)).vectors[:, :half].T
+        rows = np.stack([vecs, -vecs], axis=1).reshape(2 * half, d)[:k]
+        return Anchors(d_vecs=rows, e_consts=np.zeros(k), lam=lam)
 
     def slot_vectors(self) -> np.ndarray:
         """Anchor for logit slot j is d_{j mod k}; rows for j = 0..2k-1."""

@@ -45,8 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gatgmm import cli, datagen, em, metrics, model, objective, optimizer
-from gatgmm.gausscore import SeededRng, sym_eigen
+from gatgmm import cli, datagen, em, model, objective, optimizer
+from gatgmm.gausscore import SeededRng
 
 OUT = Path(__file__).with_name("trajectories.json")
 SEEDS = (41, 42, 43)
@@ -69,21 +69,7 @@ def shortened_config(kind: str, seed: int, changes=None) -> optimizer.TrainConfi
 
 
 def dataset(kind: str, seed: int) -> datagen.Dataset:
-    if kind == "isotropic":
-        return datagen.make_isotropic(d=20, n=640, seed=seed)
-    if kind == "rotated":
-        return datagen.make_rotated(d=100, n=640, seed=seed)
-    axes = 4.0 * np.eye(20)[:2]
-    return datagen.make_k_mixture(d=20, k=4, means=np.concatenate([axes, -axes]),
-                                  cov=0.05 * np.eye(20), n=640, seed=seed)
-
-
-def make_anchors(kind: str, xs: np.ndarray, lam: float) -> objective.Anchors:
-    if kind != "kmix":
-        return objective.Anchors.symmetric(metrics.principal_direction(xs), lam)
-    vecs = sym_eigen(xs.T @ xs / len(xs)).vectors
-    rows = np.stack([vecs[:, 0], -vecs[:, 0], vecs[:, 1], -vecs[:, 1]])
-    return objective.Anchors(d_vecs=rows, e_consts=np.zeros(4), lam=lam)
+    return cli._MAKERS[kind](seed=seed)  # the CLI's task: the maker's defaults
 
 
 def contract(a: np.ndarray, stream: int) -> float:
@@ -96,7 +82,7 @@ def contract(a: np.ndarray, stream: int) -> float:
 def gda_run(kind: str, seed: int, changes=None) -> dict:
     ds = dataset(kind, seed)
     cfg = shortened_config(kind, seed, changes)
-    rep = optimizer.train_gda(ds, cfg, make_anchors(kind, ds.samples, cfg.lam),
+    rep = optimizer.train_gda(ds, cfg, objective.Anchors.from_data(ds.samples, cfg.k, cfg.lam),
                               truth=ds.meta.truth)
     out = {}
     for rec in rep.iterates:

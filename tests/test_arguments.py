@@ -88,6 +88,7 @@ ENTRIES = {
     "disc_value_batch": lambda xs: disc_value_batch(CRITIC, xs),
     "disc_grad_x_batch": lambda xs: disc_grad_x_batch(CRITIC, xs),
     "SampleMoments": SampleMoments,
+    "Anchors.from_data": lambda xs: Anchors.from_data(xs, 3, 1.0),
     "c_transform_batch": lambda xs: c_transform_batch(CRITIC, xs),
     "c_transform_upper_bound": lambda xs: c_transform_upper_bound(CRITIC, ANCHORS, xs, 0.9),
     "minimax_value_and_grads": lambda xs: minimax_value_and_grads(GEN, CRITIC, ANCHORS, xs, Z,
@@ -275,6 +276,8 @@ CASES = {
     "sym_eigen not square": lambda: sym_eigen(np.ones((2, 3))),
     "gmm_objective_orthant zero direction": lambda: gmm_objective_orthant(TRUTH, XS,
                                                                           np.zeros(D)),
+    "Anchors.from_data nan batch": lambda: Anchors.from_data([[np.nan, 0.0], [1.0, 1.0]], 2, 1.0),
+    "Anchors.from_data more eigenvectors than d": lambda: Anchors.from_data(XS, 2 * D + 1, 1.0),
     "penalty_value anchor count": lambda: penalty_value(CRITIC, Anchors(
         d_vecs=np.ones((3, D)), e_consts=np.zeros(3), lam=1.0)),
     "GeneratorMoments shared_cov": lambda: GeneratorMoments(KGEN),

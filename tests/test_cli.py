@@ -198,7 +198,8 @@ def test_shortened_run_pairs_its_second_half(tmp_path, monkeypatch):
 _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'}
 
 
-# "@" stands for the test's tmp_path; each case writes its files, then runs argv
+# "@" in argv and in a file's text stands for the test's tmp_path; each case
+# writes its files, then runs argv
 @pytest.mark.parametrize("files, argv, env", [
     ({"c.json": "[1, 2]"}, ["train", "--config", "@c.json", "--out", "@run"], {}),
     ({"p.json": "{"}, ["eval", "--dataset", "isotropic", "--params", "@p.json"], {}),
@@ -305,6 +306,15 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
      ["train", "--config", "@c.json", "--out", "@run"], {}),
     ({"s.json": "["}, ["sweep", "--configs", "@s.json"], {}),
     ({"s.json": "{}"}, ["sweep", "--configs", "@s.json"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}, '
+                '"train": {"seed": 7}}'},
+     ["train", "--config", "@c.json", "--method", "em", "--out", "@run"], {}),
+    ({"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}, '
+                '"train": {"seed": 7, "max_iters": 5}}'},
+     ["compare", "--config", "@c.json", "--out", "@run"], {}),
+    ({"s.json": '[{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}, "method": "em", '
+                '"out": "@run", "train": {"seed": 7}}]'},
+     ["sweep", "--configs", "@s.json"], {}),
 ], ids=["config-not-object", "params-not-json", "params-incomplete", "threads-not-integer",
         "meta-incomplete", "dataset-not-string", "out-not-string", "seed-not-integer",
         "seed-bool", "sweep-out-not-string", "params-directory", "meta-directory",
@@ -318,13 +328,14 @@ _D2 = {"c.json": '{"dataset": "isotropic", "dataset_params": {"d": 2, "n": 16}}'
         "sidecar-seed-string", "sidecar-n-not-the-csv", "params-tied-string",
         "train-symmetric-k4", "train-mode-unknown", "config-not-json", "no-dataset",
         "kmix-anchors-above-d", "holdout-without-sidecar", "method-unknown",
-        "sweep-not-json", "sweep-not-a-list"])
+        "sweep-not-json", "sweep-not-a-list", "train-seed", "compare-train-seed",
+        "sweep-train-seed"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, files, argv, env):
     for name, text in files.items():  # a name ending in "/" is a directory
         if name.endswith("/"):
             (tmp_path / name).mkdir()
         else:
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_text(text.replace("@", f"{tmp_path}/"))
     for key, val in env.items():
         monkeypatch.setenv(key, val)
     assert run([a.replace("@", f"{tmp_path}/") for a in argv]) == 2

@@ -71,6 +71,28 @@ def test_k_mixture_reduces_to_symmetric_for_opposite_means():
     assert np.linalg.norm(emp - target) <= 5 * np.linalg.norm(target) / np.sqrt(ds.n) * 2
 
 
+@pytest.mark.parametrize("seed", [0, 41])
+def test_k_mixture_defaults_are_the_kmix_task(seed):
+    axes = 4.0 * np.eye(20)[:2]
+    explicit = make_k_mixture(20, 4, np.concatenate([axes, -axes]), 0.05 * np.eye(20), 640, seed)
+    ds = make_k_mixture(seed=seed)
+    assert ds.samples.tobytes() == explicit.samples.tobytes()
+    assert ds.meta.to_json() == explicit.meta.to_json()
+
+
+def test_k_mixture_default_means_at_odd_k():
+    # h = (k + 1) // 2 positive axes first, then the first k // 2 negated
+    want = [[4.0, 0, 0, 0], [0, 4.0, 0, 0], [-4.0, 0, 0, 0]]
+    assert np.array_equal(make_k_mixture(d=4, k=3, n=8).meta.truth.means, want)
+
+
+def test_k_mixture_default_means_need_k_at_most_2d():
+    with pytest.raises(InvalidInput, match=r"k=5 and d=2 needs means.*at most 2d = 4 rows"):
+        make_k_mixture(d=2, k=5, n=16)
+    assert make_k_mixture(d=2, k=4, n=16).meta.truth.k == 4
+    assert make_k_mixture(d=2, k=5, means=np.ones((5, 2)), n=16).meta.truth.k == 5
+
+
 def test_k_mixture_label_frequencies():
     means = 4.0 * np.eye(4)
     ds = make_k_mixture(d=4, k=4, means=means, cov=0.01 * np.eye(4), n=40000, seed=5)

@@ -4,7 +4,9 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp, softmax
 
 from gatgmm.errors import InvalidInput, NotCConcave, NotStronglyConcave
-from gatgmm.gausscore import SeededRng, symmetrize
+from gatgmm.datagen import make_k_mixture
+from gatgmm.gausscore import SeededRng, second_moment, sym_eigen, symmetrize
+from gatgmm.metrics import principal_direction
 from gatgmm import objective
 from gatgmm.model import (
     SHARED_COV,
@@ -1049,3 +1051,21 @@ def test_solver_cap_warning_names_the_iteration_cap(solver, monkeypatch):
     with pytest.warns(RuntimeWarning, match=r"inner maximization|c-transform") as caught:
         _solve(solver, tol=1e-12)
     assert "hit the iteration cap of 1 steps (last max gradient norm" in str(caught[0].message)
+
+
+def _anchor_rows_by_hand(xs, k):
+    """The anchor rule written out: +- the principal direction for k = 2, else
+    v1, -v1, v2, -v2, ... over the top eigenvectors of X^T X / n, k rows."""
+    if k == 2:
+        v = principal_direction(xs)
+        return np.stack([v, -v])
+    vecs = sym_eigen(second_moment(xs)).vectors
+    return np.stack([sign * vecs[:, i] for i in range((k + 1) // 2) for sign in (1, -1)][:k])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_anchors_from_data_is_the_written_out_rule(k):
+    xs = make_k_mixture(d=5, k=k, n=200, seed=3).samples
+    anchors = Anchors.from_data(xs, k, lam=0.5)
+    assert anchors.d_vecs.tobytes() == _anchor_rows_by_hand(xs, k).tobytes()
+    assert anchors.e_consts.tobytes() == np.zeros(k).tobytes() and anchors.lam == 0.5
