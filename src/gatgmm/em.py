@@ -18,6 +18,12 @@ scored by the mean log-likelihood
 so an iteration costs O(d^3 + n d) where the generic E and M steps cost
 O(n d^2).
 
+In the generic E-step (and ``gmm_loglik``, and the transport module's
+posteriors and Bayes classifier) each covariance is factored once: the log
+joint solves the data once per Cholesky factor L, as
+||L^-1 (x - mu_i)||^2 = ||L^-1 x - L^-1 mu_i||^2, and components in a row
+with an equal covariance (every component, under ``shared_cov``) share it.
+
 A constant diagonal ridge, 1e-8 * tr(total data covariance) / d, is added
 at every covariance update so the fit cannot collapse on near-atomic data.
 """
@@ -134,21 +140,22 @@ def _cholesky_logdet(cov: np.ndarray) -> tuple[np.ndarray, float]:
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def _component_log_dens(xs: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = xs.shape[1]
-    chol, logdet = _cholesky_logdet(cov)
-    diff = xs - mu
-    from scipy.linalg import solve_triangular
-    y = solve_triangular(chol, diff.T, lower=True).T
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + np.sum(y ** 2, axis=1))
-
-
 def _log_joint(p: GmmParams, xs: np.ndarray) -> np.ndarray:
-    """Slot-major (k, n) log joint densities log w_i + log N(x; mu_i, Sigma_i)."""
+    """Slot-major (k, n) log joint densities log w_i + log N(x; mu_i, Sigma_i),
+    one factor and one solve of the data per run of equal covariances."""
+    from scipy.linalg import solve_triangular
+    d = xs.shape[1]
     with np.errstate(divide="ignore"):
         logw = np.log(p.weights)
-    return np.stack([logw[i] + _component_log_dens(xs, p.means[i], p.covs[i])
-                     for i in range(p.k)])
+    out = np.empty((p.k, xs.shape[0]))
+    for i in range(p.k):
+        if i == 0 or not np.array_equal(p.covs[i], p.covs[i - 1]):
+            chol, logdet = _cholesky_logdet(p.covs[i])
+            ys = solve_triangular(chol, xs.T, lower=True)  # (d, n): L^-1 x per column
+            offset = d * np.log(2.0 * np.pi) + logdet
+        m = solve_triangular(chol, p.means[i], lower=True)
+        out[i] = logw[i] - 0.5 * (offset + np.sum((ys - m[:, None]) ** 2, axis=0))
+    return out
 
 
 def gmm_loglik(p: GmmParams, data) -> float:

@@ -50,21 +50,31 @@ class MetricsRecord:
         }
 
 
-def bures_w2(mu1, cov1, mu2, cov2) -> float:
-    """Squared 2-Wasserstein distance between two Gaussians."""
-    mu1, cov1 = as_gaussian(mu1, cov1)
-    mu2, cov2 = as_gaussian(mu2, cov2, mu1.size)
+def _cov_term(cov1: np.ndarray, cov2: np.ndarray) -> float:
+    """Tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2}): the covariance part of
+    ``bures_w2``, for checked covariances."""
     root = sqrtm_psd(cov1)
     with np.errstate(over="ignore", invalid="ignore"):
         prod = root @ cov2 @ root
     if not np.isfinite(prod).all():  # finite covariances whose product overflows
         raise NotPsd("S1^(1/2) S2 S1^(1/2) overflows: the covariances are too large to score")
     cross = sqrtm_psd(symmetrize(prod))
-    val = (float(np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(cross))
-           + float(np.sum((mu1 - mu2) ** 2)))
+    return float(np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(cross))
+
+
+def _with_mean_term(cov_term: float, mu1: np.ndarray, mu2: np.ndarray) -> float:
+    """cov_term plus ||mu1 - mu2||^2, with a rounding residue in (-1e-8, 0) read as 0."""
+    val = cov_term + float(np.sum((mu1 - mu2) ** 2))
     if -1e-8 < val < 0.0:
         return 0.0
     return val
+
+
+def bures_w2(mu1, cov1, mu2, cov2) -> float:
+    """Squared 2-Wasserstein distance between two Gaussians."""
+    mu1, cov1 = as_gaussian(mu1, cov1)
+    mu2, cov2 = as_gaussian(mu2, cov2, mu1.size)
+    return _with_mean_term(_cov_term(cov1, cov2), mu1, mu2)
 
 
 def gmm_objective(truth: GmmParams, fitted_mu, fitted_cov) -> float:
@@ -80,13 +90,23 @@ def gmm_objective(truth: GmmParams, fitted_mu, fitted_cov) -> float:
     return bures_w2(mu, truth.covs[0], fitted_mu, fitted_cov)
 
 
+def _first_equal(covs: np.ndarray) -> list[int]:
+    """For each covariance, the index of the first one equal to it."""
+    return [next(j for j in range(i + 1) if np.array_equal(covs[j], covs[i]))
+            for i in range(len(covs))]
+
+
 def gmm_objective_matched(truth: GmmParams, fit: GmmParams) -> float:
     """Mean Gaussian transport distance over truth/fit component pairs
     matched by optimal assignment: the k-component score (weights are not
     compared)."""
     if truth.k != fit.k or truth.d != fit.d:
         raise InvalidInput(f"truth is {truth.k} x d={truth.d}, fit is {fit.k} x d={fit.d}")
-    cost = np.array([[bures_w2(truth.means[i], truth.covs[i], fit.means[j], fit.covs[j])
+    # the covariance term once per distinct (truth cov, fit cov) pair: a
+    # mixture with a shared covariance has one
+    ti, fj = _first_equal(truth.covs), _first_equal(fit.covs)
+    terms = {(a, b): _cov_term(truth.covs[a], fit.covs[b]) for a in set(ti) for b in set(fj)}
+    cost = np.array([[_with_mean_term(terms[ti[i], fj[j]], truth.means[i], fit.means[j])
                       for j in range(fit.k)] for i in range(truth.k)])
     from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)

@@ -6,6 +6,11 @@ Gamma_y (x - mu_y) + mu~_y, where Gamma_i converts the i-th covariance
 (target-sqrt times source-inverse-sqrt); averaging it against the source
 posterior gives the deterministic conditional-expectation map.
 
+The Bayes classifier (``bayes_error``, the Bayes error of
+``duality_gap_1d``) takes the argmax of the log joint log w_i + log N(x;
+mu_i, Sigma_i) (``em._log_joint``): the posterior is exp(log joint - lse),
+monotone in it, so it predicts the posterior argmax without normalizing.
+
 Exact oracles use the cost c(x, x') = ||x - x'||^2 / 2, so all values
 here live on the half-squared-Wasserstein scale; the Gaussian evaluation
 metric in :mod:`gatgmm.metrics` uses the plain squared distance instead.
@@ -105,18 +110,21 @@ def sample_mixture(p: GmmParams, n: int, rng: SeededRng) -> tuple[np.ndarray, np
     labels = rng.gen.choice(p.k, size=n, p=p.weights)
     z = rng.gen.standard_normal((n, p.d))
     # one n x d product per component, kept on that component's rows; a
-    # gather of per-draw factors would build an n x d x d array
+    # gather of per-draw factors would build an n x d x d array.  A component
+    # whose covariance equals the first's keeps the first product (matching
+    # the previous one instead would leave, for A, B, B, A's product on B rows)
     shift = z @ sqrtm_psd(p.covs[0]).T
     for i in range(1, p.k):
-        shift = np.where((labels == i)[:, None], z @ sqrtm_psd(p.covs[i]).T, shift)
+        if not np.array_equal(p.covs[i], p.covs[0]):
+            shift = np.where((labels == i)[:, None], z @ sqrtm_psd(p.covs[i]).T, shift)
     return p.means[labels] + shift, labels
 
 
 def bayes_error(p: GmmParams, n_mc: int, rng: SeededRng) -> float:
-    """Monte Carlo misclassification rate of the posterior argmax classifier."""
+    """Monte Carlo misclassification rate of the posterior argmax classifier,
+    read off the log joint."""
     xs, labels = sample_mixture(p, as_count(n_mc, "n_mc"), rng)
-    predicted = np.argmax(posterior_batch(p, xs), axis=1)
-    return float(np.mean(predicted != labels))
+    return float(np.mean(np.argmax(_log_joint(p, xs), axis=0) != labels))
 
 
 def duality_gap_bound_terms(tp: TransportPair, pe: float, ex_norm2: float,
@@ -274,7 +282,7 @@ def duality_gap_1d(mu_src: float, sigma_src: float, mu_tgt: float, sigma_tgt: fl
     se = float(np.sqrt((dvals.var() + cvals.var() + pair_costs.var()) / _DUALITY_PAIRS))
 
     mc, labels = sample_mixture(source, _DUALITY_MC, rng.split(4))
-    predicted = np.argmax(posterior_batch(source, mc), axis=1)
+    predicted = np.argmax(_log_joint(source, mc), axis=0)
     # rule-of-three floor: a zero miscount only bounds pe above by ~3/n
     pe = max(float(np.mean(predicted != labels)), 3.0 / _DUALITY_MC)
     norms2 = np.sum(mc ** 2, axis=1)

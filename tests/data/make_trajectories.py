@@ -31,6 +31,14 @@ Each run is a name and a function returning a flat dict of float scalars:
   ``BatchGame`` on the symmetric generator (the untied latent side) and
   ``inner_max_solve_population``, and ``stationarity_grad_norm`` on the
   sample and on the population data side, on small seeded instances.
+* ``transport/<case>``: the six fields of ``duality_gap_1d`` at ``gatgmm
+  verify``'s two settings (``verify-2``, ``verify-5``, seed 3) and at the
+  ``oracles`` benchmark setting (2.0, 1.0, 2.3, 0.8) for seeds 41-43
+  (``duality-<seed>``); ``bayes_error`` of N(+-1, 1) with 20,000 draws on
+  stream 903 (``bayes-<seed>``); ``gmm_loglik`` of a shared-covariance and of
+  a per-component k = 4 fit of the kmix dataset (``loglik-<seed>``, the EM
+  runs' 30 iterations).  A Bayes error ``pe`` is a count over draws, so the
+  test compares it exactly.
 
 ``tests/test_trajectories.py`` reruns every run and compares it with the
 file at a relative tolerance.  A change that moves these numbers on purpose
@@ -45,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gatgmm import cli, datagen, em, model, objective, optimizer
+from gatgmm import cli, datagen, em, model, objective, optimizer, transport
 from gatgmm.gausscore import SeededRng
 
 OUT = Path(__file__).with_name("trajectories.json")
@@ -138,12 +146,41 @@ def inner_run(seed: int) -> dict:
     return out
 
 
+DUALITY_SETTINGS = {"verify-2": ((2.0, 1.0, 2.3, 0.8), 3), "verify-5": ((5.0, 1.0, 5.3, 0.8), 3),
+                    **{f"duality-{seed}": ((2.0, 1.0, 2.3, 0.8), seed) for seed in SEEDS}}
+BAYES_DRAWS, BAYES_STREAM = 20_000, 903
+
+
+def duality_run(case: str) -> dict:
+    args, seed = DUALITY_SETTINGS[case]
+    res = transport.duality_gap_1d(*args, seed=seed)
+    return {name: float(getattr(res, name)) for name in ("dual", "w2", "gap", "se", "bound", "pe")}
+
+
+def bayes_run(seed: int) -> dict:
+    mixture = em.GmmParams.symmetric2(np.array([1.0]), np.array([[1.0]]))
+    return {"pe": transport.bayes_error(mixture, BAYES_DRAWS, SeededRng(seed, BAYES_STREAM))}
+
+
+def loglik_run(seed: int) -> dict:
+    xs = dataset("kmix", seed).samples
+    out = {}
+    for name, shared in (("shared", True), ("per_component", False)):
+        fit, _ = em.em_fit(xs, 4, shared_cov=shared, max_iters=EM_ITERS["kmix"], tol=0.0,
+                           seed=seed)
+        out[name] = em.gmm_loglik(fit, xs)
+    return out
+
+
 RUNS = {
     **{f"gda/{kind}/{seed}": (gda_run, kind, seed) for kind in ROUNDS for seed in SEEDS},
     **{f"gda/{name}/{seed}": (gda_run, kind, seed, changes)
        for name, (kind, changes) in VARIANTS.items() for seed in SEEDS},
     **{f"em/{kind}/{seed}": (em_run, kind, seed) for kind in EM_ITERS for seed in SEEDS},
     **{f"inner/{seed}": (inner_run, seed) for seed in (1, 2)},
+    **{f"transport/{case}": (duality_run, case) for case in DUALITY_SETTINGS},
+    **{f"transport/bayes-{seed}": (bayes_run, seed) for seed in SEEDS},
+    **{f"transport/loglik-{seed}": (loglik_run, seed) for seed in SEEDS},
 }
 
 

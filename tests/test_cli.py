@@ -657,6 +657,22 @@ def test_verify_exits_3_when_a_check_fails(capsys, monkeypatch):
     assert "1 verification check(s) failed" in out
 
 
+def test_verify_fails_when_the_analytic_quad_gradient_is_off(capsys, monkeypatch):
+    # the finite differences are taken on BatchGame.value, so a wrong analytic
+    # gradient from minimax_value_and_grads cannot agree with them
+    exact = cli.objective.minimax_value_and_grads
+
+    def off(*args):
+        value, grads = exact(*args)
+        return value, dataclasses.replace(grads, quad=grads.quad + 1e-3)
+
+    monkeypatch.setattr(cli.objective, "minimax_value_and_grads", off)
+    assert run(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] analytic gradients match finite differences" in out
+    assert "1 verification check(s) failed" in out
+
+
 def test_sweep_runs_configs(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GATGMM_THREADS", "1")
     cfgs = []

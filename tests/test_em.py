@@ -200,6 +200,45 @@ def test_kmeanspp_with_fewer_distinct_points_than_k():
     assert {tuple(c) for c in centers} == {(0.0, 1.0), (2.0, 0.0)}
 
 
+def _log_joint_ref(p, xs):
+    """The per-component formula: each component's own Cholesky factor and a
+    solve of x - mu_i."""
+    d = xs.shape[1]
+    rows = []
+    for w, mu, cov in zip(p.weights, p.means, p.covs):
+        chol = np.linalg.cholesky(cov)
+        y = scipy.linalg.solve_triangular(chol, (xs - mu).T, lower=True)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        rows.append(np.log(w) - 0.5 * (d * np.log(2.0 * np.pi) + logdet + np.sum(y ** 2, axis=0)))
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_log_joint_factors_each_covariance_once(monkeypatch, shared):
+    rng = np.random.default_rng(4)
+    k, d = 4, 3
+    covs = np.stack([symmetrize(a @ a.T / d + 0.2 * np.eye(d))
+                     for a in rng.standard_normal((k, d, d))])
+    p = GmmParams(weights=np.array([0.1, 0.2, 0.3, 0.4]), means=2.0 * rng.standard_normal((k, d)),
+                  covs=covs[0] if shared else covs)
+    xs = 2.0 * rng.standard_normal((300, d))
+    calls = []
+    factor = em._cholesky_logdet
+    monkeypatch.setattr(em, "_cholesky_logdet", lambda cov: calls.append(1) or factor(cov))
+    lj = em._log_joint(p, xs)
+    assert len(calls) == (1 if shared else k)
+    ref = _log_joint_ref(p, xs)
+    assert np.max(np.abs(lj - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_log_joint_of_a_zero_weight_component_is_minus_inf():
+    p = GmmParams(weights=np.array([0.5, 0.0, 0.5]), means=np.array([[-1.0], [0.0], [1.0]]),
+                  covs=np.ones((3, 1, 1)))
+    lj = em._log_joint(p, np.linspace(-3.0, 3.0, 61)[:, None])
+    assert np.all(lj[1] == -np.inf) and np.isfinite(lj[[0, 2]]).all()
+    assert not np.any(np.argmax(lj, axis=0) == 1)  # even at 0, its own mean
+
+
 def _overlapping(n=200, d=3, seed=7):
     """Mirrored components N(+-0.3 * 1, I) that overlap, so tanh does not saturate."""
     rng = np.random.default_rng(seed)

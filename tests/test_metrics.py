@@ -3,6 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from gatgmm import metrics
 from gatgmm.em import GmmParams
 from gatgmm.errors import InsufficientSamples, InvalidInput
 from gatgmm.gausscore import SeededRng, random_orthogonal, symmetrize
@@ -92,6 +93,25 @@ def test_gmm_objective_matched_is_the_best_pairing():
              for j in range(4)] for i in range(4)]
     brute = min(np.mean([cost[i][p[i]] for i in range(4)]) for p in permutations(range(4)))
     assert gmm_objective_matched(truth, fit) == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_gmm_objective_matched_takes_each_covariance_pair_once(monkeypatch, shared):
+    # one covariance term per distinct (truth cov, fit cov) pair, and the same
+    # number as the k^2 bures_w2 calls give
+    truth, fit = _kmix(3), _kmix(4)
+    if shared:
+        truth, fit = (GmmParams(weights=p.weights, means=p.means, covs=p.covs[0])
+                      for p in (truth, fit))
+    cost = np.array([[bures_w2(truth.means[i], truth.covs[i], fit.means[j], fit.covs[j])
+                      for j in range(4)] for i in range(4)])
+    from scipy.optimize import linear_sum_assignment
+    rows, cols = linear_sum_assignment(cost)
+    calls = []
+    term = metrics._cov_term
+    monkeypatch.setattr(metrics, "_cov_term", lambda a, b: calls.append(1) or term(a, b))
+    assert gmm_objective_matched(truth, fit) == float(cost[rows, cols].mean())
+    assert len(calls) == (1 if shared else 16)
 
 
 def test_gmm_objective_matched_equals_sign_minimized_for_two_components():

@@ -169,6 +169,46 @@ def test_bayes_error_gaussian_tail():
     assert abs(est - expect) <= 4 * np.sqrt(expect * (1 - expect) / n)
 
 
+def _posterior_argmax_error(p, n, rng):
+    """The posterior argmax rule written out: normalized posteriors
+    w_i N(x; mu_i, Sigma_i) / sum_j w_j N(x; mu_j, Sigma_j), then their argmax."""
+    from scipy.stats import multivariate_normal
+    xs, labels = sample_mixture(p, n, rng)
+    with np.errstate(divide="ignore"):
+        lj = np.stack([np.log(w) + multivariate_normal(mu, cov).logpdf(xs)
+                       for w, mu, cov in zip(p.weights, p.means, p.covs)], axis=1)
+    post = np.exp(lj - lj.max(axis=1, keepdims=True))
+    post /= post.sum(axis=1, keepdims=True)
+    return float(np.mean(np.argmax(post, axis=1) != labels))
+
+
+_SHAPE = np.array([[0.6, 0.2], [0.2, 0.4]])
+
+
+@pytest.mark.parametrize("p", [
+    GmmParams(weights=np.full(3, 1 / 3), means=np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]]),
+              covs=_SHAPE),
+    GmmParams(weights=np.full(3, 1 / 3), means=np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]]),
+              covs=np.stack([_SHAPE, 0.5 * np.eye(2), np.diag([0.2, 1.5])])),
+    GmmParams(weights=np.array([0.6, 0.3, 0.1]),
+              means=np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]]),
+              covs=np.stack([_SHAPE, 0.5 * np.eye(2), np.diag([0.2, 1.5])])),
+], ids=["shared", "distinct", "unequal-weights"])
+def test_bayes_error_is_the_posterior_argmax_rule(p):
+    want = _posterior_argmax_error(p, 20000, SeededRng(8))
+    assert 0.05 < want < 0.6
+    assert bayes_error(p, 20000, SeededRng(8)) == want
+
+
+def test_bayes_error_never_predicts_a_zero_weight_component():
+    # component 1's narrow density would claim the draws near 0 but for its zero weight
+    p = GmmParams(weights=np.array([0.5, 0.0, 0.5]), means=np.array([[-1.0], [0.0], [1.0]]),
+                  covs=np.array([[[1.0]], [[0.01]], [[1.0]]]))
+    pe = bayes_error(p, 20000, SeededRng(9))
+    assert pe == _posterior_argmax_error(p, 20000, SeededRng(9))
+    assert abs(pe - 0.1587) <= 0.015  # Phi(-1), the error of N(+-1, 1) alone
+
+
 def test_bayes_error_separated_atoms():
     p = GmmParams.symmetric2(np.array([100.0]), np.array([[1e-6]]))
     assert bayes_error(p, 2000, SeededRng(7)) == 0.0
@@ -366,7 +406,14 @@ def einsum_sample_mixture(p, n, rng):
     GmmParams(weights=np.array([0.5, 0.25, 0.25]), means=np.arange(9.0).reshape(3, 3),
               covs=np.stack([np.diag([1.0, 2.0, 3.0]), 0.5 * np.eye(3),
                              np.diag([4.0, 0.1, 1.0])])),
-], ids=["d1-k2", "d1-k3", "d100-k2", "d3-k3"])
+    # a shared covariance skips its repeats' products: against the first one
+    GmmParams(weights=np.full(3, 1 / 3), means=np.arange(6.0).reshape(3, 2),
+              covs=np.stack([np.diag([1.0, 2.0]), [[0.5, 0.2], [0.2, 0.3]],
+                             [[0.5, 0.2], [0.2, 0.3]]])),
+    GmmParams(weights=np.full(3, 1 / 3), means=np.arange(6.0).reshape(3, 2),
+              covs=np.stack([np.diag([1.0, 2.0]), [[0.5, 0.2], [0.2, 0.3]],
+                             np.diag([1.0, 2.0])])),
+], ids=["d1-k2", "d1-k3", "d100-k2", "d3-k3", "d2-ABB", "d2-ABA"])
 def test_sample_mixture_matches_einsum_form(p):
     xs, labels = sample_mixture(p, 500, SeededRng(11))
     ref, ref_labels = einsum_sample_mixture(p, 500, SeededRng(11))
